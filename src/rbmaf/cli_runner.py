@@ -17,9 +17,10 @@ import time
 import warnings
 from dataclasses import dataclass, field
 
-from .dual_certificate import verify_dual_feasibility
+from .dual_certificate import VERIFY_CAP, verify_dual_feasibility
 from .forest_partition import is_feasible_maf
 from .lp_toolkit import (
+    WU_GAP_MAX_ORDER,
     build_compact_lp,
     build_exponential_lp,
     build_wu_ilp,
@@ -38,7 +39,6 @@ from .tree_model import (
 )
 
 EXACT_CAP = 10
-EXACT_CAP_ENV = "MAF_ORACLE_CAP"
 _SPR_ATTEMPTS = 64
 
 
@@ -75,18 +75,6 @@ def _bad_triples(pair):
     return bad
 
 
-def _resolve_cap(partition_cap):
-    cap = partition_cap
-    if cap is None:
-        cap = int(os.environ.get(EXACT_CAP_ENV, EXACT_CAP))
-    if cap > EXACT_CAP:
-        warnings.warn(
-            "exact search allowed up to %d leaves; the partition count "
-            "grows like the Bell numbers" % cap,
-            RuntimeWarning, stacklevel=3)
-    return cap
-
-
 def exact_maf(pair, partition_cap=None):
     """Minimum edge deletions over all agreement forests, by exhaustion.
 
@@ -95,9 +83,14 @@ def exact_maf(pair, partition_cap=None):
     and its spanned nodes stay disjoint from every other block in both
     trees; branches already using at least the best known number of
     blocks are cut.  Refuses more than ``partition_cap`` leaves
-    (default 10, overridable through the MAF_ORACLE_CAP variable).
+    (default 10); a cap above the default warns.
     """
-    cap = _resolve_cap(partition_cap)
+    cap = EXACT_CAP if partition_cap is None else partition_cap
+    if cap > EXACT_CAP:
+        warnings.warn(
+            "exact search allowed up to %d leaves; the partition count "
+            "grows like the Bell numbers" % cap,
+            RuntimeWarning, stacklevel=2)
     n = pair.n
     if n > cap:
         raise OracleCapError(
@@ -321,6 +314,24 @@ def random_pair(n, seed=0, mode="uniform", k=None):
     return pair_from_newick(s1, s2)
 
 
+def corpus(n, count, base_seed=0, mode="mixed"):
+    """Seeded ``(name, pair)`` instances on ``n`` leaves, yielded lazily.
+
+    Instance ``i`` uses seed ``base_seed + i``.  ``mixed`` alternates
+    independent uniform pairs (even ``i``) with pairs ``k = 1 + i %
+    max(1, n - 2)`` prune and regraft moves apart (odd ``i``); ``krspr``
+    and ``uniform`` keep to one kind.
+    """
+    for i in range(count):
+        seed = base_seed + i
+        if mode == "krspr" or (mode == "mixed" and i % 2):
+            k = 1 + i % max(1, n - 2)
+            yield ("r%d-n%d-s%d" % (k, n, seed),
+                   random_pair(n, seed, mode="k_rspr", k=k))
+        else:
+            yield "u-n%d-s%d" % (n, seed), random_pair(n, seed)
+
+
 # ----------------------------------------------------------------------
 # reports
 
@@ -373,10 +384,15 @@ class RunReport:
         }
 
 
-def make_report(pair, instance="instance", want_exact=False, exact_cap=None):
-    """Solve one pair, optionally compare against the exact optimum."""
+def make_report(pair, instance="instance", want_exact=False, exact_cap=None,
+                on_iteration=None):
+    """Solve one pair, optionally compare against the exact optimum.
+
+    ``on_iteration`` is handed to :func:`run`; its time counts as solve
+    time.
+    """
     t0 = time.perf_counter()
-    result = run(pair)
+    result = run(pair, on_iteration=on_iteration)
     timings = {"solve": time.perf_counter() - t0}
     exact = None
     if want_exact:
@@ -402,7 +418,6 @@ def certificate_dict(result):
     return {
         "y": result.dual.as_dict(),
         "D": result.dual_objective,
-        "lower_bound": result.dual_objective,
         "ratio_bound": result.ratio_bound,
     }
 
@@ -465,18 +480,19 @@ def _cmd_exact(args):
     return 0
 
 
-def _cmd_check_dual(args):
-    pair = _load_pair(args)
-    seen = {"iterations": 0}
-
+def _verify_each_iteration(pair):
+    """``on_iteration`` hook that re-verifies the certificate."""
     def inspect(partition, dual, record):
         verify_dual_feasibility(pair, dual, partition)
-        seen["iterations"] += 1
+    return inspect
 
-    result = run(pair, on_iteration=inspect)
+
+def _cmd_check_dual(args):
+    pair = _load_pair(args)
+    result = run(pair, on_iteration=_verify_each_iteration(pair))
     verify_dual_feasibility(pair, result.dual, result.partition)
     print("dual certificate feasible after each of %d iterations"
-          % seen["iterations"])
+          % len(result.iterations))
     print("value %d lower bound %d" % (result.value, result.dual_objective))
     return 0
 
@@ -523,34 +539,42 @@ def _cmd_gen(args):
 
 
 def _cmd_fuzz(args):
+    """Sandwich checks over a seeded corpus.
+
+    Instances small enough for the exact search are also compared with
+    the optimum and have their certificate re-verified after every
+    iteration, as ``check-dual`` does.
+    """
+    want_exact = args.n <= args.exact_cap
+    verify = want_exact and args.n <= VERIFY_CAP
     failures = []
-    for i in range(args.iters):
-        seed_i = args.seed + i
-        use_spr = args.mode == "krspr" or (args.mode == "mixed" and i % 2)
-        if use_spr:
-            k = 1 + i % max(1, args.n - 2)
-            name = "r%d-n%d-s%d" % (k, args.n, seed_i)
-            pair = random_pair(args.n, seed_i, mode="k_rspr", k=k)
-        else:
-            name = "u-n%d-s%d" % (args.n, seed_i)
-            pair = random_pair(args.n, seed_i)
+    worst = None
+    for name, pair in corpus(args.n, args.iters, args.seed, args.mode):
         try:
             report, result = make_report(
-                pair, instance=name,
-                want_exact=args.n <= args.exact_cap,
-                exact_cap=args.exact_cap)
+                pair, instance=name, want_exact=want_exact,
+                exact_cap=args.exact_cap,
+                on_iteration=_verify_each_iteration(pair) if verify else None)
+            if verify:
+                verify_dual_feasibility(pair, result.dual, result.partition)
             if not is_feasible_maf(pair, result.partition):
                 raise InvariantError("final forest is not an agreement forest")
         except (InvariantError, AssertionError) as error:
             failures.append("%s: %s" % (name, error))
+            continue
+        if report.ratio_exact is not None:
+            worst = max(worst or 0.0, report.ratio_exact)
     if failures:
         for line in failures[:20]:
             print("FAIL " + line, file=sys.stderr)
         print("%d of %d instances failed" % (len(failures), args.iters),
               file=sys.stderr)
         return 1
-    print("fuzz ok: %d instances, n=%d, seed=%d, mode=%s"
-          % (args.iters, args.n, args.seed, args.mode))
+    summary = ("fuzz ok: %d instances, n=%d, seed=%d, mode=%s"
+               % (args.iters, args.n, args.seed, args.mode))
+    if worst is not None:
+        summary += ", worst value/exact %.3f" % worst
+    print(summary)
     return 0
 
 
@@ -614,7 +638,8 @@ def build_parser():
     p.add_argument("--n", type=int, default=None, help="leaf count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=None,
-                   help="moves for krspr, order for wu (even, at least 2)")
+                   help="moves for krspr, order for wu (even, 2 to %d)"
+                   % WU_GAP_MAX_ORDER)
     p.add_argument("-o", "--out", default=None, help="output path prefix")
     p.set_defaults(func=_cmd_gen)
 

@@ -12,7 +12,7 @@ solver's output a certified 2-approximation.
 
 from __future__ import annotations
 
-from .forest_partition import Partition
+from .forest_partition import as_blocks
 from .tree_model import InvariantError, OracleCapError, spanned_nodes
 
 VERIFY_CAP = 15
@@ -62,28 +62,7 @@ class DualState:
         return out
 
 
-def decrement_y(dual, tree, node):
-    """Module-level spelling of :meth:`DualState.star`."""
-    dual.star(tree, node)
-
-
-def _as_blocks(components):
-    if isinstance(components, Partition):
-        return [frozenset(c.leaves) for c in components.comps.values()]
-    return [frozenset(b) for b in components]
-
-
-def dual_objective(dual, components):
-    """Objective of the certificate against the given partition."""
-    return dual.objective(len(_as_blocks(components)))
-
-
-def load(pair, dual, components, leaves):
-    """Certificate load on one leaf set.
-
-    Potential mass on the internal nodes the set spans in either tree,
-    plus the number of blocks it intersects.
-    """
+def _load(pair, dual, blocks, leaves):
     total = 0
     for v in spanned_nodes(pair, 1, leaves):
         if pair.t1.left[v] >= 0:
@@ -92,10 +71,19 @@ def load(pair, dual, components, leaves):
         if pair.t2.left[v] >= 0:
             total += dual.y2[v]
     lset = set(leaves)
-    for b in _as_blocks(components):
+    for b in blocks:
         if b & lset:
             total += 1
     return total
+
+
+def load(pair, dual, components, leaves):
+    """Certificate load on one leaf set.
+
+    Potential mass on the internal nodes the set spans in either tree,
+    plus the number of blocks it intersects.
+    """
+    return _load(pair, dual, as_blocks(components), leaves)
 
 
 def verify_dual_feasibility(pair, dual, components, size_cap=None,
@@ -113,23 +101,13 @@ def verify_dual_feasibility(pair, dual, components, size_cap=None,
             "capped at %d leaves (got %d)" % (cap, pair.n))
     if any(y > 0 for y in dual.y1) or any(y > 0 for y in dual.y2):
         raise InvariantError("certificate has a positive potential")
-    blocks = _as_blocks(components)
+    blocks = as_blocks(components)
     from .lp_toolkit import enumerate_compatible_sets
 
     for leaves in enumerate_compatible_sets(pair):
         if size_cap is not None and len(leaves) > size_cap:
             continue
-        total = 0
-        for v in spanned_nodes(pair, 1, leaves):
-            if pair.t1.left[v] >= 0:
-                total += dual.y1[v]
-        for v in spanned_nodes(pair, 2, leaves):
-            if pair.t2.left[v] >= 0:
-                total += dual.y2[v]
-        lset = set(leaves)
-        for b in blocks:
-            if b & lset:
-                total += 1
+        total = _load(pair, dual, blocks, leaves)
         if total > 1:
             if not strict:
                 return False

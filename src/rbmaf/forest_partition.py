@@ -377,15 +377,15 @@ class Partition:
                     "partition is not realizable as a forest of the second tree")
 
 
-def initial_partition(pair):
-    """Single-component partition holding every leaf."""
-    return Partition(pair)
+def as_blocks(components):
+    """Blocks of a Partition or of any collection of leaf index sets.
 
-
-def _as_leaf_sets(pair, components):
+    Returns one frozenset of leaf indices per block, so callers can take
+    either form of a forest.
+    """
     if isinstance(components, Partition):
-        return [list(c.leaves) for c in components.comps.values()]
-    return [sorted(set(c)) for c in components]
+        return [frozenset(c.leaves) for c in components.comps.values()]
+    return [frozenset(b) for b in components]
 
 
 def is_feasible_maf(pair, components):
@@ -395,7 +395,7 @@ def is_feasible_maf(pair, components):
     spans must be pairwise node-disjoint in both trees.  Raises
     ValueError when the blocks do not partition the leaf set.
     """
-    blocks = _as_leaf_sets(pair, components)
+    blocks = as_blocks(components)
     flat = [x for b in blocks for x in b]
     if len(flat) != pair.n or set(flat) != set(range(pair.n)):
         raise ValueError("blocks do not partition the leaf set")
@@ -424,13 +424,13 @@ def is_K_feasible(pair, components, K):
     share nodes of the second tree nor nodes of the first tree spanned
     by K.
     """
-    blocks = _as_leaf_sets(pair, components)
+    blocks = as_blocks(components)
     kset = set(K)
     for b in blocks:
-        bk = sorted(set(b) & kset)
+        bk = sorted(b & kset)
         if not set_compatible(pair, bk):
             return False
-        for w in set(b) - kset:
+        for w in b - kset:
             if not set_compatible(pair, bk + [w]):
                 return False
     v1k = spanned_nodes(pair, 1, K) if kset else set()

@@ -24,6 +24,9 @@ from .tree_model import (
 )
 
 ENUMERATION_CAP = 15
+# Largest gap-family order built: the pair has 2^k leaves, so the
+# limit is 65,536 leaves and larger orders are refused up front.
+WU_GAP_MAX_ORDER = 16
 
 
 @dataclass
@@ -598,10 +601,15 @@ def wu_gap_instance(k):
 
     Both trees are complete binaries over all binary strings of length
     k; the first places leaves in string order, the second in order of
-    the reversed strings.  Requires even k >= 2.
+    the reversed strings.  Requires even k with 2 <= k <=
+    WU_GAP_MAX_ORDER.
     """
     if k < 2 or k % 2:
         raise ValueError("k must be even and at least 2")
+    if k > WU_GAP_MAX_ORDER:
+        raise ValueError(
+            "gap family order %d exceeds the limit WU_GAP_MAX_ORDER = %d "
+            "(2^%d leaves)" % (k, WU_GAP_MAX_ORDER, WU_GAP_MAX_ORDER))
     return pair_from_newick(_complete_tree_newick(k, False),
                             _complete_tree_newick(k, True))
 

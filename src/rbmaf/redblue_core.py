@@ -98,11 +98,6 @@ class RedBlueResult:
     trace: list
 
     @property
-    def forest(self):
-        """Alias for the final partition."""
-        return self.partition
-
-    @property
     def ratio_bound(self):
         """value / lower bound; None when the lower bound is zero."""
         if self.dual_objective == 0:

@@ -27,7 +27,7 @@ from bisect import bisect_left
 
 RHO_LABEL = "rho"
 
-_RESERVED = "(),;:"
+_RESERVED = "(),;:'[]"
 
 
 class NewickError(ValueError):
@@ -217,8 +217,10 @@ def parse_newick(text):
     """Parse a Newick string into a :class:`RootedBinaryTree`.
 
     Every internal node must have exactly two children.  Leaf labels
-    are any run of characters outside ``(),;:`` and whitespace.
+    are any run of characters outside ``(),;:'[]`` and whitespace.
     Internal labels and ``:length`` suffixes are accepted and ignored.
+    Quoted labels and ``[...]`` comments are not supported: a quote or
+    bracket raises NewickError naming the character and its offset.
     """
     s = text.strip()
     if not s:
@@ -268,6 +270,10 @@ def parse_newick(text):
             stack[-1].append((None, kids))
         elif c in ";:":
             raise NewickError("unexpected %r at offset %d" % (c, i))
+        elif c in "'[]":
+            raise NewickError(
+                "unsupported %r at offset %d: quoted labels and comments "
+                "are not read" % (c, i))
         else:
             name, i = read_name(i)
             if not name:

@@ -1,8 +1,8 @@
-"""Shared fixtures: the worked example instances and seeded corpora."""
+"""Shared fixtures: the worked example instances."""
 
 import pytest
 
-from rbmaf import fig_instances, random_pair
+from rbmaf import fig_instances
 
 
 @pytest.fixture(scope="session")
@@ -18,21 +18,3 @@ def fig1(figs):
 @pytest.fixture(scope="session")
 def fig9(figs):
     return figs["fig9"].pair
-
-
-def corpus(n, count, base_seed=0, mode="mixed"):
-    """Deterministic list of (name, pair) instances for fuzz style tests.
-
-    ``mixed`` alternates independent uniform pairs with pairs a bounded
-    number of prune and regraft moves apart.
-    """
-    out = []
-    for i in range(count):
-        seed = base_seed + i
-        if mode == "krspr" or (mode == "mixed" and i % 2):
-            k = 1 + i % max(1, n - 2)
-            out.append(("r%d-n%d-s%d" % (k, n, seed),
-                        random_pair(n, seed, mode="k_rspr", k=k)))
-        else:
-            out.append(("u-n%d-s%d" % (n, seed), random_pair(n, seed)))
-    return out

@@ -9,17 +9,18 @@ from functools import lru_cache
 
 from rbmaf import (
     DualState,
+    Partition,
     arborescence_leafsets,
     build_compact_graph,
     build_compact_lp,
     build_exponential_lp,
     build_wu_ilp,
     check_feasible_point,
+    corpus,
     encode_lpstar_point,
     enumerate_compatible_sets,
     exact_maf,
     fig_instances,
-    initial_partition,
     is_feasible_maf,
     make_coloring,
     make_rb_compatible,
@@ -33,7 +34,6 @@ from rbmaf import (
 )
 
 import naive
-from conftest import corpus
 
 
 @lru_cache(maxsize=1)
@@ -141,7 +141,7 @@ def test_criterion_06_worked_trace_goldens(fig1):
     assert after_first["stage"] == "p1"
     assert ["b1", "r1"] in after_first["components"]
 
-    part = initial_partition(fig1)
+    part = Partition(fig1)
     part.begin_iteration(1)
     coloring = make_coloring(part, 6)
     part.refresh_annotations(coloring)

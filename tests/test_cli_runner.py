@@ -1,5 +1,6 @@
 """Exact oracle, instance generators, reports, and the command line."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -14,6 +15,7 @@ from rbmaf import (
     InvariantError,
     OracleCapError,
     RunReport,
+    corpus,
     exact_maf,
     make_report,
     pair_from_newick,
@@ -31,7 +33,6 @@ from rbmaf.lp_toolkit import (
 )
 
 import naive
-from conftest import corpus
 
 
 # ----------------------------------------------------------------------
@@ -51,17 +52,16 @@ def test_exact_trivial_sizes():
 def test_exact_matches_naive():
     for name, pair in corpus(6, 8, base_seed=61):
         assert exact_maf(pair) == naive.naive_exact_maf(pair), name
-    name, pair = corpus(7, 1, base_seed=62)[0]
+    name, pair = next(corpus(7, 1, base_seed=62))
     assert exact_maf(pair) == naive.naive_exact_maf(pair), name
 
 
-def test_exact_cap_enforced(monkeypatch):
+def test_exact_cap_enforced():
     pair = random_pair(11, seed=4)
     with pytest.raises(OracleCapError, match="capped at 10"):
         exact_maf(pair)
-    monkeypatch.setenv("MAF_ORACLE_CAP", "8")
     with pytest.raises(OracleCapError, match="capped at 8"):
-        exact_maf(random_pair(9, seed=4))
+        exact_maf(random_pair(9, seed=4), partition_cap=8)
 
 
 def test_exact_cap_raise_warns():
@@ -110,6 +110,17 @@ def test_krspr_distance_within_k():
             assert 0 < exact_maf(pair) <= k
 
 
+def test_corpus_golden():
+    """The acceptance corpus, byte for byte, as first recorded."""
+    digest = hashlib.sha256()
+    for n in range(3, 13):
+        for name, pair in corpus(n, 30, base_seed=7000 + 97 * n):
+            for text in (name, pair.t1.to_newick(), pair.t2.to_newick()):
+                digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "cce7d5de522070b93621db2156fc9de4b3063d0faeef7c692dd9897c1044b02d")
+
+
 def test_random_pair_argument_errors():
     with pytest.raises(ValueError, match="at least 2"):
         random_pair(1)
@@ -155,14 +166,14 @@ def test_make_report_identical_trees():
     assert (report.value, report.dual, report.exact) == (0, 0, 0)
     assert report.ratio_exact is None and report.ratio_half is None
     assert certificate_dict(result) == {
-        "y": {}, "D": 0, "lower_bound": 0, "ratio_bound": None}
+        "y": {}, "D": 0, "ratio_bound": None}
 
 
 def test_certificate_dict_golden(fig1):
     result = run(fig1)
     assert certificate_dict(result) == {
         "y": {"t1:6": -1, "t2:2": -1, "t2:10": -1},
-        "D": 2, "lower_bound": 2, "ratio_bound": 2.0}
+        "D": 2, "ratio_bound": 2.0}
 
 
 # ----------------------------------------------------------------------
@@ -269,9 +280,37 @@ def test_cli_gen_errors(tmp_path, capsys):
     assert "even" in capsys.readouterr().err
 
 
+def test_cli_gen_wu_order_capped(tmp_path, capsys, monkeypatch):
+    def never(k, reverse):
+        raise AssertionError("built a gap tree of order %d" % k)
+
+    monkeypatch.setattr("rbmaf.lp_toolkit._complete_tree_newick", never)
+    assert main(["gen", "wu", "--k", "40", "-o", str(tmp_path / "z")]) == 2
+    assert "WU_GAP_MAX_ORDER = 16" in capsys.readouterr().err
+
+
 def test_cli_fuzz_small(capsys):
     assert main(["fuzz", "--n", "6", "--iters", "8", "--seed", "3"]) == 0
-    assert "fuzz ok: 8 instances" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("fuzz ok: 8 instances")
+    assert "worst value/exact" in out
+
+
+def test_cli_fuzz_reverifies_certificate(monkeypatch, capsys):
+    calls = []
+
+    def fail_second(pair, dual, components):
+        calls.append(pair)
+        if len(calls) == 2:
+            raise InvariantError("injected load violation")
+        return True
+
+    monkeypatch.setattr("rbmaf.cli_runner.verify_dual_feasibility",
+                        fail_second)
+    assert main(["fuzz", "--n", "6", "--iters", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "FAIL u-n6-s0: injected load violation" in err
+    assert "1 of 4 instances failed" in err
 
 
 def test_cli_bench_tiny(capsys):

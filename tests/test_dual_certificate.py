@@ -7,16 +7,13 @@ from rbmaf import (
     InvariantError,
     OracleCapError,
     check_balance,
-    decrement_y,
-    dual_objective,
+    corpus,
     load,
     pair_from_newick,
     random_pair,
     run,
     verify_dual_feasibility,
 )
-
-from conftest import corpus
 
 
 @pytest.fixture
@@ -40,12 +37,6 @@ def test_star_on_leaf_rejected(tiny):
         dual.star(1, 0)
 
 
-def test_decrement_y_is_star(tiny):
-    dual = DualState(tiny)
-    decrement_y(dual, 1, 2)
-    assert dual.as_dict() == {"t1:2": -1}
-
-
 def test_load_hand_case(tiny):
     """One decrement on the cherry node of the first tree."""
     a, b, c = 0, 1, 2
@@ -62,10 +53,9 @@ def test_objective_accepts_partition_or_blocks(fig1):
     """The reported bound is sealed before the merges, so evaluating
     against the merged forest loses one per remembered pair."""
     res = run(fig1)
-    d = dual_objective(res.dual, res.partition)
+    d = res.dual.objective(len(res.partition))
     assert d == res.dual_objective - len(res.pairslist)
-    blocks = [set(c.leaves) for c in res.partition.comps.values()]
-    assert dual_objective(res.dual, blocks) == d
+    assert res.dual.objective(len(res.components)) == d
 
 
 def test_fig9_certificate_golden(fig9):

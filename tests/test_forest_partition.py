@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rbmaf import (
     InvariantError,
-    initial_partition,
+    Partition,
     is_feasible_maf,
     is_K_feasible,
     pair_from_newick,
@@ -21,8 +21,8 @@ def idx(pair, *labels):
     return [pair.index_of[x] for x in labels]
 
 
-def test_initial_partition_state(fig1):
-    part = initial_partition(fig1)
+def test_fresh_partition_state(fig1):
+    part = Partition(fig1)
     assert len(part) == 1
     assert part.label_sets() == (tuple(fig1.labels),)
     assert part.deleted_edges_labels() == []
@@ -32,7 +32,7 @@ def test_initial_partition_state(fig1):
 
 
 def test_split_below_cuts_one_edge(fig1):
-    part = initial_partition(fig1)
+    part = Partition(fig1)
     # T2 node 2 is the meeting point of b1 and r1
     below, above = part.split_below(2)
     assert part.label_sets() == (("b1", "r1"),
@@ -43,7 +43,7 @@ def test_split_below_cuts_one_edge(fig1):
 
 
 def test_split_below_rejects_uncovered_and_empty_upper(fig1):
-    part = initial_partition(fig1)
+    part = Partition(fig1)
     with pytest.raises(InvariantError):
         part.split_below(fig1.t2.root)
     part.split_below(2)
@@ -53,7 +53,7 @@ def test_split_below_rejects_uncovered_and_empty_upper(fig1):
 
 
 def test_split_component_parts_must_partition(fig1):
-    part = initial_partition(fig1)
+    part = Partition(fig1)
     cid = next(iter(part.comps))
     with pytest.raises(InvariantError):
         part.split_component(cid, [idx(fig1, "b1")])
@@ -64,7 +64,7 @@ def test_split_component_parts_must_partition(fig1):
 
 
 def test_split_component_cut_placement(fig1):
-    part = initial_partition(fig1)
+    part = Partition(fig1)
     cid = next(iter(part.comps))
     part.split_component(cid, [
         idx(fig1, "b1", "r1"),
@@ -78,7 +78,7 @@ def test_split_component_cut_placement(fig1):
 
 
 def test_merge_then_canonicalize_round_trip(fig1):
-    part = initial_partition(fig1)
+    part = Partition(fig1)
     part.split_below(2)
     b1, b2 = idx(fig1, "b1", "b2")
     part.merge_leaves(b1, b2)
@@ -90,7 +90,7 @@ def test_merge_then_canonicalize_round_trip(fig1):
 
 
 def test_split_rejects_overlapping_family(fig1):
-    part = initial_partition(fig1)
+    part = Partition(fig1)
     cid = next(iter(part.comps))
     # {b1, b2} and {r1, w1} interleave below T2 node 6, so the family
     # is not realizable by deleting edges of the second tree
@@ -103,7 +103,7 @@ def test_split_rejects_overlapping_family(fig1):
 
 
 def test_begin_iteration_stamps_origin(fig1):
-    part = initial_partition(fig1)
+    part = Partition(fig1)
     part.split_below(2)
     part.begin_iteration(3)
     for cid, comp in part.comps.items():
@@ -142,7 +142,7 @@ def test_is_feasible_maf_matches_naive(n, seed, pseed):
 
 
 def test_is_K_feasible_basic(fig1):
-    part = initial_partition(fig1)
+    part = Partition(fig1)
     assert is_K_feasible(fig1, part, [])
     final = [idx(fig1, "b1", "r1"), idx(fig1, "b2"), idx(fig1, "r2"),
              idx(fig1, "w1", "w2"), idx(fig1, "w3")]
@@ -152,7 +152,7 @@ def test_is_K_feasible_basic(fig1):
 
 
 def test_leaf_sets_and_component_of_leaf(fig1):
-    part = initial_partition(fig1)
+    part = Partition(fig1)
     part.split_below(2)
     for i in range(fig1.n):
         assert i in part.component_of_leaf(i).leaves

@@ -11,6 +11,7 @@ from rbmaf import (
     build_exponential_lp,
     build_wu_ilp,
     check_feasible_point,
+    corpus,
     encode_lpstar_point,
     enumerate_compatible_sets,
     exact_maf,
@@ -25,7 +26,6 @@ from rbmaf import (
 from rbmaf.lp_toolkit import arborescence_for_set, render_lp_text
 
 import naive
-from conftest import corpus
 
 
 @pytest.fixture

@@ -7,10 +7,10 @@ from rbmaf import (
     InvariantError,
     Partition,
     classify_case,
+    corpus,
     exact_maf,
     find_lowest_pcs,
     find_merge_pair,
-    initial_partition,
     is_feasible_maf,
     is_K_feasible,
     make_coloring,
@@ -24,7 +24,6 @@ from rbmaf import (
 )
 
 import naive
-from conftest import corpus
 
 
 def build_state(pair, parts_labels):
@@ -50,7 +49,6 @@ def test_fig1_full_golden(fig1):
     assert res.pairslist == [(fig1.index_of["r1"], fig1.index_of["b1"])]
     assert res.dual.as_dict() == {"t1:6": -1, "t2:2": -1, "t2:10": -1}
     assert res.ratio_bound == 2.0
-    assert res.forest is res.partition
 
     assert len(res.iterations) == 1
     rec = res.iterations[0]
@@ -115,16 +113,16 @@ def test_identical_trees_solve_trivially():
 
 
 def test_find_lowest_pcs_conditions(fig1, fig9):
-    assert find_lowest_pcs(initial_partition(fig1)).node == 6
-    assert find_lowest_pcs(initial_partition(fig1)).condition == "a"
-    assert find_lowest_pcs(initial_partition(fig9)).node == 4
-    assert find_lowest_pcs(initial_partition(fig9)).condition == "c"
+    assert find_lowest_pcs(Partition(fig1)).node == 6
+    assert find_lowest_pcs(Partition(fig1)).condition == "a"
+    assert find_lowest_pcs(Partition(fig9)).node == 4
+    assert find_lowest_pcs(Partition(fig9)).condition == "c"
     final = run(fig1).partition
     assert find_lowest_pcs(final) is None
 
 
 def test_make_coloring_at_fig1_pcs(fig1):
-    part = initial_partition(fig1)
+    part = Partition(fig1)
     coloring = make_coloring(part, 6)
     reds = sorted(fig1.labels[i] for i in coloring.red)
     blues = sorted(fig1.labels[i] for i in coloring.blue)
@@ -238,7 +236,7 @@ def test_split_top_guard(fig1):
 
 
 def test_merge_components_empty_list_is_noop(fig1):
-    part = initial_partition(fig1)
+    part = Partition(fig1)
     before = part.label_sets()
     merge_components(part, [])
     assert part.label_sets() == before

@@ -1,5 +1,6 @@
 """Tree structure, Newick parsing, and compatibility predicates."""
 
+import re
 from itertools import combinations
 
 import pytest
@@ -17,6 +18,7 @@ from rbmaf import (
     spanned_nodes,
     triple_compatible,
 )
+from rbmaf.cli_runner import main
 
 import naive
 
@@ -58,6 +60,20 @@ def test_canonical_newick_is_order_insensitive():
 def test_bad_newick_rejected(text):
     with pytest.raises(NewickError):
         parse_newick(text)
+
+
+@pytest.mark.parametrize("text, char, offset", [
+    ("('a b',c);", "'", 1),
+    ("((a,b)[x],c);", "[", 6),
+    ("((a,b),c[x]);", "[", 8),
+    ("(('a',b),c);", "'", 2),
+])
+def test_quotes_and_comments_rejected(text, char, offset, capsys):
+    message = "unsupported %r at offset %d" % (char, offset)
+    with pytest.raises(NewickError, match=re.escape(message)):
+        parse_newick(text)
+    assert main(["solve", text, "((a,b),c);"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_missing_semicolon_tolerated():
