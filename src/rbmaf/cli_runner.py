@@ -34,7 +34,7 @@ from .tree_model import (
     NewickError,
     OracleCapError,
     pair_from_newick,
-    parse_newick,
+    parse_newick,  # noqa: F401  unused here; perfbench patches this name
     triple_compatible,
 )
 
@@ -189,18 +189,25 @@ def _bud_newick(root):
     return "".join(out) + ";"
 
 
+def _relink(node, new, root):
+    """Hang ``new`` where ``node`` hangs; returns the (new) root."""
+    up = node.parent
+    new.parent = up
+    if up is None:
+        return new
+    if up.left is node:
+        up.left = new
+    else:
+        up.right = new
+    return root
+
+
 def _splice_above(host, graft, root):
     """Insert a new joint above ``host`` adopting ``graft`` as sibling."""
     joint = _Bud()
     joint.left = host
     joint.right = graft
-    joint.parent = host.parent
-    if host.parent is None:
-        root = joint
-    elif host.parent.left is host:
-        host.parent.left = joint
-    else:
-        host.parent.right = joint
+    root = _relink(host, joint, root)
     host.parent = joint
     graft.parent = joint
     return root
@@ -224,22 +231,12 @@ def _uniform_bud(labels, rng):
     return root
 
 
-def _bud_from_tree(tree):
-    built = [None] * tree.n_nodes
-    for v in range(tree.n_nodes):
-        if tree.left[v] < 0:
-            built[v] = _Bud(tree.labels[v])
-        else:
-            node = _Bud()
-            node.left = built[tree.left[v]]
-            node.right = built[tree.right[v]]
-            node.left.parent = node
-            node.right.parent = node
-            built[v] = node
-    return built
-
-
 def _subtree_buds(node):
+    """Nodes under ``node`` in pre-order, right child first.
+
+    Reversed, the list is the left-to-right post-order, which is the
+    node numbering ``parse_newick`` gives the tree's Newick text.
+    """
     out = []
     stack = [node]
     while stack:
@@ -251,28 +248,26 @@ def _subtree_buds(node):
     return out
 
 
-def _spr_once(newick, rng):
-    """One subtree prune and regraft on a tree given as Newick text."""
-    nodes = _bud_from_tree(parse_newick(newick))
-    root = nodes[-1]
+def _spr_once(root, rng):
+    """One subtree prune and regraft, in place; returns the new root.
+
+    Returns None and leaves the tree as it was when the pruned subtree
+    would go back onto its former sibling: in a rooted binary tree with
+    distinct labels that is the only move that gives back the same
+    topology.
+    """
+    nodes = _subtree_buds(root)[::-1]  # post-order, root last
     moving = nodes[rng.randrange(len(nodes) - 1)]
     gone = moving.parent
     sib = gone.left if gone.right is moving else gone.right
-    sib.parent = gone.parent
-    if gone.parent is None:
-        root = sib
-    elif gone.parent.left is gone:
-        gone.parent.left = sib
-    else:
-        gone.parent.right = sib
+    root = _relink(gone, sib, root)
     hosts = _subtree_buds(root)
     host = hosts[rng.randrange(len(hosts))]
-    root = _splice_above(host, moving, root)
-    return _bud_newick(root)
-
-
-def _canonical(newick):
-    return parse_newick(newick).to_newick(canonical=True)
+    if host is sib:
+        _relink(sib, gone, root)
+        sib.parent = gone
+        return None
+    return _splice_above(host, moving, root)
 
 
 def random_pair(n, seed=0, mode="uniform", k=None):
@@ -281,10 +276,11 @@ def random_pair(n, seed=0, mode="uniform", k=None):
     ``uniform`` draws two independent topologies, each uniform over the
     rooted binary shapes on the labels (leaves join at a uniformly
     chosen slot, including the one above the root).  ``k_rspr`` copies
-    the first tree and applies ``k`` prune and regraft moves, retrying
-    any move that recreates the topology it started from, so the true
-    distance is at most ``k``; when no shape-changing move exists (two
-    leaves) the move is skipped.  Randomness comes from
+    the first tree and applies ``k`` prune and regraft moves, drawing a
+    move again (up to 64 times) when it would regraft onto the pruned
+    subtree's former sibling, the one move that changes nothing; so the
+    true distance is at most ``k``.  When no shape-changing move exists
+    (two leaves) the move is skipped.  Randomness comes from
     ``random.Random(seed)`` (Mersenne Twister).
     """
     if n < 2:
@@ -300,15 +296,15 @@ def random_pair(n, seed=0, mode="uniform", k=None):
             raise ValueError("k_rspr mode needs k >= 0")
         if k >= n:
             raise ValueError("k must stay below the leaf count")
-        s1 = _bud_newick(_uniform_bud(labels, rng))
-        s2 = s1
+        root = _uniform_bud(labels, rng)
+        s1 = _bud_newick(root)
         for _ in range(k):
-            before = _canonical(s2)
             for _attempt in range(_SPR_ATTEMPTS):
-                cand = _spr_once(s2, rng)
-                if _canonical(cand) != before:
-                    s2 = cand
+                moved = _spr_once(root, rng)
+                if moved is not None:
+                    root = moved
                     break
+        s2 = _bud_newick(root)
     else:
         raise ValueError("unknown mode %r" % mode)
     return pair_from_newick(s1, s2)

@@ -11,7 +11,7 @@ except for one shallowest component that keeps the original root).
 
 Annotations are recomputed from scratch in O(n) after each structural
 change: per node of the second tree, the number of live leaves below it
-inside its forest tree (split by color while a coloring is active), the
+inside its forest tree (split by color, all white without a coloring), the
 component owning its tree, and the component covering the node, where
 "covering" means the node lies on a path between two leaves of that
 component inside the forest.
@@ -31,7 +31,7 @@ class Component:
     forest, ``created_iter`` stamps the iteration that created it (0 for
     the initial block), and ``origin0`` points to the ancestor block
     that existed when the current iteration started.  Color counts are
-    filled by annotation refreshes while a coloring is active.
+    filled by annotation refreshes (all white without a coloring).
     """
 
     __slots__ = ("id", "leaves", "root2", "created_iter", "origin0",
@@ -153,61 +153,49 @@ class Partition:
         comps = self.comps
 
         live = [0] * n
-        col = self.coloring.color if self.coloring is not None else None
-        if col is not None:
-            live_r = [0] * n
-            live_b = [0] * n
-            live_w = [0] * n
-            for c in comps.values():
-                c.n_red = c.n_blue = c.n_white = 0
-            for i, cid in enumerate(leaf_comp):
-                c = comps[cid]
-                k = col[i]
+        live_r = [0] * n
+        live_b = [0] * n
+        live_w = [0] * n
+        # Colors are 0 red, 1 blue, 2 white; with no coloring all are white.
+        col = self.coloring.color if self.coloring is not None else [2] * pair.n
+        for c in comps.values():
+            c.n_red = c.n_blue = c.n_white = 0
+        for i, cid in enumerate(leaf_comp):
+            c = comps[cid]
+            k = col[i]
+            if k == 0:
+                c.n_red += 1
+            elif k == 1:
+                c.n_blue += 1
+            else:
+                c.n_white += 1
+        for v in range(n):
+            l = left[v]
+            if l < 0:
+                k = col[leaf_index2[v]]
+                live[v] = 1
                 if k == 0:
-                    c.n_red += 1
+                    live_r[v] = 1
                 elif k == 1:
-                    c.n_blue += 1
+                    live_b[v] = 1
                 else:
-                    c.n_white += 1
-            for v in range(n):
-                l = left[v]
-                if l < 0:
-                    k = col[leaf_index2[v]]
-                    live[v] = 1
-                    if k == 0:
-                        live_r[v] = 1
-                    elif k == 1:
-                        live_b[v] = 1
-                    else:
-                        live_w[v] = 1
+                    live_w[v] = 1
+            else:
+                r = right[v]
+                if cut[l]:
+                    t = tr = tb = tw = 0
                 else:
-                    r = right[v]
-                    if cut[l]:
-                        t = tr = tb = tw = 0
-                    else:
-                        t, tr, tb, tw = live[l], live_r[l], live_b[l], live_w[l]
-                    if not cut[r]:
-                        t += live[r]
-                        tr += live_r[r]
-                        tb += live_b[r]
-                        tw += live_w[r]
-                    live[v] = t
-                    live_r[v] = tr
-                    live_b[v] = tb
-                    live_w[v] = tw
-            self.live_r, self.live_b, self.live_w = live_r, live_b, live_w
-        else:
-            for v in range(n):
-                l = left[v]
-                if l < 0:
-                    live[v] = 1
-                else:
-                    r = right[v]
-                    t = 0 if cut[l] else live[l]
-                    if not cut[r]:
-                        t += live[r]
-                    live[v] = t
-            self.live_r = self.live_b = self.live_w = None
+                    t, tr, tb, tw = live[l], live_r[l], live_b[l], live_w[l]
+                if not cut[r]:
+                    t += live[r]
+                    tr += live_r[r]
+                    tb += live_b[r]
+                    tw += live_w[r]
+                live[v] = t
+                live_r[v] = tr
+                live_b[v] = tb
+                live_w[v] = tw
+        self.live_r, self.live_b, self.live_w = live_r, live_b, live_w
 
         treecomp = [0] * n
         acomp = [-1] * n
@@ -388,6 +376,15 @@ def as_blocks(components):
     return [frozenset(b) for b in components]
 
 
+def _spans_disjoint(spans):
+    """True when no two ``(span1, span2)`` pairs share a node in either tree."""
+    for i, (s1i, s2i) in enumerate(spans):
+        for s1j, s2j in spans[i + 1:]:
+            if s1i & s1j or s2i & s2j:
+                return False
+    return True
+
+
 def is_feasible_maf(pair, components):
     """True when the partition is an agreement forest of the pair.
 
@@ -402,18 +399,9 @@ def is_feasible_maf(pair, components):
     for b in blocks:
         if not set_compatible(pair, b):
             return False
-    spans = []
-    for b in blocks:
-        s1 = spanned_nodes(pair, 1, b)
-        s2 = spanned_nodes(pair, 2, b)
-        spans.append((s1, s2))
-    for i in range(len(blocks)):
-        s1i, s2i = spans[i]
-        for j in range(i + 1, len(blocks)):
-            s1j, s2j = spans[j]
-            if s1i & s1j or s2i & s2j:
-                return False
-    return True
+    return _spans_disjoint(
+        [(spanned_nodes(pair, 1, b), spanned_nodes(pair, 2, b))
+         for b in blocks])
 
 
 def is_K_feasible(pair, components, K):
@@ -434,15 +422,6 @@ def is_K_feasible(pair, components, K):
             if not set_compatible(pair, bk + [w]):
                 return False
     v1k = spanned_nodes(pair, 1, K) if kset else set()
-    spans = []
-    for b in blocks:
-        s1 = spanned_nodes(pair, 1, b) & v1k
-        s2 = spanned_nodes(pair, 2, b)
-        spans.append((s1, s2))
-    for i in range(len(blocks)):
-        s1i, s2i = spans[i]
-        for j in range(i + 1, len(blocks)):
-            s1j, s2j = spans[j]
-            if s1i & s1j or s2i & s2j:
-                return False
-    return True
+    return _spans_disjoint(
+        [(spanned_nodes(pair, 1, b) & v1k, spanned_nodes(pair, 2, b))
+         for b in blocks])

@@ -24,6 +24,11 @@ from .tree_model import (
 )
 
 ENUMERATION_CAP = 15
+# Leaf counts above which the path-cutting ILP (O(n^4) rows) and the
+# arc-flow LP (O(n^3) arcs) are refused up front; at the caps each
+# takes about a second to build.
+WU_ILP_CAP = 40
+COMPACT_LP_CAP = 120
 # Largest gap-family order built: the pair has 2^k leaves, so the
 # limit is 65,536 leaves and larger orders are refused up front.
 WU_GAP_MAX_ORDER = 16
@@ -282,6 +287,10 @@ class CompactLpGraph:
 
 def build_compact_graph(pair):
     n = pair.n
+    if n > COMPACT_LP_CAP:
+        raise OracleCapError(
+            "arc-flow LP is capped at COMPACT_LP_CAP = %d leaves (got %d)"
+            % (COMPACT_LP_CAP, n))
     t1, t2 = pair.t1, pair.t2
     node1 = pair.leaf_node1
     node2 = pair.leaf_node2
@@ -325,7 +334,8 @@ def build_compact_lp(pair, graph=None):
     Variables are one flow per DAG arc plus one saturation variable per
     leaf; the flow rows force arc supports to decompose into the
     arborescences that encode compatible sets, and the packing rows cap
-    the total flow rooted at any internal tree node.
+    the total flow rooted at any internal tree node.  Refuses more than
+    ``COMPACT_LP_CAP`` leaves.
     """
     if graph is None:
         graph = build_compact_graph(pair)
@@ -547,9 +557,14 @@ def build_wu_ilp(pair):
     incompatible triple forces a cut on the union of its three pairwise
     paths in the first tree; every pair of leaf pairs whose paths are
     disjoint in the first tree but cross in the second forces a cut on
-    one of the two first-tree paths.
+    one of the two first-tree paths.  Refuses more than ``WU_ILP_CAP``
+    leaves.
     """
     n = pair.n
+    if n > WU_ILP_CAP:
+        raise OracleCapError(
+            "path-cutting ILP is capped at WU_ILP_CAP = %d leaves (got %d)"
+            % (WU_ILP_CAP, n))
     t1 = pair.t1
     model = LpModel("wu_ilp")
     for v in range(t1.n_nodes - 1):

@@ -1,11 +1,13 @@
 """Exact oracle, instance generators, reports, and the command line."""
 
 import hashlib
+import itertools
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,12 +24,20 @@ from rbmaf import (
     random_pair,
     run,
 )
-from rbmaf.cli_runner import certificate_dict, main
+from rbmaf.cli_runner import (
+    _bud_newick,
+    _spr_once,
+    _uniform_bud,
+    certificate_dict,
+    main,
+)
 from rbmaf.lp_toolkit import (
+    COMPACT_LP_CAP,
     FIG1_NEWICK1,
     FIG1_NEWICK2,
     FIG9_NEWICK1,
     FIG9_NEWICK2,
+    WU_ILP_CAP,
     build_exponential_lp,
     render_lp_text,
 )
@@ -119,6 +129,118 @@ def test_corpus_golden():
                 digest.update(text.encode() + b"\n")
     assert digest.hexdigest() == (
         "cce7d5de522070b93621db2156fc9de4b3063d0faeef7c692dd9897c1044b02d")
+
+
+def test_krspr_grid_golden():
+    """k-rSPR pairs over an (n, seed, k) grid, byte for byte, as first
+    recorded."""
+    grid = [(n, seed, k)
+            for n in (2, 3, 5, 8, 13, 50, 200)
+            for seed in range(10)
+            for k in sorted({0, 1, n // 2, n - 1}) if k < n]
+    grid += [(1000, seed, 20) for seed in range(3)]
+    assert len(grid) == 253
+    digest = hashlib.sha256()
+    for n, seed, k in grid:
+        pair = random_pair(n, seed, mode="k_rspr", k=k)
+        digest.update(("%d %d %d %s %s\n" % (
+            n, seed, k, pair.t1.to_newick(), pair.t2.to_newick())).encode())
+    assert digest.hexdigest() == (
+        "60658066b9d16fdbd7a63fec282a8256d60df96a6027c364cfc353fe3f7feb5b")
+
+
+class _Scripted:
+    """Stand-in for random.Random whose draws are given in advance."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def randrange(self, stop):
+        value = next(self.draws)
+        assert 0 <= value < stop
+        return value
+
+
+# Reference prune and regraft on nested tuples: a leaf is its label, an
+# internal node the pair (left, right), a node the path of 0/1 steps to it.
+
+def _nested(node):
+    if node.label is not None:
+        return node.label
+    return (_nested(node.left), _nested(node.right))
+
+
+def _post_order(t, path=()):
+    if isinstance(t, tuple):
+        yield from _post_order(t[0], path + (0,))
+        yield from _post_order(t[1], path + (1,))
+    yield path
+
+
+def _pre_order_right_first(t, path=()):
+    yield path
+    if isinstance(t, tuple):
+        yield from _pre_order_right_first(t[1], path + (1,))
+        yield from _pre_order_right_first(t[0], path + (0,))
+
+
+def _at(t, path):
+    for step in path:
+        t = t[step]
+    return t
+
+
+def _put(t, path, sub):
+    if not path:
+        return sub
+    kids = list(t)
+    kids[path[0]] = _put(t[path[0]], path[1:], sub)
+    return tuple(kids)
+
+
+def _text(t):
+    if isinstance(t, tuple):
+        return "(%s,%s)" % (_text(t[0]), _text(t[1]))
+    return t
+
+
+def _canonical(t):
+    """(smallest label, text with children ordered by smallest label)."""
+    if not isinstance(t, tuple):
+        return t, t
+    a, b = sorted((_canonical(t[0]), _canonical(t[1])))
+    return a[0], "(%s,%s)" % (a[1], b[1])
+
+
+def test_spr_noop_iff_sibling():
+    """Every move on every labelled tree with 2 to 6 leaves: the move is
+    refused, leaving the tree as it was, exactly when it would give back
+    the same topology; otherwise it is the reference move."""
+    trees = 0
+    for n in range(2, 7):
+        labels = ["L%d" % (i + 1) for i in range(n)]
+        for slots in itertools.product(*(range(2 * i - 1)
+                                         for i in range(1, n))):
+            trees += 1
+            before = _nested(_uniform_bud(labels, _Scripted(slots)))
+            same = _canonical(before)
+            moves = list(_post_order(before))[:-1]
+            for m, moving in enumerate(moves):
+                pruned = _put(before, moving[:-1],
+                              _at(before, moving[:-1] + (1 - moving[-1],)))
+                hosts = list(_pre_order_right_first(pruned))
+                for h, host in enumerate(hosts):
+                    after = _put(pruned, host,
+                                 (_at(pruned, host), _at(before, moving)))
+                    root = _uniform_bud(labels, _Scripted(slots))
+                    moved = _spr_once(root, _Scripted((m, h)))
+                    if _canonical(after) == same:
+                        assert moved is None, (before, m, h)
+                        assert _bud_newick(root) == _text(before) + ";"
+                    else:
+                        assert moved is not None, (before, m, h)
+                        assert _bud_newick(moved) == _text(after) + ";"
+    assert trees == 1 + 3 + 15 + 105 + 945
 
 
 def test_random_pair_argument_errors():
@@ -252,6 +374,24 @@ def test_cli_emit_lp_kinds(tmp_path, capsys, kind):
     argv = ["emit-lp", kind, FIG9_NEWICK1, FIG9_NEWICK2, "-o", str(out)]
     assert main(argv) == 0
     assert out.read_text().endswith("End\n")
+
+
+@pytest.mark.parametrize("kind, name, cap", [
+    ("wu", "WU_ILP_CAP", WU_ILP_CAP),
+    ("compact", "COMPACT_LP_CAP", COMPACT_LP_CAP),
+])
+def test_cli_emit_lp_capped(tmp_path, capsys, kind, name, cap):
+    pair = random_pair(cap + 1, seed=1)
+    out = tmp_path / (kind + ".lp")
+    argv = ["emit-lp", kind, pair.t1.to_newick(), pair.t2.to_newick(),
+            "-o", str(out)]
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "%s = %d" % (name, cap) in err
+    assert "got %d" % (cap + 1) in err
+    assert not out.exists()
 
 
 def test_cli_gen_kinds(tmp_path, capsys):
