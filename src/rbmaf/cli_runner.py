@@ -16,6 +16,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .dual_certificate import VERIFY_CAP, verify_dual_feasibility
 from .forest_partition import is_feasible_maf
@@ -33,9 +34,10 @@ from .tree_model import (
     InvariantError,
     NewickError,
     OracleCapError,
+    incompatible_triples,
+    leaf_path_masks,
     pair_from_newick,
     parse_newick,  # noqa: F401  unused here; perfbench patches this name
-    triple_compatible,
 )
 
 EXACT_CAP = 10
@@ -46,44 +48,16 @@ _SPR_ATTEMPTS = 64
 # exact optimum by exhaustive partition search
 
 
-def _path_masks(pair, t):
-    """masks[i][j]: bit set of the tree nodes on the leaf i to j path."""
-    tree = pair.tree(t)
-    n = pair.n
-    nodes = [pair.leaf_node(t, i) for i in range(n)]
-    masks = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            top = tree.lca(nodes[i], nodes[j])
-            m = 1 << top
-            for v in (nodes[i], nodes[j]):
-                while v != top:
-                    m |= 1 << v
-                    v = tree.parent[v]
-            masks[i][j] = masks[j][i] = m
-    return masks
-
-
-def _bad_triples(pair):
-    n = pair.n
-    bad = set()
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                if not triple_compatible(pair, a, b, c):
-                    bad.add((a, b, c))
-    return bad
-
-
 def exact_maf(pair, partition_cap=None):
     """Minimum edge deletions over all agreement forests, by exhaustion.
 
     Walks the set partitions of the leaves in restricted growth order.
     A block may grow only while all its leaf triples stay compatible
-    and its spanned nodes stay disjoint from every other block in both
-    trees; branches already using at least the best known number of
-    blocks are cut.  Refuses more than ``partition_cap`` leaves
-    (default 10); a cap above the default warns.
+    and its spanned edges stay disjoint from every other block in both
+    trees, which :func:`leaf_path_masks` shows is the same as disjoint
+    spanned nodes; branches already using at least the best known
+    number of blocks are cut.  Refuses more than ``partition_cap``
+    leaves (default 10); a cap above the default warns.
     """
     cap = EXACT_CAP if partition_cap is None else partition_cap
     if cap > EXACT_CAP:
@@ -97,11 +71,9 @@ def exact_maf(pair, partition_cap=None):
             "exact search capped at %d leaves, got %d" % (cap, n))
     if n <= 2:
         return 0
-    bad = _bad_triples(pair)
-    pm1 = _path_masks(pair, 1)
-    pm2 = _path_masks(pair, 2)
-    leaf_bit1 = [1 << pair.leaf_node(1, i) for i in range(n)]
-    leaf_bit2 = [1 << pair.leaf_node(2, i) for i in range(n)]
+    bad = incompatible_triples(pair)
+    pm1 = leaf_path_masks(pair, 1)
+    pm2 = leaf_path_masks(pair, 2)
     best = n - 1
     members = []
     span1 = []
@@ -116,34 +88,25 @@ def exact_maf(pair, partition_cap=None):
             best = nblocks - 1
             return
         for k in range(nblocks):
-            ms = members[k]
-            fits = True
-            for x in range(len(ms)):
-                for y in range(x + 1, len(ms)):
-                    if (ms[x], ms[y], i) in bad:
-                        fits = False
+            ms, s1, s2 = members[k], span1[k], span2[k]
+            for x, y in combinations(ms, 2):
+                if (x, y, i) in bad:
+                    break
+            else:
+                ns1 = s1 | pm1[ms[0]][i]
+                ns2 = s2 | pm2[ms[0]][i]
+                for j in range(nblocks):
+                    if j != k and (ns1 & span1[j] or ns2 & span2[j]):
                         break
-                if not fits:
-                    break
-            if not fits:
-                continue
-            ns1 = span1[k] | pm1[ms[0]][i]
-            ns2 = span2[k] | pm2[ms[0]][i]
-            for j in range(nblocks):
-                if j != k and (ns1 & span1[j] or ns2 & span2[j]):
-                    fits = False
-                    break
-            if not fits:
-                continue
-            old1, old2 = span1[k], span2[k]
-            ms.append(i)
-            span1[k], span2[k] = ns1, ns2
-            grow(i + 1)
-            ms.pop()
-            span1[k], span2[k] = old1, old2
+                else:
+                    ms.append(i)
+                    span1[k], span2[k] = ns1, ns2
+                    grow(i + 1)
+                    ms.pop()
+                    span1[k], span2[k] = s1, s2
         members.append([i])
-        span1.append(leaf_bit1[i])
-        span2.append(leaf_bit2[i])
+        span1.append(0)
+        span2.append(0)
         grow(i + 1)
         members.pop()
         span1.pop()
@@ -541,6 +504,8 @@ def _cmd_fuzz(args):
     the optimum and have their certificate re-verified after every
     iteration, as ``check-dual`` does.
     """
+    if args.iters < 1:
+        raise ValueError("fuzz needs --iters >= 1, got %d" % args.iters)
     want_exact = args.n <= args.exact_cap
     verify = want_exact and args.n <= VERIFY_CAP
     failures = []

@@ -86,31 +86,25 @@ def load(pair, dual, components, leaves):
     return _load(pair, dual, as_blocks(components), leaves)
 
 
-def verify_dual_feasibility(pair, dual, components, size_cap=None,
-                            cap=VERIFY_CAP, strict=True):
+def verify_dual_feasibility(pair, dual, components):
     """Check the certificate against every compatible leaf set.
 
-    Enumerates all compatible sets (of size at most ``size_cap`` when
-    given), so it is gated to ``cap`` leaves.  Returns True when every
-    load is at most one; on a violation raises InvariantError naming
-    the set, or returns False when ``strict`` is false.
+    Enumerates all compatible sets, so it is gated to ``VERIFY_CAP``
+    leaves.  Returns True when every load is at most one; on a
+    violation raises InvariantError naming the set.
     """
-    if pair.n > cap:
+    if pair.n > VERIFY_CAP:
         raise OracleCapError(
             "certificate verification enumerates compatible sets and is "
-            "capped at %d leaves (got %d)" % (cap, pair.n))
+            "capped at %d leaves (got %d)" % (VERIFY_CAP, pair.n))
     if any(y > 0 for y in dual.y1) or any(y > 0 for y in dual.y2):
         raise InvariantError("certificate has a positive potential")
     blocks = as_blocks(components)
     from .lp_toolkit import enumerate_compatible_sets
 
     for leaves in enumerate_compatible_sets(pair):
-        if size_cap is not None and len(leaves) > size_cap:
-            continue
         total = _load(pair, dual, blocks, leaves)
         if total > 1:
-            if not strict:
-                return False
             raise InvariantError(
                 "load %d > 1 on compatible set %r"
                 % (total, pair.labels_of(leaves)))

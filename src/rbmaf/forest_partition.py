@@ -85,9 +85,6 @@ class Partition:
     def __len__(self):
         return len(self.comps)
 
-    def component_ids(self):
-        return sorted(self.comps)
-
     def component_of_leaf(self, i):
         return self.comps[self.leaf_comp[i]]
 

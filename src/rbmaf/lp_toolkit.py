@@ -14,16 +14,21 @@ point verification in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .tree_model import (
     InvariantError,
     OracleCapError,
+    incompatible_triples,
+    leaf_path_masks,
     pair_from_newick,
     spanned_nodes,
-    triple_compatible,
 )
 
 ENUMERATION_CAP = 15
+# Leaf count above which arborescences are not enumerated: every
+# combination of arcs is tried, which only tests need.
+ARBORESCENCE_CAP = 6
 # Leaf counts above which the path-cutting ILP (O(n^4) rows) and the
 # arc-flow LP (O(n^3) arcs) are refused up front; at the caps each
 # takes about a second to build.
@@ -180,27 +185,21 @@ def write_lp_file(model, destination):
         out.write(render_lp_text(model))
 
 
-def enumerate_compatible_sets(pair, min_size=1, cap=ENUMERATION_CAP):
+def enumerate_compatible_sets(pair, min_size=1):
     """All compatible leaf sets with at least ``min_size`` leaves.
 
     A leaf set induces the same shape in both trees exactly when every
     one of its triples does, so the search extends partial sets leaf by
     leaf and abandons a branch at the first incompatible triple.
-    Returns sorted index tuples in lexicographic order.
+    Returns sorted index tuples in lexicographic order.  Refuses more
+    than ``ENUMERATION_CAP`` leaves.
     """
     n = pair.n
-    if n > cap:
+    if n > ENUMERATION_CAP:
         raise OracleCapError(
             "compatible-set enumeration is capped at %d leaves (got %d)"
-            % (cap, n))
-    ok = [[[True] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if not triple_compatible(pair, i, j, k):
-                    for a, b, c in ((i, j, k), (i, k, j), (j, i, k),
-                                    (j, k, i), (k, i, j), (k, j, i)):
-                        ok[a][b][c] = False
+            % (ENUMERATION_CAP, n))
+    bad = incompatible_triples(pair)
     out = []
     chosen = []
 
@@ -208,17 +207,10 @@ def enumerate_compatible_sets(pair, min_size=1, cap=ENUMERATION_CAP):
         if len(chosen) >= min_size:
             out.append(tuple(chosen))
         for leaf in range(start, n):
-            row = ok[leaf]
-            good = True
-            for a in range(len(chosen)):
-                ra = row[chosen[a]]
-                for b in range(a + 1, len(chosen)):
-                    if not ra[chosen[b]]:
-                        good = False
-                        break
-                if not good:
+            for x, y in combinations(chosen, 2):
+                if (x, y, leaf) in bad:
                     break
-            if good:
+            else:
                 chosen.append(leaf)
                 extend(leaf + 1)
                 chosen.pop()
@@ -231,14 +223,14 @@ def _set_var_name(pair, leaves):
     return "x_L_" + ".".join(pair.labels[i] for i in sorted(leaves))
 
 
-def build_exponential_lp(pair, cap=ENUMERATION_CAP):
+def build_exponential_lp(pair):
     """Covering/packing program with one variable per compatible set.
 
     Minimizes the number of chosen sets minus one, subject to each leaf
     lying in exactly one chosen set and each internal node of either
     tree being spanned by at most one.
     """
-    sets = enumerate_compatible_sets(pair, 1, cap)
+    sets = enumerate_compatible_sets(pair)
     model = LpModel("exponential_lp")
     model.objective_constant = -1.0
     leaf_rows = [dict() for _ in range(pair.n)]
@@ -487,18 +479,19 @@ def encode_lpstar_point(pair, graph, weights):
     return point
 
 
-def arborescence_leafsets(graph, pair, max_n=6):
+def arborescence_leafsets(graph, pair):
     """Leaf sets of every arborescence the DAG admits, with multiplicity.
 
     Exhaustively combines, for each non-diagonal node, one outgoing arc
     of each class with the enumerations below the two targets; the two
     sub-arborescences of distinct targets can never share a leaf, which
-    is asserted.  Returns sorted index tuples, sorted.
+    is asserted.  Returns sorted index tuples, sorted.  Refuses more
+    than ``ARBORESCENCE_CAP`` leaves.
     """
-    if pair.n > max_n:
+    if pair.n > ARBORESCENCE_CAP:
         raise OracleCapError(
             "arborescence enumeration is capped at %d leaves (got %d)"
-            % (max_n, pair.n))
+            % (ARBORESCENCE_CAP, pair.n))
     out1 = {}
     out2 = {}
     for arcs, out in ((graph.u1, out1), (graph.u2, out2)):
@@ -532,24 +525,6 @@ def arborescence_leafsets(graph, pair, max_n=6):
     return sorted(result)
 
 
-def _leaf_paths(pair):
-    """Edge sets (as child-node ids) of leaf-to-leaf paths, per tree."""
-    edges = {}
-    for t in (1, 2):
-        tree = pair.tree(t)
-        nodes = pair.leaf_nodes(t)
-        for i in range(pair.n):
-            for j in range(i + 1, pair.n):
-                a = tree.lca(nodes[i], nodes[j])
-                path = set()
-                for v in (nodes[i], nodes[j]):
-                    while v != a:
-                        path.add(v)
-                        v = tree.parent[v]
-                edges[(t, i, j)] = frozenset(path)
-    return edges
-
-
 def build_wu_ilp(pair):
     """Path-cutting integer program over the first tree's edges.
 
@@ -565,40 +540,28 @@ def build_wu_ilp(pair):
         raise OracleCapError(
             "path-cutting ILP is capped at WU_ILP_CAP = %d leaves (got %d)"
             % (WU_ILP_CAP, n))
-    t1 = pair.t1
+    names = ["xe_%d" % v for v in range(pair.t1.n_nodes - 1)]
     model = LpModel("wu_ilp")
-    for v in range(t1.n_nodes - 1):
-        name = "xe_%d" % v
+    for name in names:
         model.add_variable(name, 0.0, 1.0, integer=True)
         model.objective[name] = 1.0
-    paths = _leaf_paths(pair)
+
+    def cut(row, mask):
+        model.add_constraint(
+            row, {name: 1.0 for v, name in enumerate(names) if mask >> v & 1},
+            ">=", 1.0)
+
+    p1 = leaf_path_masks(pair, 1)
+    p2 = leaf_path_masks(pair, 2)
+    for ordinal, (i, j, k) in enumerate(
+            sorted(incompatible_triples(pair)), 1):
+        cut("triple_%d" % ordinal, p1[i][j] | p1[i][k] | p1[j][k])
+    duos = list(combinations(range(n), 2))
     ordinal = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if triple_compatible(pair, i, j, k):
-                    continue
-                union = (paths[(1, i, j)] | paths[(1, i, k)]
-                         | paths[(1, j, k)])
-                ordinal += 1
-                model.add_constraint(
-                    "triple_%d" % ordinal,
-                    {"xe_%d" % v: 1.0 for v in union}, ">=", 1.0)
-    duos = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ordinal = 0
-    for a in range(len(duos)):
-        i, j = duos[a]
-        for b in range(a + 1, len(duos)):
-            k, l = duos[b]
-            if paths[(1, i, j)] & paths[(1, k, l)]:
-                continue
-            if not paths[(2, i, j)] & paths[(2, k, l)]:
-                continue
-            union = paths[(1, i, j)] | paths[(1, k, l)]
+    for (i, j), (k, l) in combinations(duos, 2):
+        if p2[i][j] & p2[k][l] and not p1[i][j] & p1[k][l]:
             ordinal += 1
-            model.add_constraint(
-                "cross_%d" % ordinal,
-                {"xe_%d" % v: 1.0 for v in union}, ">=", 1.0)
+            cut("cross_%d" % ordinal, p1[i][j] | p1[k][l])
     return model
 
 

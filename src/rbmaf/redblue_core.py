@@ -44,7 +44,6 @@ class Coloring:
     color: list
     red: list
     blue: list
-    white: list
 
 
 @dataclass
@@ -120,8 +119,7 @@ def make_coloring(partition, node1):
         color[i] = RED
     for i in blue:
         color[i] = BLUE
-    white = [i for i in range(pair.n) if color[i] == WHITE]
-    return Coloring(node1, lchild, rchild, color, red, blue, white)
+    return Coloring(node1, lchild, rchild, color, red, blue)
 
 
 def find_lowest_pcs(partition):

@@ -18,6 +18,10 @@ which leaf sets can survive together inside one agreement component:
   same cherry pair in both trees;
 * two leaf sets overlap when the node sets spanned by their pairwise
   leaf paths intersect in either tree.
+
+:func:`incompatible_triples` and :func:`leaf_path_masks` tabulate both
+predicates per leaf triple and per leaf pair for the exact search, the
+compatible-set enumeration and the path-cutting ILP.
 """
 
 from __future__ import annotations
@@ -149,9 +153,6 @@ class RootedBinaryTree:
             j += 1
         self._sparse = sparse
 
-    def is_leaf(self, v):
-        return self.left[v] < 0
-
     def lca(self, u, v):
         """Lowest common ancestor of nodes u and v in O(1)."""
         if u == v:
@@ -207,10 +208,21 @@ class RootedBinaryTree:
         return parts[self.root] + ";"
 
     def with_root_sibling(self, label):
-        """New tree with a fresh root whose children are a new leaf and this tree."""
-        if label in set(self.labels) - {None}:
+        """New tree whose fresh root has a new leaf and this tree as children.
+
+        The ids are the ones ``parse_newick`` gives ``(label,<this
+        tree>);``: the new leaf is 0, every old id moves up by one and
+        the new root comes last.
+        """
+        if label in self.labels:
             raise NewickError("label %r already present" % label)
-        return parse_newick("(%s,%s);" % (label, self.to_newick()[:-1]))
+        root = self.n_nodes + 1
+        return RootedBinaryTree(
+            [root] + [root if p < 0 else p + 1 for p in self.parent] + [-1],
+            [-1] + [v + 1 if v >= 0 else -1 for v in self.left] + [0],
+            [-1] + [v + 1 if v >= 0 else -1 for v in self.right]
+            + [self.n_nodes],
+            [label] + self.labels + [None])
 
 
 def parse_newick(text):
@@ -425,6 +437,38 @@ def triple_compatible(pair, a, b, c):
     return _cherry(pair.t1, x1, y1, z1) == _cherry(pair.t2, x2, y2, z2)
 
 
+def incompatible_triples(pair):
+    """Sorted leaf-index triples ``(a, b, c)`` whose cherry differs
+    between the two trees.
+
+    A leaf set is compatible exactly when it contains none of them.
+    """
+    n = pair.n
+    return {(a, b, c)
+            for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)
+            if not triple_compatible(pair, a, b, c)}
+
+
+def leaf_path_masks(pair, t):
+    """``masks[i][j]``: bit set of the edges on the leaf i to j path in tree t.
+
+    An edge is named by its lower node; the diagonal is 0.  The masks
+    answer node questions too: two leaf paths, or the spans of two
+    blocks with disjoint leaves, share a node exactly when they share
+    an edge.  A shared edge brings both its ends.  A shared node is
+    internal, since a leaf lies only on paths of its own block; each of
+    the two spans uses two of that node's at most three incident edges,
+    so they have one in common.
+    """
+    tree = pair.tree(t)
+    parent = tree.parent
+    up = [0] * tree.n_nodes  # edges from each node up to the root
+    for v in range(tree.root - 1, -1, -1):
+        up[v] = up[parent[v]] | 1 << v
+    leaf = [up[v] for v in pair.leaf_nodes(t)]
+    return [[a ^ b for b in leaf] for a in leaf]
+
+
 def _restricted_clusters(pair, t, xs):
     """Clusters (as leaf-index frozensets) of the tree restricted to xs.
 
@@ -478,16 +522,7 @@ def spanned_nodes(pair, t, leaves):
     return seen
 
 
-def sets_overlap(pair, a, b, restrict=None):
-    """True when the spans of leaf sets a and b share a node in either tree.
-
-    ``restrict``, when given, is a collection of ``(tree, node)`` pairs;
-    only shared nodes inside it count.
-    """
-    inter = set()
-    for t in (1, 2):
-        common = spanned_nodes(pair, t, a) & spanned_nodes(pair, t, b)
-        inter.update((t, v) for v in common)
-    if restrict is not None:
-        inter &= set(restrict)
-    return bool(inter)
+def sets_overlap(pair, a, b):
+    """True when the spans of leaf sets a and b share a node in either tree."""
+    return any(spanned_nodes(pair, t, a) & spanned_nodes(pair, t, b)
+               for t in (1, 2))

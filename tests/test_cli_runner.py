@@ -466,6 +466,11 @@ def test_cli_error_exit_codes(capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert main(["solve", "no_such_file.nwk", "(a,b);"]) == 2
     assert main(["exact", FIG1_NEWICK1, FIG1_NEWICK2, "--cap", "5"]) == 2
+    for iters in ("0", "-3"):
+        assert main(["fuzz", "--n", "4", "--iters", iters]) == 2
+        captured = capsys.readouterr()
+        assert "--iters >= 1, got %s" % iters in captured.err
+        assert captured.out == ""
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2

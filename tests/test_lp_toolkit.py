@@ -1,5 +1,7 @@
 """LP formulations: structure goldens, point checks, gap instances."""
 
+import hashlib
+
 import pytest
 
 from rbmaf import (
@@ -88,6 +90,31 @@ def test_enumerate_matches_naive():
 def test_enumeration_cap():
     with pytest.raises(OracleCapError):
         enumerate_compatible_sets(random_pair(16, seed=1))
+
+
+def test_oracle_and_lp_golden(figs):
+    """Exact optimum, compatible sets and the three LP texts, as first
+    recorded; a refused build contributes its cap message."""
+    instances = [inst for n in range(3, 11) for inst in corpus(n, 30)]
+    instances += [(name, figs[name].pair) for name in ("fig1", "fig9")]
+    instances += [("wu%d" % k, wu_gap_instance(k)) for k in (2, 4)]
+    assert len(instances) == 244
+    digest = hashlib.sha256()
+    for name, pair in instances:
+        outputs = [name]
+        for compute in (lambda: exact_maf(pair),
+                        lambda: enumerate_compatible_sets(pair),
+                        lambda: render_lp_text(build_exponential_lp(pair)),
+                        lambda: render_lp_text(build_compact_lp(pair)),
+                        lambda: render_lp_text(build_wu_ilp(pair))):
+            try:
+                outputs.append(str(compute()))
+            except OracleCapError as error:
+                outputs.append("cap: %s" % error)
+        for text in outputs:
+            digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "a00662a0ff29effca5275805d37c40f91e2ac6be8640ebff84a06aa6c5bc2b67")
 
 
 # ----------------------------------------------------------------------

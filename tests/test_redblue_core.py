@@ -3,6 +3,7 @@
 import pytest
 
 from rbmaf import (
+    WHITE,
     DualState,
     InvariantError,
     Partition,
@@ -126,7 +127,8 @@ def test_make_coloring_at_fig1_pcs(fig1):
     coloring = make_coloring(part, 6)
     reds = sorted(fig1.labels[i] for i in coloring.red)
     blues = sorted(fig1.labels[i] for i in coloring.blue)
-    whites = sorted(fig1.labels[i] for i in coloring.white)
+    whites = sorted(lab for lab, c in zip(fig1.labels, coloring.color)
+                    if c == WHITE)
     assert reds == ["r1", "r2"]
     assert blues == ["b1", "b2"]
     assert whites == ["w1", "w2", "w3"]

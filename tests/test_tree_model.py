@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 from rbmaf import (
     NewickError,
     RHO_LABEL,
+    corpus,
+    incompatible_triples,
+    leaf_path_masks,
     make_pair,
     pair_from_newick,
     parse_newick,
@@ -130,6 +133,18 @@ def test_rho_augmentation():
         assert tree.parent[rho] == tree.root
 
 
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (50, 5), (1000, 20)])
+def test_rho_sibling_matches_reparse(n, k):
+    """Grafting rho gives the node ids of parsing ``(rho,<tree>);``."""
+    pair = random_pair(n, seed=n, mode="k_rspr", k=k)
+    for tree in (pair.t1, pair.t2):
+        got = tree.with_root_sibling(RHO_LABEL)
+        want = parse_newick("(%s,%s);" % (RHO_LABEL, tree.to_newick()[:-1]))
+        for attr in ("parent", "left", "right", "labels", "depth",
+                     "subtree_min", "leaf_ids"):
+            assert getattr(got, attr) == getattr(want, attr), attr
+
+
 def test_rho_label_collision_rejected():
     with pytest.raises(NewickError):
         pair_from_newick("(rho,b);", "(rho,b);", add_rho=True)
@@ -141,10 +156,29 @@ def test_mismatched_leaf_sets_rejected():
 
 
 def test_triple_compatible_against_naive(fig1, fig9):
-    for pair in (fig1, fig9):
+    pairs = [fig1, fig9] + [pair for _, pair in corpus(7, 6, base_seed=3)]
+    for pair in pairs:
+        bad = incompatible_triples(pair)
         for a, b, c in combinations(range(pair.n), 3):
-            assert triple_compatible(pair, a, b, c) == \
-                naive.naive_triple_compatible(pair, a, b, c)
+            want = naive.naive_triple_compatible(pair, a, b, c)
+            assert triple_compatible(pair, a, b, c) == want
+            assert ((a, b, c) not in bad) == want
+        assert all(a < b < c for a, b, c in bad)
+
+
+def test_leaf_path_masks_against_naive(fig1, fig9):
+    """Edges named by their lower node: the path's nodes minus the lca."""
+    pairs = [fig1, fig9] + [pair for _, pair in corpus(7, 6, base_seed=3)]
+    for pair in pairs:
+        for t in (1, 2):
+            tree = pair.tree(t)
+            masks = leaf_path_masks(pair, t)
+            for i in range(pair.n):
+                for j in range(pair.n):
+                    u, v = pair.leaf_node(t, i), pair.leaf_node(t, j)
+                    edges = (naive.path_nodes(tree, u, v)
+                             - {naive.naive_lca(tree, u, v)})
+                    assert masks[i][j] == sum(1 << e for e in edges)
 
 
 def test_known_incompatible_triple(fig1):
