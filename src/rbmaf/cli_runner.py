@@ -57,9 +57,14 @@ def exact_maf(pair, partition_cap=None):
     trees, which :func:`leaf_path_masks` shows is the same as disjoint
     spanned nodes; branches already using at least the best known
     number of blocks are cut.  Refuses more than ``partition_cap``
-    leaves (default 10); a cap above the default warns.
+    leaves (default 10) and a cap below 1; a cap above the default
+    warns.
     """
     cap = EXACT_CAP if partition_cap is None else partition_cap
+    if cap < 1:
+        raise OracleCapError(
+            "exact search cap must be at least 1 leaf (default %d), got %d "
+            "for an instance with %d leaves" % (EXACT_CAP, cap, pair.n))
     if cap > EXACT_CAP:
         warnings.warn(
             "exact search allowed up to %d leaves; the partition count "

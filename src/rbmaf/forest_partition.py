@@ -9,12 +9,18 @@ unioning component leaf sets and then re-deriving a canonical cut set
 that realizes them (cut above each component's lca in the second tree,
 except for one shallowest component that keeps the original root).
 
-Annotations are recomputed from scratch in O(n) after each structural
-change: per node of the second tree, the number of live leaves below it
-inside its forest tree (split by color, all white without a coloring), the
-component owning its tree, and the component covering the node, where
-"covering" means the node lies on a path between two leaves of that
-component inside the forest.
+Annotations come from two passes over the second tree.  The structural
+pass runs in O(n) after each structural change: per node, the number of
+live leaves below it inside its forest tree, the component owning its
+tree, and the component covering the node, where "covering" means the
+node lies on a path between two leaves of that component inside the
+forest.  The color pass runs on every refresh but visits only the tinted
+nodes, the forest-tree ancestors of the red and blue leaves, found by
+walking up from each colored leaf until a cut edge or an already tinted
+node: per tinted node it counts the red and blue live leaves below it,
+and per painted block (one holding a red or blue leaf) its red and blue
+leaves.  Every other node has no red or blue leaf below it, and white
+counts are live counts minus red and blue.
 """
 
 from __future__ import annotations
@@ -30,12 +36,13 @@ class Component:
     ``root2`` is the root node of the component's tree in the cut
     forest, ``created_iter`` stamps the iteration that created it (0 for
     the initial block), and ``origin0`` points to the ancestor block
-    that existed when the current iteration started.  Color counts are
-    filled by annotation refreshes (all white without a coloring).
+    that existed when the current iteration started.  Red and blue
+    counts are filled by annotation refreshes (all white without a
+    coloring).
     """
 
     __slots__ = ("id", "leaves", "root2", "created_iter", "origin0",
-                 "n_red", "n_blue", "n_white")
+                 "n_red", "n_blue")
 
     def __init__(self, cid, leaves, root2, created_iter, origin0):
         self.id = cid
@@ -45,11 +52,14 @@ class Component:
         self.origin0 = origin0
         self.n_red = 0
         self.n_blue = 0
-        self.n_white = 0
 
     @property
     def size(self):
         return len(self.leaves)
+
+    @property
+    def n_white(self):
+        return len(self.leaves) - self.n_red - self.n_blue
 
     def __repr__(self):
         return "Component(%d, %r)" % (self.id, self.leaves)
@@ -59,13 +69,17 @@ class Partition:
     """Partition of the shared leaf set, realized by cutting the second tree.
 
     Component ids are never reused, so creation order doubles as a
-    generation stamp.  All mutating operations mark the annotation
-    arrays dirty; readers refresh on demand.
+    generation stamp, ``size_of[cid]`` is the size of block ``cid``
+    (dead or alive), and ``created`` lists the ids created in the
+    current iteration in creation order (the initial block counts as
+    created in iteration 0).  All structural operations mark
+    the annotation arrays dirty; readers refresh on demand.
     """
 
     __slots__ = ("pair", "comps", "leaf_comp", "cut", "root_comp",
-                 "next_id", "iteration", "dirty", "coloring",
-                 "live", "live_r", "live_b", "live_w", "acomp", "treecomp")
+                 "next_id", "iteration", "dirty", "coloring", "size_of",
+                 "created", "live", "live_r", "live_b", "tinted", "painted",
+                 "acomp", "treecomp")
 
     def __init__(self, pair):
         self.pair = pair
@@ -79,8 +93,13 @@ class Partition:
         self.iteration = 0
         self.dirty = True
         self.coloring = None
-        self.live = self.live_r = self.live_b = self.live_w = None
-        self.acomp = self.treecomp = None
+        self.size_of = [pair.n]
+        self.created = [0]
+        self.live = self.acomp = self.treecomp = None
+        self.live_r = [0] * pair.t2.n_nodes
+        self.live_b = [0] * pair.t2.n_nodes
+        self.tinted = []
+        self.painted = set()
 
     def __len__(self):
         return len(self.comps)
@@ -124,6 +143,7 @@ class Partition:
 
     def begin_iteration(self, k):
         self.iteration = k
+        self.created = []
         for c in self.comps.values():
             c.origin0 = c.id
 
@@ -131,6 +151,19 @@ class Partition:
     # annotations
 
     def refresh_annotations(self, coloring=_KEEP):
+        """Install ``coloring`` (default: keep the current one) and bring
+        the annotations up to date.
+
+        The structural pass runs only when the forest changed since the
+        last refresh; the color pass always runs.
+        """
+        if coloring is not _KEEP:
+            self.coloring = coloring
+        if self.dirty:
+            self._refresh_structure()
+        self._refresh_colors()
+
+    def _refresh_structure(self):
         """Recompute live counts, tree ownership and covering components.
 
         Pass 1 walks nodes in ascending (post-) order accumulating live
@@ -138,66 +171,24 @@ class Partition:
         propagating tree ownership downward and deciding coverage from
         the live counts of the two children.
         """
-        if coloring is not _KEEP:
-            self.coloring = coloring
-        pair = self.pair
-        t2 = pair.t2
+        t2 = self.pair.t2
         n = t2.n_nodes
         left, right, parent = t2.left, t2.right, t2.parent
         cut = self.cut
-        leaf_index2 = pair.leaf_index2
-        leaf_comp = self.leaf_comp
-        comps = self.comps
 
         live = [0] * n
-        live_r = [0] * n
-        live_b = [0] * n
-        live_w = [0] * n
-        # Colors are 0 red, 1 blue, 2 white; with no coloring all are white.
-        col = self.coloring.color if self.coloring is not None else [2] * pair.n
-        for c in comps.values():
-            c.n_red = c.n_blue = c.n_white = 0
-        for i, cid in enumerate(leaf_comp):
-            c = comps[cid]
-            k = col[i]
-            if k == 0:
-                c.n_red += 1
-            elif k == 1:
-                c.n_blue += 1
-            else:
-                c.n_white += 1
         for v in range(n):
             l = left[v]
             if l < 0:
-                k = col[leaf_index2[v]]
                 live[v] = 1
-                if k == 0:
-                    live_r[v] = 1
-                elif k == 1:
-                    live_b[v] = 1
-                else:
-                    live_w[v] = 1
             else:
                 r = right[v]
-                if cut[l]:
-                    t = tr = tb = tw = 0
-                else:
-                    t, tr, tb, tw = live[l], live_r[l], live_b[l], live_w[l]
-                if not cut[r]:
-                    t += live[r]
-                    tr += live_r[r]
-                    tb += live_b[r]
-                    tw += live_w[r]
-                live[v] = t
-                live_r[v] = tr
-                live_b[v] = tb
-                live_w[v] = tw
-        self.live_r, self.live_b, self.live_w = live_r, live_b, live_w
+                live[v] = (0 if cut[l] else live[l]) + (0 if cut[r] else live[r])
 
         treecomp = [0] * n
         acomp = [-1] * n
         root_comp = self.root_comp
-        sizes = {cid: len(c.leaves) for cid, c in comps.items()}
+        size_of = self.size_of
         for v in range(n - 1, -1, -1):
             if cut[v] or v == n - 1:
                 a = root_comp[v]
@@ -210,7 +201,7 @@ class Partition:
             l = left[v]
             if l < 0:
                 acomp[v] = a
-            elif lv < sizes[a]:
+            elif lv < size_of[a]:
                 acomp[v] = a
             else:
                 r = right[v]
@@ -223,6 +214,62 @@ class Partition:
         self.acomp = acomp
         self.dirty = False
 
+    def _refresh_colors(self):
+        """Recount red and blue leaves on the tinted nodes and painted blocks.
+
+        The previous coloring's entries are zeroed first, so every node
+        and block outside the new tinted and painted sets reads zero.
+        """
+        live_r, live_b, comps = self.live_r, self.live_b, self.comps
+        for v in self.tinted:
+            live_r[v] = live_b[v] = 0
+        for cid in self.painted & comps.keys():
+            comps[cid].n_red = comps[cid].n_blue = 0
+        self.tinted, self.painted = [], set()
+        coloring = self.coloring
+        if coloring is None:
+            return
+        pair = self.pair
+        t2 = pair.t2
+        left, right, parent, root = t2.left, t2.right, t2.parent, t2.root
+        cut = self.cut
+        leaf_node2 = pair.leaf_node2
+        leaf_comp = self.leaf_comp
+        painted = set()
+        for i in coloring.red:
+            c = comps[leaf_comp[i]]
+            c.n_red += 1
+            painted.add(c.id)
+        for i in coloring.blue:
+            c = comps[leaf_comp[i]]
+            c.n_blue += 1
+            painted.add(c.id)
+        seen = set()
+        for leaves, counts in ((coloring.red, live_r), (coloring.blue, live_b)):
+            for v in map(leaf_node2.__getitem__, leaves):
+                counts[v] = 1
+                while v not in seen:
+                    seen.add(v)
+                    if cut[v] or v == root:
+                        break
+                    v = parent[v]
+        tinted = sorted(seen)
+        for v in tinted:
+            l = left[v]
+            if l < 0:
+                continue
+            r = right[v]
+            tr = tb = 0
+            if not cut[l]:
+                tr, tb = live_r[l], live_b[l]
+            if not cut[r]:
+                tr += live_r[r]
+                tb += live_b[r]
+            live_r[v] = tr
+            live_b[v] = tb
+        self.tinted = tinted
+        self.painted = painted
+
     # ------------------------------------------------------------------
     # refinement
 
@@ -231,6 +278,8 @@ class Partition:
         self.next_id += 1
         comp = Component(cid, leaves, root2, self.iteration, origin0)
         self.comps[cid] = comp
+        self.size_of.append(len(leaves))
+        self.created.append(cid)
         self.root_comp[root2] = cid
         for x in leaves:
             self.leaf_comp[x] = cid

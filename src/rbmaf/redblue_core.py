@@ -20,6 +20,7 @@ degrading the guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .dual_certificate import DualState, check_balance
 from .forest_partition import Partition
@@ -140,7 +141,7 @@ def find_lowest_pcs(partition):
     leaf_node2 = pair.leaf_node2
     leaf_comp = partition.leaf_comp
     live2 = partition.live
-    sizes = {cid: c.size for cid, c in partition.comps.items()}
+    sizes = partition.size_of
     lca2 = t2.lca
 
     comp = [-1] * n1
@@ -202,7 +203,8 @@ def classify_case(partition, coloring):
     """
     if partition.dirty:
         partition.refresh_annotations()
-    multi = [c for c in partition.comps.values() if _n_colors(c) >= 2]
+    comps = partition.comps
+    multi = [comps[cid] for cid in partition.painted if _n_colors(comps[cid]) >= 2]
     if len(multi) == 2:
         a, b = sorted(multi, key=lambda c: c.n_red, reverse=True)
         if not (a.n_red and a.n_white and not a.n_blue
@@ -244,7 +246,7 @@ def _rb_violation(partition):
     acomp = partition.acomp
     live_r, live_b = partition.live_r, partition.live_b
     left = partition.pair.t2.left
-    for v in range(partition.pair.t2.n_nodes):
+    for v in partition.tinted:
         if left[v] < 0:
             continue
         cid = acomp[v]
@@ -270,9 +272,9 @@ def _splittable_violation(partition):
         partition.refresh_annotations()
     comps = partition.comps
     acomp = partition.acomp
-    live_r, live_b, live_w = partition.live_r, partition.live_b, partition.live_w
+    live, live_r, live_b = partition.live, partition.live_r, partition.live_b
     left = partition.pair.t2.left
-    for v in range(partition.pair.t2.n_nodes):
+    for v in partition.tinted:
         if left[v] < 0:
             continue
         cid = acomp[v]
@@ -280,7 +282,7 @@ def _splittable_violation(partition):
             continue
         lr = live_r[v]
         lb = live_b[v]
-        lw = live_w[v]
+        lw = live[v] - lr - lb
         if (lr > 0) + (lb > 0) + (lw > 0) != 2:
             continue
         c = comps[cid]
@@ -323,28 +325,28 @@ def _top_components(partition):
 
     A created block is top when its meeting node in the second tree is
     not a strict descendant of another created block's meeting node.
+    Subtrees are the id ranges ``[subtree_min[a], a]``, which nest or
+    are disjoint, so in pre-order (ascending ``subtree_min``, ancestors
+    first) a meeting node lies below an earlier one exactly when it is
+    at most the largest earlier meeting node.
     """
-    k = partition.iteration
-    created = [c for c in partition.comps.values() if c.created_iter == k]
-    if not created:
-        return []
+    comps = partition.comps
+    created = [cid for cid in partition.created if cid in comps]
     pair = partition.pair
-    t2 = pair.t2
-    parent = t2.parent
-    n = t2.n_nodes
-    marked = [False] * n
-    anchors = {}
-    for c in created:
-        a = pair.lca_of_leaves(2, c.leaves)
-        if marked[a]:
+    smin = pair.t2.subtree_min
+    anchors = {cid: pair.lca_of_leaves(2, comps[cid].leaves) for cid in created}
+    below = set()
+    hi = prev = -1
+    for cid in sorted(created, key=lambda cid: (smin[anchors[cid]], -anchors[cid])):
+        a = anchors[cid]
+        if a == prev:
             raise InvariantError("two created blocks share a meeting node")
-        marked[a] = True
-        anchors[c.id] = a
-    below = [False] * n
-    for v in range(n - 2, -1, -1):
-        p = parent[v]
-        below[v] = below[p] or marked[p]
-    return [c.id for c in created if not below[anchors[c.id]]]
+        prev = a
+        if a <= hi:
+            below.add(cid)
+        else:
+            hi = a
+    return [cid for cid in created if cid not in below]
 
 
 _ANY_TOP = object()
@@ -372,7 +374,7 @@ def special_split(partition, dual, coloring, cid, pairslist):
     if partition.acomp[ua] != cid:
         raise InvariantError("colored meeting node not covered by its block")
     leaves = c.leaves
-    if partition.live_w[ua] == 0:
+    if partition.live[ua] == partition.live_r[ua] + partition.live_b[ua]:
         reds = [i for i in leaves if col[i] == RED]
         rest = [i for i in leaves if col[i] != RED]
         partition.split_component(cid, [reds, rest])
@@ -413,7 +415,7 @@ def split(partition, dual, coloring, pairslist, top_cid=_ANY_TOP):
     pair = partition.pair
     col = coloring.color
     decisions = []
-    for cid in sorted(partition.comps):
+    for cid in sorted(partition.painted):
         c = partition.comps[cid]
         ncol = _n_colors(c)
         if ncol <= 1:
@@ -457,26 +459,30 @@ def find_merge_pair(partition):
     the same start-of-iteration block meeting at an uncovered node can
     be remerged, provided no node from there up to the root is covered
     by a colored block created this iteration.
+
+    Only the nodes some block reaches are visited: a walk up from the
+    meeting nodes in ascending id order, so that each node has heard
+    from both children before it passes anything on, and then the
+    uncovered nodes reached by exactly two blocks, in pre-order.
     """
     if partition.dirty:
         partition.refresh_annotations()
-    k = partition.iteration
     comps = partition.comps
     scope = {}
-    for c in comps.values():
-        if c.created_iter != k:
+    for cid in partition.created:
+        c = comps.get(cid)
+        if c is None:
             continue
         if c.n_red == c.size:
-            scope[c.id] = RED
+            scope[cid] = RED
         elif c.n_blue == c.size:
-            scope[c.id] = BLUE
+            scope[cid] = BLUE
     if len(scope) < 2:
         return None
 
     pair = partition.pair
     t2 = pair.t2
-    n = t2.n_nodes
-    left, right = t2.left, t2.right
+    parent, smin, root = t2.parent, t2.subtree_min, t2.root
     acomp = partition.acomp
     bucket = {}
     for cid in scope:
@@ -490,18 +496,18 @@ def find_merge_pair(partition):
             raise InvariantError("undo pair spans two start-of-iteration blocks")
         return (min(comps[c1].leaves), min(comps[c2].leaves))
 
-    reach = [()] * n
-    for v in range(n):
-        entries = list(bucket.get(v, ()))
-        if left[v] >= 0:
-            for ch in (left[v], right[v]):
-                if acomp[ch] < 0:
-                    entries.extend(reach[ch])
-                else:
-                    entries.extend(bucket.get(ch, ()))
-        rset = entries
+    # A meeting node passes up only its own blocks, an uncovered node
+    # everything that reached it, any other covered node nothing.
+    reach = {a: list(cids) for a, cids in bucket.items()}
+    heap = list(reach)
+    heapify(heap)
+    forks = []
+    while heap:
+        v = heappop(heap)
+        entries = reach[v]
         cov = acomp[v]
-        if cov >= 0 and cov in scope and cov not in rset:
+        rset = entries
+        if cov in scope and cov not in rset:
             rset = entries + [cov]
         if len(rset) >= 2:
             reds = sorted(c for c in rset if scope[c] == RED)
@@ -510,25 +516,38 @@ def find_merge_pair(partition):
                 return emit(reds[0], reds[1])
             if len(blues) >= 2:
                 return emit(blues[0], blues[1])
-        reach[v] = tuple(entries)
+        if cov < 0:
+            up = entries
+            if len(entries) == 2:
+                forks.append(v)
+        else:
+            up = bucket.get(v)
+        if up and v != root:
+            p = parent[v]
+            if p in reach:
+                reach[p].extend(up)
+            else:
+                reach[p] = list(up)
+                heappush(heap, p)
 
-    stack = [n - 1]
-    while stack:
-        v = stack.pop()
-        cov = acomp[v]
-        if cov >= 0 and cov in scope:
+    # Pre-order puts every ancestor first, so a fork lies inside the
+    # subtree of a scope block's meeting node exactly when it is at most
+    # the largest meeting node before it.
+    order = sorted([(smin[a], -a, True) for a in bucket]
+                   + [(smin[v], -v, False) for v in forks])
+    hi = -1
+    for _, neg, is_anchor in order:
+        v = -neg
+        if is_anchor:
+            hi = max(hi, v)
             continue
-        if cov < 0 and len(reach[v]) == 2:
-            c1, c2 = reach[v]
-            if scope[c1] == scope[c2]:
-                raise InvariantError("same-color pair escaped the upward scan")
-            if comps[c1].origin0 == comps[c2].origin0:
-                if c1 > c2:
-                    c1, c2 = c2, c1
-                return (min(comps[c1].leaves), min(comps[c2].leaves))
-        if left[v] >= 0:
-            stack.append(right[v])
-            stack.append(left[v])
+        if v <= hi:
+            continue
+        c1, c2 = reach[v]
+        if scope[c1] == scope[c2]:
+            raise InvariantError("same-color pair escaped the upward scan")
+        if comps[c1].origin0 == comps[c2].origin0:
+            return emit(c1, c2)
     return None
 
 
@@ -619,7 +638,8 @@ def run(pair, record_snapshots=False, on_iteration=None):
             top_cid = tops[0]
         else:
             top_cid = None
-        tri = [c.id for c in partition.comps.values() if _n_colors(c) == 3]
+        tri = [cid for cid in partition.painted
+               if _n_colors(partition.comps[cid]) == 3]
         t = sum(1 for cid in tri if cid not in tops)
 
         chi, pair_added, special = split(

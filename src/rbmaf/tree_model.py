@@ -107,10 +107,11 @@ class RootedBinaryTree:
         self.subtree_min = smin
 
         self._min_label = None
-        self._build_lca()
 
     def _build_lca(self):
-        # Euler tour plus a sparse table of depth-minimum positions.
+        # Euler tour plus a sparse table of depth-minimum positions, built
+        # on the first lca call: trees that are only parsed, grafted or
+        # walked never pay for it.
         n = self.n_nodes
         left, right, depth = self.left, self.right, self.depth
         euler = []
@@ -157,7 +158,11 @@ class RootedBinaryTree:
         """Lowest common ancestor of nodes u and v in O(1)."""
         if u == v:
             return u
-        a = self._first[u]
+        try:
+            a = self._first[u]
+        except AttributeError:  # the tables are not built yet
+            self._build_lca()
+            a = self._first[u]
         b = self._first[v]
         if a > b:
             a, b = b, a
@@ -379,14 +384,14 @@ class TreePair:
         return self.tree(t).lca(u, v)
 
     def lca_of_leaves(self, t, leaves):
-        """Fold lca over a nonempty collection of leaf indices."""
-        tree = self.tree(t)
+        """Lca of a nonempty collection of leaf indices in tree t.
+
+        Every subtree is a contiguous id range, so the lca of a node set
+        is the lca of its smallest and largest ids.
+        """
         nodes = self.leaf_nodes(t)
-        it = iter(leaves)
-        m = nodes[next(it)]
-        for x in it:
-            m = tree.lca(m, nodes[x])
-        return m
+        ids = [nodes[x] for x in leaves]
+        return self.tree(t).lca(min(ids), max(ids))
 
     def labels_of(self, leaves):
         return tuple(sorted(self.labels[i] for i in leaves))

@@ -125,3 +125,169 @@ def naive_compatible_sets(pair, min_size=1):
             if naive_set_compatible(pair, subset):
                 out.append(subset)
     return out
+
+
+# ----------------------------------------------------------------------
+# full-sweep solver stages: one pass over every node of the second tree
+# per call, as the solver first did them
+
+
+RED, BLUE, WHITE = 0, 1, 2
+
+
+def fold_lca(pair, t, leaves):
+    """Lca of leaf indices in tree t, folded pairwise."""
+    tree = pair.tree(t)
+    nodes = [pair.leaf_node(t, x) for x in leaves]
+    m = nodes[0]
+    for v in nodes[1:]:
+        m = tree.lca(m, v)
+    return m
+
+
+def full_color_counts(partition):
+    """Red, blue and white live leaves below every node of the second
+    tree inside its forest tree, and ``{block id: [red, blue, white]}``,
+    from the partition's coloring and cut set (all white without one)."""
+    pair = partition.pair
+    t2 = pair.t2
+    n = t2.n_nodes
+    left, right, cut = t2.left, t2.right, partition.cut
+    coloring = partition.coloring
+    col = coloring.color if coloring is not None else [WHITE] * pair.n
+    counts = [[0] * n for _ in range(3)]
+    for v in range(n):
+        if left[v] < 0:
+            counts[col[pair.leaf_index2[v]]][v] = 1
+            continue
+        for live in counts:
+            live[v] = sum(live[ch] for ch in (left[v], right[v]) if not cut[ch])
+    blocks = {cid: [0, 0, 0] for cid in partition.comps}
+    for i, cid in enumerate(partition.leaf_comp):
+        blocks[cid][col[i]] += 1
+    return counts[RED], counts[BLUE], counts[WHITE], blocks
+
+
+def full_rb_violation(partition):
+    """Lowest node whose covering block has red and blue below it and
+    one of them above it too."""
+    live_r, live_b, _, blocks = full_color_counts(partition)
+    acomp = partition.acomp
+    left = partition.pair.t2.left
+    for v in range(partition.pair.t2.n_nodes):
+        cid = acomp[v]
+        if left[v] < 0 or cid < 0:
+            continue
+        lr, lb = live_r[v], live_b[v]
+        if lr and lb and (lr < blocks[cid][RED] or lb < blocks[cid][BLUE]):
+            return v
+    return None
+
+
+def full_splittable_violation(partition):
+    """Lowest node whose covering block has exactly two colors below it
+    and every one of its colors above it too."""
+    live_r, live_b, live_w, blocks = full_color_counts(partition)
+    acomp = partition.acomp
+    left = partition.pair.t2.left
+    for v in range(partition.pair.t2.n_nodes):
+        cid = acomp[v]
+        if left[v] < 0 or cid < 0:
+            continue
+        below = (live_r[v], live_b[v], live_w[v])
+        if sum(1 for x in below if x) != 2:
+            continue
+        if all(x < total for x, total in zip(below, blocks[cid]) if total):
+            return v
+    return None
+
+
+def full_top_components(partition):
+    """Blocks created this iteration whose meeting node lies below no
+    other created block's meeting node, in creation order."""
+    k = partition.iteration
+    created = [c for c in partition.comps.values() if c.created_iter == k]
+    if not created:
+        return []
+    pair = partition.pair
+    t2 = pair.t2
+    n = t2.n_nodes
+    marked = [False] * n
+    anchors = {}
+    for c in created:
+        a = fold_lca(pair, 2, c.leaves)
+        assert not marked[a], "two created blocks share a meeting node"
+        marked[a] = True
+        anchors[c.id] = a
+    below = [False] * n
+    for v in range(n - 2, -1, -1):
+        p = t2.parent[v]
+        below[v] = below[p] or marked[p]
+    return [c.id for c in created if not below[anchors[c.id]]]
+
+
+def full_find_merge_pair(partition):
+    """The undoable pair of colored leaves by a full upward scan of the
+    second tree and then a root-down search, or None."""
+    k = partition.iteration
+    comps = partition.comps
+    blocks = full_color_counts(partition)[3]
+    scope = {}
+    for c in comps.values():
+        if c.created_iter != k:
+            continue
+        for color in (RED, BLUE):
+            if blocks[c.id][color] == c.size:
+                scope[c.id] = color
+    if len(scope) < 2:
+        return None
+
+    pair = partition.pair
+    t2 = pair.t2
+    n = t2.n_nodes
+    left, right = t2.left, t2.right
+    acomp = partition.acomp
+    bucket = {}
+    for cid in scope:
+        bucket.setdefault(fold_lca(pair, 2, comps[cid].leaves), []).append(cid)
+
+    def emit(c1, c2):
+        c1, c2 = sorted((c1, c2))
+        assert comps[c1].origin0 == comps[c2].origin0, \
+            "undo pair spans two start-of-iteration blocks"
+        return (min(comps[c1].leaves), min(comps[c2].leaves))
+
+    reach = [()] * n
+    for v in range(n):
+        entries = list(bucket.get(v, ()))
+        if left[v] >= 0:
+            for ch in (left[v], right[v]):
+                if acomp[ch] < 0:
+                    entries.extend(reach[ch])
+                else:
+                    entries.extend(bucket.get(ch, ()))
+        rset = entries
+        cov = acomp[v]
+        if cov in scope and cov not in rset:
+            rset = entries + [cov]
+        for color in (RED, BLUE):
+            same = sorted(c for c in rset if scope[c] == color)
+            if len(same) >= 2:
+                return emit(same[0], same[1])
+        reach[v] = tuple(entries)
+
+    stack = [n - 1]
+    while stack:
+        v = stack.pop()
+        cov = acomp[v]
+        if cov in scope:
+            continue
+        if cov < 0 and len(reach[v]) == 2:
+            c1, c2 = reach[v]
+            assert scope[c1] != scope[c2], "same-color pair escaped the upward scan"
+            if comps[c1].origin0 == comps[c2].origin0:
+                return emit(c1, c2)
+        if left[v] >= 0:
+            stack.append(right[v])
+            stack.append(left[v])
+    return None

@@ -466,6 +466,12 @@ def test_cli_error_exit_codes(capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert main(["solve", "no_such_file.nwk", "(a,b);"]) == 2
     assert main(["exact", FIG1_NEWICK1, FIG1_NEWICK2, "--cap", "5"]) == 2
+    for cap in ("-1", "0"):
+        assert main(["exact", FIG1_NEWICK1, FIG1_NEWICK2, "--cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert "cap must be at least 1 leaf" in captured.err
+        assert "got %s for an instance with 7 leaves" % cap in captured.err
+        assert captured.out == ""
     for iters in ("0", "-3"):
         assert main(["fuzz", "--n", "4", "--iters", iters]) == 2
         captured = capsys.readouterr()

@@ -1,9 +1,20 @@
 """Solver loop: worked-instance goldens, op contracts, invariants."""
 
-import pytest
+import dataclasses
+import hashlib
+import json
+from collections import Counter
+from contextlib import contextmanager
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rbmaf import redblue_core
 from rbmaf import (
+    BLUE,
+    RED,
     WHITE,
+    Coloring,
     DualState,
     InvariantError,
     Partition,
@@ -15,10 +26,12 @@ from rbmaf import (
     is_feasible_maf,
     is_K_feasible,
     make_coloring,
+    make_pair,
     make_rb_compatible,
     make_splittable,
     merge_components,
     pair_from_newick,
+    random_pair,
     run,
     special_split,
     split,
@@ -312,3 +325,124 @@ def test_final_forests_feasible_small_corpus():
         blocks = [list(c.leaves) for c in res.partition.comps.values()]
         assert naive.naive_feasible(pair, blocks), name
         assert res.value <= 2 * res.dual_objective, name
+
+
+def _golden_instances():
+    """The acceptance corpus, then uniform and k-rSPR pairs near n = 150,
+    each also with the shared root leaf."""
+    for n in range(3, 13):
+        yield from corpus(n, 30, base_seed=7000 + 97 * n)
+    for seed in range(3):
+        for mode, k in (("uniform", None), ("k_rspr", 15)):
+            pair = random_pair(150 + seed, seed, mode=mode, k=k)
+            name = "%s-n%d-s%d" % (mode, pair.n, seed)
+            yield name, pair
+            yield name + "-rho", make_pair(pair.t1, pair.t2, add_rho=True)
+
+
+def test_solver_golden():
+    """Traces with snapshots, iteration records, certificates and undo
+    pairs, byte for byte, as first recorded."""
+    digest = hashlib.sha256()
+    for name, pair in _golden_instances():
+        res = run(pair, record_snapshots=True)
+        digest.update(name.encode() + b"\n")
+        digest.update(json.dumps(res.trace, sort_keys=True).encode() + b"\n")
+        for rec in res.iterations:
+            digest.update(repr(dataclasses.astuple(rec)).encode() + b"\n")
+        digest.update(repr(sorted(res.dual.as_dict().items())).encode() + b"\n")
+        digest.update(repr(res.pairslist).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "24708d54418c8e9a25d0f1dfaf0d0add1819ab1791946823a78dfbc7995e6e7e")
+
+
+# ----------------------------------------------------------------------
+# the incremental stages against the full-sweep oracles
+
+
+@contextmanager
+def full_sweep_checks():
+    """Run the solver with every incremental stage checked, call by call,
+    against its full-sweep oracle in ``naive``.  Yields a call counter."""
+    calls = Counter()
+    refresh = Partition.refresh_annotations
+
+    def checked_refresh(partition, *args):
+        refresh(partition, *args)
+        live_r, live_b, _, blocks = naive.full_color_counts(partition)
+        assert partition.live_r == live_r and partition.live_b == live_b
+        assert partition.tinted == [v for v in range(len(live_r))
+                                    if live_r[v] or live_b[v]]
+        assert partition.painted == {cid for cid, b in blocks.items()
+                                     if b[0] or b[1]}
+        assert {cid: [c.n_red, c.n_blue, c.n_white]
+                for cid, c in partition.comps.items()} == blocks
+        calls["refresh_annotations"] += 1
+
+    def checked(name, oracle):
+        fast = getattr(redblue_core, name)
+
+        def wrapper(partition):
+            got = fast(partition)
+            assert got == oracle(partition), name
+            calls[name] += 1
+            return got
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Partition, "refresh_annotations", checked_refresh)
+        for name, oracle in (
+                ("find_merge_pair", naive.full_find_merge_pair),
+                ("_top_components", naive.full_top_components),
+                ("_rb_violation", naive.full_rb_violation),
+                ("_splittable_violation", naive.full_splittable_violation)):
+            mp.setattr(redblue_core, name, checked(name, oracle))
+        yield calls
+
+
+def test_incremental_stages_match_full_sweeps():
+    instances = [pair for n in range(3, 13) for _, pair in corpus(n, 25)]
+    for seed in range(3):
+        pair = random_pair(200, seed, mode="k_rspr", k=10 + 5 * seed)
+        instances += [pair, make_pair(pair.t1, pair.t2, add_rho=True)]
+    with full_sweep_checks() as calls:
+        for pair in instances:
+            run(pair)
+    assert calls["find_merge_pair"] > 500
+    assert min(calls.values()) > 0 and len(calls) == 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 40), st.integers(0, 10_000), st.booleans(),
+       st.booleans())
+def test_incremental_stages_match_full_sweeps_fuzzed(n, seed, krspr, rho):
+    if krspr:
+        pair = random_pair(n, seed, mode="k_rspr", k=1 + seed % (n - 1))
+    else:
+        pair = random_pair(n, seed)
+    with full_sweep_checks():
+        run(make_pair(pair.t1, pair.t2, add_rho=rho))
+
+
+def test_merge_pair_fork_below_a_scope_meeting_node_is_skipped():
+    """A red and a blue singleton meet at a dead node that hangs, through
+    a white block, below the red block {x1, x2}: the search from the root
+    stops at that block, so no pair is found."""
+    tree = "((x1,((w1,(y,z)),w2)),x2);"
+    pair = pair_from_newick(tree, tree)
+    lab = pair.index_of
+    part = Partition(pair)
+    part.begin_iteration(1)
+    part.split_component(0, [[lab[x] for x in block] for block in
+                             (["x1", "x2"], ["w1", "w2"], ["y"], ["z"])])
+    color = [WHITE] * pair.n
+    red = sorted(lab[x] for x in ("x1", "x2", "y"))
+    for i in red:
+        color[i] = RED
+    color[lab["z"]] = BLUE
+    part.refresh_annotations(Coloring(pair.t1.root, -1, -1, color, red,
+                                      [lab["z"]]))
+    dead = pair.t2.parent[pair.leaf_node2[lab["y"]]]
+    assert part.acomp[dead] == -1
+    assert find_merge_pair(part) is None
+    assert naive.full_find_merge_pair(part) is None
