@@ -545,7 +545,14 @@ def _cmd_fuzz(args):
 
 
 def _cmd_bench(args):
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    sizes = []
+    for s in filter(None, args.sizes.split(",")):
+        if not s.strip().isdigit() or int(s) < 2:
+            raise ValueError("bench --sizes needs leaf counts >= 2, got %r" % s)
+        sizes.append(int(s))
+    if not sizes:
+        raise ValueError("bench --sizes needs at least one leaf count, got %r"
+                         % args.sizes)
     previous = None
     print("%8s %10s %8s %8s %8s" % ("n", "time_s", "value", "dual", "ratio"))
     for n in sizes:

@@ -10,17 +10,19 @@ that realizes them (cut above each component's lca in the second tree,
 except for one shallowest component that keeps the original root).
 
 Annotations come from two passes over the second tree.  The structural
-pass runs in O(n) after each structural change: per node, the number of
-live leaves below it inside its forest tree, the component owning its
-tree, and the component covering the node, where "covering" means the
-node lies on a path between two leaves of that component inside the
-forest.  The color pass runs on every refresh but visits only the tinted
-nodes, the forest-tree ancestors of the red and blue leaves, found by
-walking up from each colored leaf until a cut edge or an already tinted
-node: per tinted node it counts the red and blue live leaves below it,
-and per painted block (one holding a red or blue leaf) its red and blue
-leaves.  Every other node has no red or blue leaf below it, and white
-counts are live counts minus red and blue.
+pass gives, per node, the number of live leaves below it inside its
+forest tree, the component owning its tree, and the component covering
+the node, where "covering" means the node lies on a path between two
+leaves of that component inside the forest.  It runs after structural
+changes and visits only the stale forest trees, those created by the
+splits since the last refresh, so it costs the size of the trees that
+the cuts changed, not n.  The color pass runs on every refresh but
+visits only the tinted nodes, the forest-tree ancestors of the red and
+blue leaves, found by walking up from each colored leaf until a cut edge
+or an already tinted node: per tinted node it counts the red and blue
+live leaves below it, and per painted block (one holding a red or blue
+leaf) its red and blue leaves.  Every other node has no red or blue
+leaf below it, and white counts are live counts minus red and blue.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ class Component:
     ``root2`` is the root node of the component's tree in the cut
     forest, ``created_iter`` stamps the iteration that created it (0 for
     the initial block), and ``origin0`` points to the ancestor block
-    that existed when the current iteration started.  Red and blue
-    counts are filled by annotation refreshes (all white without a
-    coloring).
+    that existed when that iteration started (it is read only while the
+    creating iteration runs).  Red and blue counts are filled by
+    annotation refreshes (all white without a coloring).
     """
 
     __slots__ = ("id", "leaves", "root2", "created_iter", "origin0",
@@ -72,12 +74,14 @@ class Partition:
     generation stamp, ``size_of[cid]`` is the size of block ``cid``
     (dead or alive), and ``created`` lists the ids created in the
     current iteration in creation order (the initial block counts as
-    created in iteration 0).  All structural operations mark
-    the annotation arrays dirty; readers refresh on demand.
+    created in iteration 0).  Every structural operation records the
+    roots of the forest trees it creates in ``stale``; readers refresh
+    on demand when it is nonempty, and the refresh rewrites the
+    annotation arrays on those trees only.
     """
 
     __slots__ = ("pair", "comps", "leaf_comp", "cut", "root_comp",
-                 "next_id", "iteration", "dirty", "coloring", "size_of",
+                 "next_id", "iteration", "stale", "coloring", "size_of",
                  "created", "live", "live_r", "live_b", "tinted", "painted",
                  "acomp", "treecomp")
 
@@ -91,13 +95,16 @@ class Partition:
         self.root_comp = {root: 0}
         self.next_id = 1
         self.iteration = 0
-        self.dirty = True
+        self.stale = [root]
         self.coloring = None
         self.size_of = [pair.n]
         self.created = [0]
-        self.live = self.acomp = self.treecomp = None
-        self.live_r = [0] * pair.t2.n_nodes
-        self.live_b = [0] * pair.t2.n_nodes
+        n2 = pair.t2.n_nodes
+        self.live = [0] * n2
+        self.treecomp = [0] * n2
+        self.acomp = [-1] * n2
+        self.live_r = [0] * n2
+        self.live_b = [0] * n2
         self.tinted = []
         self.painted = set()
 
@@ -144,8 +151,6 @@ class Partition:
     def begin_iteration(self, k):
         self.iteration = k
         self.created = []
-        for c in self.comps.values():
-            c.origin0 = c.id
 
     # ------------------------------------------------------------------
     # annotations
@@ -159,60 +164,58 @@ class Partition:
         """
         if coloring is not _KEEP:
             self.coloring = coloring
-        if self.dirty:
+        if self.stale:
             self._refresh_structure()
         self._refresh_colors()
 
     def _refresh_structure(self):
-        """Recompute live counts, tree ownership and covering components.
+        """Recompute live counts, tree ownership and covering components
+        on the stale forest trees.
 
-        Pass 1 walks nodes in ascending (post-) order accumulating live
-        leaf counts per forest tree; pass 2 walks in descending order
-        propagating tree ownership downward and deciding coverage from
-        the live counts of the two children.
+        Post-order ids make the tree rooted at ``r`` the id range
+        ``[subtree_min[r], r]`` minus the subtrees of its cut nodes, so
+        a walk down from ``r`` that jumps past each cut subtree collects
+        it.  One ascending pass over those nodes then fills the live
+        counts and decides coverage from the live counts of the two
+        children; the owner is the tree's block throughout.
         """
+        stale = set(self.stale)
+        if -1 in stale:
+            raise InvariantError(
+                "annotations read after merge_leaves: canonicalize_cuts is pending")
         t2 = self.pair.t2
-        n = t2.n_nodes
-        left, right, parent = t2.left, t2.right, t2.parent
+        left, right, smin = t2.left, t2.right, t2.subtree_min
         cut = self.cut
-
-        live = [0] * n
-        for v in range(n):
-            l = left[v]
-            if l < 0:
-                live[v] = 1
-            else:
-                r = right[v]
-                live[v] = (0 if cut[l] else live[l]) + (0 if cut[r] else live[r])
-
-        treecomp = [0] * n
-        acomp = [-1] * n
-        root_comp = self.root_comp
-        size_of = self.size_of
-        for v in range(n - 1, -1, -1):
-            if cut[v] or v == n - 1:
-                a = root_comp[v]
-            else:
-                a = treecomp[parent[v]]
-            treecomp[v] = a
-            lv = live[v]
-            if lv == 0:
-                continue
-            l = left[v]
-            if l < 0:
-                acomp[v] = a
-            elif lv < size_of[a]:
-                acomp[v] = a
-            else:
+        live, treecomp, acomp = self.live, self.treecomp, self.acomp
+        root_comp, size_of = self.root_comp, self.size_of
+        for root in stale:
+            nodes = [root]
+            v, lo = root - 1, smin[root]
+            while v >= lo:
+                if cut[v]:
+                    v = smin[v] - 1
+                else:
+                    nodes.append(v)
+                    v -= 1
+            a = root_comp[root]
+            size = size_of[a]
+            for v in reversed(nodes):
+                treecomp[v] = a
+                l = left[v]
+                if l < 0:
+                    live[v] = 1
+                    acomp[v] = a
+                    continue
                 r = right[v]
                 ll = 0 if cut[l] else live[l]
                 rr = 0 if cut[r] else live[r]
-                if ll > 0 and rr > 0:
+                lv = ll + rr
+                live[v] = lv
+                if lv and (lv < size or (ll and rr)):
                     acomp[v] = a
-        self.live = live
-        self.treecomp = treecomp
-        self.acomp = acomp
-        self.dirty = False
+                else:
+                    acomp[v] = -1
+        self.stale = []
 
     def _refresh_colors(self):
         """Recount red and blue leaves on the tinted nodes and painted blocks.
@@ -281,6 +284,9 @@ class Partition:
         self.size_of.append(len(leaves))
         self.created.append(cid)
         self.root_comp[root2] = cid
+        # a merged block (root2 -1) has no forest tree until
+        # canonicalize_cuts, so a refresh before then raises
+        self.stale.append(root2)
         for x in leaves:
             self.leaf_comp[x] = cid
         return cid
@@ -294,7 +300,7 @@ class Partition:
         above).  Raises when ``node2`` is not covered or the upper block
         would be empty.
         """
-        if self.dirty:
+        if self.stale:
             self.refresh_annotations(_KEEP)
         a = self.acomp[node2]
         if a < 0:
@@ -311,10 +317,10 @@ class Partition:
         if len(below) != lv:
             raise InvariantError("live count disagrees with collected leaves")
         self.cut[node2] = True
-        bid = self._new_component(below, node2, comp.origin0)
-        aid = self._new_component(above, comp.root2, comp.origin0)
+        origin0 = comp.origin0 if comp.created_iter == self.iteration else comp.id
+        bid = self._new_component(below, node2, origin0)
+        aid = self._new_component(above, comp.root2, origin0)
         del self.comps[comp.id]
-        self.dirty = True
         return bid, aid
 
     def split_component(self, comp_id, parts):
@@ -345,18 +351,18 @@ class Partition:
         depth = pair.t2.depth
         anchors = [pair.lca_of_leaves(2, p) for p in parts]
         keep = min(range(len(parts)), key=lambda k: (depth[anchors[k]], anchors[k]))
+        origin0 = comp.origin0 if comp.created_iter == self.iteration else comp.id
         ids = []
         for k, p in enumerate(parts):
             if k == keep:
-                ids.append(self._new_component(sorted(p), comp.root2, comp.origin0))
+                ids.append(self._new_component(sorted(p), comp.root2, origin0))
             else:
                 v = anchors[k]
                 if self.cut[v] or v == comp.root2:
                     raise InvariantError("block anchor is not cuttable")
                 self.cut[v] = True
-                ids.append(self._new_component(sorted(p), v, comp.origin0))
+                ids.append(self._new_component(sorted(p), v, origin0))
         del self.comps[comp_id]
-        self.dirty = True
         return ids
 
     # ------------------------------------------------------------------
@@ -371,9 +377,7 @@ class Partition:
         merged = sorted(a.leaves + b.leaves)
         del self.comps[a.id]
         del self.comps[b.id]
-        cid = self._new_component(merged, -1, -1)
-        self.dirty = True
-        return cid
+        return self._new_component(merged, -1, -1)
 
     def canonicalize_cuts(self):
         """Re-derive the deleted-edge set from the component leaf sets.
@@ -402,7 +406,7 @@ class Partition:
                 c.root2 = v
                 self.root_comp[v] = cid
         self.root_comp[t2.root] = keep
-        self.dirty = True
+        self.stale = [c.root2 for c in self.comps.values()]
         self.refresh_annotations(None)
         nodes2 = pair.leaf_node2
         for i in range(pair.n):

@@ -131,7 +131,7 @@ def find_lowest_pcs(partition):
     node of the restriction in the second tree.  Returns None exactly
     when the partition is an agreement forest.
     """
-    if partition.dirty:
+    if partition.stale:
         partition.refresh_annotations()
     pair = partition.pair
     t1, t2 = pair.t1, pair.t2
@@ -201,7 +201,7 @@ def classify_case(partition, coloring):
     below the colored part's meeting node.  Any other shape raises
     InvariantError.
     """
-    if partition.dirty:
+    if partition.stale:
         partition.refresh_annotations()
     comps = partition.comps
     multi = [comps[cid] for cid in partition.painted if _n_colors(comps[cid]) >= 2]
@@ -240,7 +240,7 @@ def _rb_violation(partition):
     such a node exists if and only if some block's colored part is not
     shaped alike in both trees.
     """
-    if partition.dirty:
+    if partition.stale:
         partition.refresh_annotations()
     comps = partition.comps
     acomp = partition.acomp
@@ -268,7 +268,7 @@ def _splittable_violation(partition):
     exactly two colors while every color the block carries also occurs
     above it.
     """
-    if partition.dirty:
+    if partition.stale:
         partition.refresh_annotations()
     comps = partition.comps
     acomp = partition.acomp
@@ -363,7 +363,7 @@ def special_split(partition, dual, coloring, cid, pairslist):
     one more certificate decrement at that node.  Returns
     (chi, pair_added, node, branch).
     """
-    if partition.dirty:
+    if partition.stale:
         partition.refresh_annotations(coloring)
     pair = partition.pair
     col = coloring.color
@@ -410,7 +410,7 @@ def split(partition, dual, coloring, pairslist, top_cid=_ANY_TOP):
     flags the four-way split and special carries (block id, node,
     branch).
     """
-    if partition.dirty:
+    if partition.stale:
         partition.refresh_annotations()
     pair = partition.pair
     col = coloring.color
@@ -465,7 +465,7 @@ def find_merge_pair(partition):
     from both children before it passes anything on, and then the
     uncovered nodes reached by exactly two blocks, in pre-order.
     """
-    if partition.dirty:
+    if partition.stale:
         partition.refresh_annotations()
     comps = partition.comps
     scope = {}

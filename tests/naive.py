@@ -145,6 +145,56 @@ def fold_lca(pair, t, leaves):
     return m
 
 
+def full_structure(partition):
+    """Live leaves below every node of the second tree inside its forest
+    tree, the block owning each node's tree, and the block covering each
+    node (-1 when none), recomputed over the whole tree from the cut set.
+
+    Pass 1 walks nodes in ascending (post-) order accumulating live
+    counts; pass 2 walks in descending order propagating tree ownership
+    downward and deciding coverage from the live counts of the children.
+    """
+    t2 = partition.pair.t2
+    n = t2.n_nodes
+    left, right, parent = t2.left, t2.right, t2.parent
+    cut = partition.cut
+
+    live = [0] * n
+    for v in range(n):
+        l = left[v]
+        if l < 0:
+            live[v] = 1
+        else:
+            r = right[v]
+            live[v] = (0 if cut[l] else live[l]) + (0 if cut[r] else live[r])
+
+    treecomp = [0] * n
+    acomp = [-1] * n
+    root_comp = partition.root_comp
+    size_of = partition.size_of
+    for v in range(n - 1, -1, -1):
+        if cut[v] or v == n - 1:
+            a = root_comp[v]
+        else:
+            a = treecomp[parent[v]]
+        treecomp[v] = a
+        lv = live[v]
+        if lv == 0:
+            continue
+        l = left[v]
+        if l < 0:
+            acomp[v] = a
+        elif lv < size_of[a]:
+            acomp[v] = a
+        else:
+            r = right[v]
+            ll = 0 if cut[l] else live[l]
+            rr = 0 if cut[r] else live[r]
+            if ll > 0 and rr > 0:
+                acomp[v] = a
+    return live, treecomp, acomp
+
+
 def full_color_counts(partition):
     """Red, blue and white live leaves below every node of the second
     tree inside its forest tree, and ``{block id: [red, blue, white]}``,

@@ -472,6 +472,12 @@ def test_cli_error_exit_codes(capsys):
         assert "cap must be at least 1 leaf" in captured.err
         assert "got %s for an instance with 7 leaves" % cap in captured.err
         assert captured.out == ""
+    for sizes, bad in ((",", "','"), ("1000,0", "'0'"), ("x", "'x'")):
+        assert main(["bench", "--sizes", sizes]) == 2
+        captured = capsys.readouterr()
+        assert "bench --sizes needs" in captured.err
+        assert "got %s" % bad in captured.err
+        assert captured.out == ""
     for iters in ("0", "-3"):
         assert main(["fuzz", "--n", "4", "--iters", iters]) == 2
         captured = capsys.readouterr()

@@ -89,6 +89,21 @@ def test_merge_then_canonicalize_round_trip(fig1):
         part.merge_leaves(b1, b2)
 
 
+def test_refresh_between_merge_and_canonicalize_raises(fig1):
+    """A merged block has no forest tree until the cuts are re-derived,
+    so reading annotations in between is an error, not stale data."""
+    part = Partition(fig1)
+    part.split_below(2)
+    part.merge_leaves(*idx(fig1, "b1", "b2"))
+    with pytest.raises(InvariantError, match="canonicalize_cuts is pending"):
+        part.refresh_annotations(None)
+    with pytest.raises(InvariantError, match="canonicalize_cuts is pending"):
+        part.split_below(fig1.leaf_node2[fig1.index_of["w1"]])
+    part.canonicalize_cuts()
+    assert part.label_sets() == (tuple(fig1.labels),)
+    assert part.acomp == naive.full_structure(part)[2]
+
+
 def test_split_rejects_overlapping_family(fig1):
     part = Partition(fig1)
     cid = next(iter(part.comps))
@@ -103,15 +118,20 @@ def test_split_rejects_overlapping_family(fig1):
 
 
 def test_begin_iteration_stamps_origin(fig1):
+    """Blocks split off in an iteration, however often their lineage is
+    cut, point to the block that existed when the iteration began."""
     part = Partition(fig1)
     part.split_below(2)
     part.begin_iteration(3)
-    for cid, comp in part.comps.items():
-        assert comp.origin0 == cid
+    start = part.leaf_comp[fig1.index_of["b2"]]
     ids = part.split_component(
-        next(iter(part.comps)), [idx(fig1, "b1"), idx(fig1, "r1")])
+        start, [idx(fig1, "b2", "w1"), idx(fig1, "r2", "w2", "w3")])
+    ids += part.split_below(fig1.leaf_node2[fig1.index_of["r2"]])
     for cid in ids:
-        assert part.comps[cid].created_iter == 3
+        if cid in part.comps:
+            assert part.comps[cid].created_iter == 3
+            assert part.comps[cid].origin0 == start
+    assert part.created == ids
 
 
 def test_is_feasible_maf_known_cases(fig1):

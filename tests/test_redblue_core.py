@@ -369,6 +369,8 @@ def full_sweep_checks():
 
     def checked_refresh(partition, *args):
         refresh(partition, *args)
+        assert (partition.live, partition.treecomp, partition.acomp) == \
+            naive.full_structure(partition)
         live_r, live_b, _, blocks = naive.full_color_counts(partition)
         assert partition.live_r == live_r and partition.live_b == live_b
         assert partition.tinted == [v for v in range(len(live_r))
@@ -422,6 +424,32 @@ def test_incremental_stages_match_full_sweeps_fuzzed(n, seed, krspr, rho):
         pair = random_pair(n, seed)
     with full_sweep_checks():
         run(make_pair(pair.t1, pair.t2, add_rho=rho))
+
+
+def test_structure_refresh_after_three_cuts_on_one_lineage():
+    """Two split_component calls on one lineage leave three stale roots,
+    two of them recorded twice, for the refresh that split_below needs;
+    the cut of a right child then leaves its parent uncovered."""
+    tree = "(((a,b),(c,d)),((e,f),(g,h)));"
+    pair = pair_from_newick(tree, tree)
+    lab = pair.index_of
+    part = Partition(pair)
+    with full_sweep_checks() as calls:
+        first = part.split_component(0, [[lab[x] for x in "abcd"],
+                                         [lab[x] for x in "efgh"]])
+        ef, gh = part.split_component(first[1], [[lab["e"], lab["f"]],
+                                                 [lab["g"], lab["h"]]])
+        assert calls["refresh_annotations"] == 0
+        root, efgh = pair.t2.root, part.comps[ef].root2
+        assert sorted(part.stale) == sorted(
+            [root, root, efgh, efgh, part.comps[gh].root2])
+        part.split_below(pair.leaf_node2[lab["f"]])
+        part.refresh_annotations(None)
+        assert calls["refresh_annotations"] == 2
+    fork = pair.t2.parent[pair.leaf_node2[lab["f"]]]
+    assert part.acomp[fork] == -1 and part.live[fork] == 1
+    assert part.label_sets() == (("a", "b", "c", "d"), ("e",), ("f",),
+                                 ("g", "h"))
 
 
 def test_merge_pair_fork_below_a_scope_meeting_node_is_skipped():
