@@ -13,6 +13,7 @@ solver's output a certified 2-approximation.
 from __future__ import annotations
 
 from .forest_partition import as_blocks
+from .lp_toolkit import compatible_set_table
 from .tree_model import InvariantError, OracleCapError, spanned_nodes
 
 VERIFY_CAP = 15
@@ -62,19 +63,36 @@ class DualState:
         return out
 
 
-def _load(pair, dual, blocks, leaves):
-    total = 0
-    for v in spanned_nodes(pair, 1, leaves):
-        if pair.t1.left[v] >= 0:
-            total += dual.y1[v]
-    for v in spanned_nodes(pair, 2, leaves):
-        if pair.t2.left[v] >= 0:
-            total += dual.y2[v]
-    lset = set(leaves)
-    for b in blocks:
-        if b & lset:
-            total += 1
-    return total
+def _load_function(pair, dual, components):
+    """``load_of(leaves, span1, span2)`` for one certificate.
+
+    The spans are bit sets of the internal nodes a leaf set spans (see
+    :func:`lp_toolkit.compatible_set_table`).  Each leaf carries the bit
+    set of the blocks holding it, so a set's block count is the size of
+    their union, and a leaf in no block adds none.  Only the few nonzero
+    potentials are read per set.
+    """
+    owner = [0] * pair.n
+    for k, block in enumerate(as_blocks(components)):
+        for x in block:
+            owner[x] |= 1 << k
+    pots1 = [(1 << v, y) for v, y in enumerate(dual.y1) if y]
+    pots2 = [(1 << v, y) for v, y in enumerate(dual.y2) if y]
+
+    def load_of(leaves, span1, span2):
+        blocks = 0
+        for x in leaves:
+            blocks |= owner[x]
+        total = blocks.bit_count()
+        for bit, y in pots1:
+            if span1 & bit:
+                total += y
+        for bit, y in pots2:
+            if span2 & bit:
+                total += y
+        return total
+
+    return load_of
 
 
 def load(pair, dual, components, leaves):
@@ -83,15 +101,19 @@ def load(pair, dual, components, leaves):
     Potential mass on the internal nodes the set spans in either tree,
     plus the number of blocks it intersects.
     """
-    return _load(pair, dual, as_blocks(components), leaves)
+    spans = [sum(1 << v for v in spanned_nodes(pair, t, leaves)
+                 if pair.tree(t).left[v] >= 0) for t in (1, 2)]
+    return _load_function(pair, dual, components)(set(leaves), *spans)
 
 
 def verify_dual_feasibility(pair, dual, components):
     """Check the certificate against every compatible leaf set.
 
-    Enumerates all compatible sets, so it is gated to ``VERIFY_CAP``
-    leaves.  Returns True when every load is at most one; on a
-    violation raises InvariantError naming the set.
+    Reads every compatible set from the pair's compatible-set table,
+    which is built once per pair and reused by later calls, so it is
+    gated to ``VERIFY_CAP`` leaves.  Returns True when every load is at
+    most one; on a violation raises InvariantError naming the first
+    violating set in lexicographic order.
     """
     if pair.n > VERIFY_CAP:
         raise OracleCapError(
@@ -99,11 +121,9 @@ def verify_dual_feasibility(pair, dual, components):
             "capped at %d leaves (got %d)" % (VERIFY_CAP, pair.n))
     if any(y > 0 for y in dual.y1) or any(y > 0 for y in dual.y2):
         raise InvariantError("certificate has a positive potential")
-    blocks = as_blocks(components)
-    from .lp_toolkit import enumerate_compatible_sets
-
-    for leaves in enumerate_compatible_sets(pair):
-        total = _load(pair, dual, blocks, leaves)
+    load_of = _load_function(pair, dual, components)
+    for leaves, span1, span2 in zip(*compatible_set_table(pair)):
+        total = load_of(leaves, span1, span2)
         if total > 1:
             raise InvariantError(
                 "load %d > 1 on compatible set %r"

@@ -20,9 +20,10 @@ from .tree_model import (
     InvariantError,
     OracleCapError,
     incompatible_triples,
+    internal_mask,
+    internal_span,
     leaf_path_masks,
     pair_from_newick,
-    spanned_nodes,
 )
 
 ENUMERATION_CAP = 15
@@ -136,17 +137,22 @@ def _num(x):
 
 
 def _terms(model, coefs):
+    """Signed terms of a row in variable order; zero coefficients and
+    names that are not variables are left out."""
+    index = model._var_index
     parts = []
-    for v in model.variables:
-        coef = coefs.get(v.name)
-        if not coef:
-            continue
-        mag = abs(coef)
-        body = v.name if mag == 1 else "%s %s" % (_num(mag), v.name)
-        if not parts:
-            parts.append(body if coef > 0 else "- " + body)
-        else:
-            parts.append(("+ " if coef > 0 else "- ") + body)
+    for name in sorted([name for name in coefs if name in index],
+                       key=index.__getitem__):
+        coef = coefs[name]
+        if coef == 1:
+            parts.append("+ " + name)
+        elif coef == -1:
+            parts.append("- " + name)
+        elif coef:
+            parts.append("%s %s %s" % ("+" if coef > 0 else "-",
+                                       _num(abs(coef)), name))
+    if parts and parts[0][0] == "+":
+        parts[0] = parts[0][2:]
     return parts
 
 
@@ -185,37 +191,86 @@ def write_lp_file(model, destination):
         out.write(render_lp_text(model))
 
 
-def enumerate_compatible_sets(pair, min_size=1):
-    """All compatible leaf sets with at least ``min_size`` leaves.
+def compatible_set_table(pair):
+    """Every compatible leaf set with the internal nodes it spans.
+
+    Returns ``(sets, span1, span2)``: the sorted leaf-index tuples in
+    lexicographic order, without the empty set, and for each tree t a
+    list whose k-th entry ``span<t>[k]`` is the bit set of the internal
+    nodes on the leaf paths of ``sets[k]`` (see :func:`internal_span`).
+    The table is built on first use and kept on the pair, so the
+    certificate check of every iteration, the enumeration and the
+    exponential LP share it.  Refuses more than ``ENUMERATION_CAP``
+    leaves.
+    """
+    if pair.n > ENUMERATION_CAP:
+        raise OracleCapError(
+            "compatible-set enumeration is capped at %d leaves (got %d)"
+            % (ENUMERATION_CAP, pair.n))
+    if pair._compatible_sets is None:
+        pair._compatible_sets = _search_compatible_sets(pair)
+    return pair._compatible_sets
+
+
+def _search_compatible_sets(pair):
+    """Depth-first search behind :func:`compatible_set_table`.
 
     A leaf set induces the same shape in both trees exactly when every
     one of its triples does, so the search extends partial sets leaf by
-    leaf and abandons a branch at the first incompatible triple.
-    Returns sorted index tuples in lexicographic order.  Refuses more
-    than ``ENUMERATION_CAP`` leaves.
+    leaf and abandons a branch at the first incompatible triple.  The
+    edges a set spans grow with it: each new leaf adds its path to the
+    set's first leaf.  The search keeps an explicit stack: a recursive
+    closure would form a reference cycle that keeps the table alive
+    until the cyclic collector runs, long after the pair is gone.
     """
     n = pair.n
-    if n > ENUMERATION_CAP:
-        raise OracleCapError(
-            "compatible-set enumeration is capped at %d leaves (got %d)"
-            % (ENUMERATION_CAP, n))
     bad = incompatible_triples(pair)
-    out = []
-    chosen = []
-
-    def extend(start):
-        if len(chosen) >= min_size:
-            out.append(tuple(chosen))
-        for leaf in range(start, n):
+    p1 = leaf_path_masks(pair, 1)
+    p2 = leaf_path_masks(pair, 2)
+    inner1 = internal_mask(pair.t1)
+    inner2 = internal_mask(pair.t2)
+    sets = []
+    span1 = []
+    span2 = []
+    # Extensions are pushed in descending leaf order, so sets come off
+    # the stack in lexicographic order.
+    stack = [((leaf,), 0, 0) for leaf in range(n - 1, -1, -1)]
+    while stack:
+        chosen, edges1, edges2 = stack.pop()
+        sets.append(chosen)
+        span1.append(internal_span(edges1, inner1))
+        span2.append(internal_span(edges2, inner2))
+        row1 = p1[chosen[0]]
+        row2 = p2[chosen[0]]
+        for leaf in range(n - 1, chosen[-1], -1):
             for x, y in combinations(chosen, 2):
                 if (x, y, leaf) in bad:
                     break
             else:
-                chosen.append(leaf)
-                extend(leaf + 1)
-                chosen.pop()
+                stack.append((chosen + (leaf,), edges1 | row1[leaf],
+                              edges2 | row2[leaf]))
+    return sets, span1, span2
 
-    extend(0)
+
+def enumerate_compatible_sets(pair, min_size=1):
+    """All compatible leaf sets with at least ``min_size`` leaves.
+
+    Returns sorted index tuples in lexicographic order, read from
+    :func:`compatible_set_table` (the empty set comes first when
+    ``min_size`` is 0).  Refuses more than ``ENUMERATION_CAP`` leaves.
+    """
+    sets = compatible_set_table(pair)[0]
+    empty = [()] if min_size <= 0 else []
+    return empty + [leaves for leaves in sets if len(leaves) >= min_size]
+
+
+def _bits(mask):
+    """Positions of the set bits of a nonnegative integer, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -230,33 +285,33 @@ def build_exponential_lp(pair):
     lying in exactly one chosen set and each internal node of either
     tree being spanned by at most one.
     """
-    sets = enumerate_compatible_sets(pair)
+    table = compatible_set_table(pair)
+    sets = table[0]
     model = LpModel("exponential_lp")
     model.objective_constant = -1.0
     leaf_rows = [dict() for _ in range(pair.n)]
-    pack1 = {}
-    pack2 = {}
+    names = []
     for leaves in sets:
         name = _set_var_name(pair, leaves)
+        names.append(name)
         model.add_variable(name)
         model.objective[name] = 1.0
         for i in leaves:
             leaf_rows[i][name] = 1.0
-        if len(leaves) < 2:
-            continue
-        for v in spanned_nodes(pair, 1, leaves):
-            if pair.t1.left[v] >= 0:
-                pack1.setdefault(v, {})[name] = 1.0
-        for v in spanned_nodes(pair, 2, leaves):
-            if pair.t2.left[v] >= 0:
-                pack2.setdefault(v, {})[name] = 1.0
     for i in range(pair.n):
         model.add_constraint("leaf_%d" % (i + 1), leaf_rows[i], "=", 1.0)
     ordinal = 0
-    for rows in (pack1, pack2):
-        for v in sorted(rows):
-            ordinal += 1
-            model.add_constraint("pack_%d" % ordinal, rows[v], "<=", 1.0)
+    for t in (1, 2):
+        left = pair.tree(t).left
+        spans = table[t]
+        for v in range(len(left)):
+            if left[v] < 0:
+                continue
+            row = {name: 1.0 for name, span in zip(names, spans)
+                   if span >> v & 1}
+            if row:
+                ordinal += 1
+                model.add_constraint("pack_%d" % ordinal, row, "<=", 1.0)
     return model
 
 
@@ -548,8 +603,7 @@ def build_wu_ilp(pair):
 
     def cut(row, mask):
         model.add_constraint(
-            row, {name: 1.0 for v, name in enumerate(names) if mask >> v & 1},
-            ">=", 1.0)
+            row, {names[v]: 1.0 for v in _bits(mask)}, ">=", 1.0)
 
     p1 = leaf_path_masks(pair, 1)
     p2 = leaf_path_masks(pair, 2)

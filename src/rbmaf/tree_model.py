@@ -21,7 +21,8 @@ which leaf sets can survive together inside one agreement component:
 
 :func:`incompatible_triples` and :func:`leaf_path_masks` tabulate both
 predicates per leaf triple and per leaf pair for the exact search, the
-compatible-set enumeration and the path-cutting ILP.
+compatible-set enumeration and the path-cutting ILP; the triple table
+is kept on the pair, so all of them share one copy.
 """
 
 from __future__ import annotations
@@ -344,7 +345,7 @@ class TreePair:
 
     __slots__ = ("t1", "t2", "labels", "n", "index_of",
                  "leaf_node1", "leaf_node2", "leaf_index1", "leaf_index2",
-                 "has_rho")
+                 "has_rho", "_triples", "_compatible_sets")
 
     def __init__(self, t1, t2, has_rho=False):
         lab1 = {t1.labels[v] for v in t1.leaf_ids}
@@ -366,6 +367,10 @@ class TreePair:
             self.leaf_index1[self.leaf_node1[i]] = i
             self.leaf_index2[self.leaf_node2[i]] = i
         self.has_rho = has_rho
+        # Per-pair tables, built on first use: incompatible_triples and
+        # lp_toolkit.compatible_set_table.
+        self._triples = None
+        self._compatible_sets = None
 
     def tree(self, t):
         if t == 1:
@@ -415,17 +420,13 @@ def pair_from_newick(s1, s2, add_rho=False):
     return make_pair(parse_newick(s1), parse_newick(s2), add_rho=add_rho)
 
 
-def _cherry(tree, x, y, z):
-    """Index (0, 1 or 2) of the triple member outside the cherry pair.
+def _cherry(dxy, dxz, dyz):
+    """Index (0, 1 or 2) of the triple member outside the cherry pair,
+    from the depths of the triple's three pairwise lcas.
 
     In a strictly binary tree exactly one of the three pairwise lcas
     lies strictly below the other two, which are equal.
     """
-    lxy = tree.lca(x, y)
-    lxz = tree.lca(x, z)
-    lyz = tree.lca(y, z)
-    d = tree.depth
-    dxy, dxz, dyz = d[lxy], d[lxz], d[lyz]
     if dxy > dxz and dxy > dyz:
         return 2
     if dxz > dxy and dxz > dyz:
@@ -435,23 +436,43 @@ def _cherry(tree, x, y, z):
     raise InvariantError("triple without a unique cherry pair")
 
 
+def _meet_depths(pair, t, leaves):
+    """``depths[i][j]``: depth in tree t of the lca of the i-th and j-th
+    of the given leaf indices."""
+    tree = pair.tree(t)
+    depth = tree.depth
+    nodes = [pair.leaf_node(t, x) for x in leaves]
+    return [[depth[tree.lca(u, v)] for v in nodes] for u in nodes]
+
+
 def triple_compatible(pair, a, b, c):
     """True when leaf indices a, b, c resolve to the same cherry in both trees."""
-    x1, y1, z1 = pair.leaf_node1[a], pair.leaf_node1[b], pair.leaf_node1[c]
-    x2, y2, z2 = pair.leaf_node2[a], pair.leaf_node2[b], pair.leaf_node2[c]
-    return _cherry(pair.t1, x1, y1, z1) == _cherry(pair.t2, x2, y2, z2)
+    d1 = _meet_depths(pair, 1, (a, b, c))
+    d2 = _meet_depths(pair, 2, (a, b, c))
+    return (_cherry(d1[0][1], d1[0][2], d1[1][2])
+            == _cherry(d2[0][1], d2[0][2], d2[1][2]))
 
 
 def incompatible_triples(pair):
     """Sorted leaf-index triples ``(a, b, c)`` whose cherry differs
-    between the two trees.
+    between the two trees, as a frozenset built once per pair.
 
     A leaf set is compatible exactly when it contains none of them.
     """
+    if pair._triples is None:
+        pair._triples = _find_incompatible_triples(pair)
+    return pair._triples
+
+
+def _find_incompatible_triples(pair):
     n = pair.n
-    return {(a, b, c)
-            for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)
-            if not triple_compatible(pair, a, b, c)}
+    d1 = _meet_depths(pair, 1, range(n))
+    d2 = _meet_depths(pair, 2, range(n))
+    return frozenset(
+        (a, b, c)
+        for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)
+        if _cherry(d1[a][b], d1[a][c], d1[b][c])
+        != _cherry(d2[a][b], d2[a][c], d2[b][c]))
 
 
 def leaf_path_masks(pair, t):
@@ -472,6 +493,24 @@ def leaf_path_masks(pair, t):
         up[v] = up[parent[v]] | 1 << v
     leaf = [up[v] for v in pair.leaf_nodes(t)]
     return [[a ^ b for b in leaf] for a in leaf]
+
+
+def internal_mask(tree):
+    """Bit set of the internal nodes of a tree."""
+    return int("".join("0" if l < 0 else "1" for l in reversed(tree.left)), 2)
+
+
+def internal_span(edges, inner):
+    """Internal nodes a leaf set spans, as a bit set.
+
+    ``edges`` is the bit set of the edges on the set's leaf paths (an
+    OR of :func:`leaf_path_masks` rows) and ``inner`` the tree's
+    :func:`internal_mask`.  Every edge brings its lower node; the one
+    node left is the set's lca, whose right child is the largest edge
+    id and, in post-order, the id just below it.  A singleton has no
+    edges and gets node 0, which is always a leaf.
+    """
+    return (edges | 1 << edges.bit_length()) & inner
 
 
 def _restricted_clusters(pair, t, xs):

@@ -7,6 +7,9 @@ independent logic rather than against itself.
 
 from itertools import combinations
 
+from rbmaf.forest_partition import as_blocks
+from rbmaf.tree_model import spanned_nodes
+
 
 def root_path(tree, v):
     """Nodes from v up to the root, inclusive."""
@@ -125,6 +128,33 @@ def naive_compatible_sets(pair, min_size=1):
             if naive_set_compatible(pair, subset):
                 out.append(subset)
     return out
+
+
+# ----------------------------------------------------------------------
+# certificate check, one leaf set at a time, as the checker first did it
+
+
+def naive_load(pair, dual, components, leaves):
+    """Potential on the internal nodes the set spans in either tree plus
+    the number of blocks it meets."""
+    total = 0
+    for t, y in ((1, dual.y1), (2, dual.y2)):
+        left = pair.tree(t).left
+        for v in spanned_nodes(pair, t, leaves):
+            if left[v] >= 0:
+                total += y[v]
+    lset = set(leaves)
+    return total + sum(1 for b in as_blocks(components) if b & lset)
+
+
+def naive_first_violation(pair, dual, components, sets):
+    """``(load, leaves)`` of the first given leaf set whose load is
+    above one, or None."""
+    for leaves in sets:
+        total = naive_load(pair, dual, components, leaves)
+        if total > 1:
+            return total, leaves
+    return None
 
 
 # ----------------------------------------------------------------------

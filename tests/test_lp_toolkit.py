@@ -92,6 +92,19 @@ def test_enumeration_cap():
         enumerate_compatible_sets(random_pair(16, seed=1))
 
 
+def test_one_triple_table_per_pair(table_builds):
+    """The exact search, the exponential LP and the Wu ILP of one pair
+    share one triple table; the enumeration and two exponential LP
+    builds share one compatible-set table."""
+    pair = random_pair(8, seed=4)
+    exact_maf(pair)
+    for build in (build_exponential_lp, build_wu_ilp,
+                  enumerate_compatible_sets, build_exponential_lp):
+        build(pair)
+    assert table_builds == {"_find_incompatible_triples": 1,
+                            "_search_compatible_sets": 1}
+
+
 def test_oracle_and_lp_golden(figs):
     """Exact optimum, compatible sets and the three LP texts, as first
     recorded; a refused build contributes its cap message."""
