@@ -11,18 +11,22 @@ except for one shallowest component that keeps the original root).
 
 Annotations come from two passes over the second tree.  The structural
 pass gives, per node, the number of live leaves below it inside its
-forest tree, the component owning its tree, and the component covering
-the node, where "covering" means the node lies on a path between two
-leaves of that component inside the forest.  It runs after structural
-changes and visits only the stale forest trees, those created by the
-splits since the last refresh, so it costs the size of the trees that
-the cuts changed, not n.  The color pass runs on every refresh but
-visits only the tinted nodes, the forest-tree ancestors of the red and
-blue leaves, found by walking up from each colored leaf until a cut edge
-or an already tinted node: per tinted node it counts the red and blue
-live leaves below it, and per painted block (one holding a red or blue
-leaf) its red and blue leaves.  Every other node has no red or blue
-leaf below it, and white counts are live counts minus red and blue.
+forest tree, the root node of that forest tree, and the root of the
+forest tree covering the node, where "covering" means the node lies on a
+path between two leaves of that tree's block inside the forest.  Both
+arrays hold roots, not block ids: the part of a split block that keeps
+the root keeps every entry, and ``root_comp`` names the block.  A split
+updates the kept tree in place along the cut paths and along the chain
+from its root down to its new meeting node, the only nodes whose live
+count or coverage can change there; the detached trees are stale, and
+the structural pass walks only stale trees, so it costs the size of the
+new trees, not n.  The color pass runs on every refresh but visits only
+the tinted nodes, the forest-tree ancestors of the red and blue leaves,
+found by walking up from each colored leaf until a cut edge or an
+already tinted node: per tinted node it counts the red and blue live
+leaves below it, and per painted block (one holding a red or blue leaf)
+its red and blue leaves.  Every other node has no red or blue leaf
+below it, and white counts are live counts minus red and blue.
 """
 
 from __future__ import annotations
@@ -74,16 +78,18 @@ class Partition:
     generation stamp, ``size_of[cid]`` is the size of block ``cid``
     (dead or alive), and ``created`` lists the ids created in the
     current iteration in creation order (the initial block counts as
-    created in iteration 0).  Every structural operation records the
-    roots of the forest trees it creates in ``stale``; readers refresh
-    on demand when it is nonempty, and the refresh rewrites the
-    annotation arrays on those trees only.
+    created in iteration 0).  A split updates the tree that keeps the
+    block's root in place and records the roots of the trees it
+    detaches in ``stale``; readers refresh on demand when it is
+    nonempty, and the refresh rewrites the annotation arrays on those
+    trees only.  ``sweep`` holds ``find_lowest_pcs``'s saved state,
+    which merges drop because they re-derive the roots.
     """
 
     __slots__ = ("pair", "comps", "leaf_comp", "cut", "root_comp",
                  "next_id", "iteration", "stale", "coloring", "size_of",
                  "created", "live", "live_r", "live_b", "tinted", "painted",
-                 "acomp", "treecomp")
+                 "treeroot", "cover", "sweep")
 
     def __init__(self, pair):
         self.pair = pair
@@ -101,18 +107,24 @@ class Partition:
         self.created = [0]
         n2 = pair.t2.n_nodes
         self.live = [0] * n2
-        self.treecomp = [0] * n2
-        self.acomp = [-1] * n2
+        self.treeroot = [root] * n2
+        self.cover = [-1] * n2
         self.live_r = [0] * n2
         self.live_b = [0] * n2
         self.tinted = []
         self.painted = set()
+        self.sweep = None
 
     def __len__(self):
         return len(self.comps)
 
     def component_of_leaf(self, i):
         return self.comps[self.leaf_comp[i]]
+
+    def covering(self, v):
+        """Id of the block covering node ``v`` of the second tree, or -1."""
+        r = self.cover[v]
+        return self.root_comp[r] if r >= 0 else -1
 
     def leaf_sets(self):
         return tuple(sorted(tuple(c.leaves) for c in self.comps.values()))
@@ -169,15 +181,15 @@ class Partition:
         self._refresh_colors()
 
     def _refresh_structure(self):
-        """Recompute live counts, tree ownership and covering components
-        on the stale forest trees.
+        """Recompute live counts, tree roots and coverage on the stale
+        forest trees.
 
         Post-order ids make the tree rooted at ``r`` the id range
         ``[subtree_min[r], r]`` minus the subtrees of its cut nodes, so
         a walk down from ``r`` that jumps past each cut subtree collects
         it.  One ascending pass over those nodes then fills the live
         counts and decides coverage from the live counts of the two
-        children; the owner is the tree's block throughout.
+        children against the size of the tree's block.
         """
         stale = set(self.stale)
         if -1 in stale:
@@ -186,7 +198,7 @@ class Partition:
         t2 = self.pair.t2
         left, right, smin = t2.left, t2.right, t2.subtree_min
         cut = self.cut
-        live, treecomp, acomp = self.live, self.treecomp, self.acomp
+        live, treeroot, cover = self.live, self.treeroot, self.cover
         root_comp, size_of = self.root_comp, self.size_of
         for root in stale:
             nodes = [root]
@@ -197,14 +209,13 @@ class Partition:
                 else:
                     nodes.append(v)
                     v -= 1
-            a = root_comp[root]
-            size = size_of[a]
+            size = size_of[root_comp[root]]
             for v in reversed(nodes):
-                treecomp[v] = a
+                treeroot[v] = root
                 l = left[v]
                 if l < 0:
                     live[v] = 1
-                    acomp[v] = a
+                    cover[v] = root
                     continue
                 r = right[v]
                 ll = 0 if cut[l] else live[l]
@@ -212,10 +223,64 @@ class Partition:
                 lv = ll + rr
                 live[v] = lv
                 if lv and (lv < size or (ll and rr)):
-                    acomp[v] = a
+                    cover[v] = root
                 else:
-                    acomp[v] = -1
+                    cover[v] = -1
         self.stale = []
+
+    def _update_kept_tree(self, root, anchors, size):
+        """Update the tree rooted at ``root`` in place after the edges
+        above ``anchors`` were cut, leaving its block ``size`` leaves.
+
+        Anchors can nest; only the outermost ones count, each taking its
+        old live count, which includes the nested ones, off its
+        ancestors up to ``root``.  Coverage then changes only on those
+        paths, and on the chain from ``root`` down to the block's new
+        meeting node: a node there holds every leaf of the block, so it
+        is covered only if both its children hold some.
+        """
+        t2 = self.pair.t2
+        left, right, parent, smin = t2.left, t2.right, t2.parent, t2.subtree_min
+        cut, live, cover = self.cut, self.live, self.cover
+        path = []
+        for a in anchors:
+            if any(smin[b] <= a < b for b in anchors):
+                continue
+            d = live[a]
+            v = a
+            while v != root:
+                v = parent[v]
+                live[v] -= d
+                path.append(v)
+        for v in path:
+            l, r = left[v], right[v]
+            ll = 0 if cut[l] else live[l]
+            rr = 0 if cut[r] else live[r]
+            lv = ll + rr
+            cover[v] = root if lv and (lv < size or (ll and rr)) else -1
+        for v in self.meeting_path(root, size)[:-1]:
+            cover[v] = -1
+
+    def meeting_path(self, root, size):
+        """Nodes from ``root`` down to the meeting node of the block of
+        ``size`` leaves whose forest tree it roots: the nodes holding
+        every leaf of that block, each above the last with one live child.
+        """
+        t2 = self.pair.t2
+        left, right = t2.left, t2.right
+        cut, live = self.cut, self.live
+        v = root
+        path = [v]
+        while left[v] >= 0:
+            l, r = left[v], right[v]
+            if not cut[l] and live[l] == size:
+                v = l
+            elif not cut[r] and live[r] == size:
+                v = r
+            else:
+                break
+            path.append(v)
+        return path
 
     def _refresh_colors(self):
         """Recount red and blue leaves on the tinted nodes and painted blocks.
@@ -284,9 +349,6 @@ class Partition:
         self.size_of.append(len(leaves))
         self.created.append(cid)
         self.root_comp[root2] = cid
-        # a merged block (root2 -1) has no forest tree until
-        # canonicalize_cuts, so a refresh before then raises
-        self.stale.append(root2)
         for x in leaves:
             self.leaf_comp[x] = cid
         return cid
@@ -302,7 +364,7 @@ class Partition:
         """
         if self.stale:
             self.refresh_annotations(_KEEP)
-        a = self.acomp[node2]
+        a = self.covering(node2)
         if a < 0:
             raise InvariantError("refinement point is not covered by any component")
         comp = self.comps[a]
@@ -317,6 +379,8 @@ class Partition:
         if len(below) != lv:
             raise InvariantError("live count disagrees with collected leaves")
         self.cut[node2] = True
+        self._update_kept_tree(comp.root2, [node2], len(above))
+        self.stale.append(node2)
         origin0 = comp.origin0 if comp.created_iter == self.iteration else comp.id
         bid = self._new_component(below, node2, origin0)
         aid = self._new_component(above, comp.root2, origin0)
@@ -333,6 +397,8 @@ class Partition:
         when the blocks' spans are pairwise disjoint in the second tree;
         under that condition each detached subtree, after the deeper
         cuts, holds exactly its block.  New ids follow ``parts`` order.
+        When the component's own tree is stale, the pending structural
+        refresh runs first; the color pass stays pending.
         """
         comp = self.comps[comp_id]
         if len(parts) < 2:
@@ -347,12 +413,15 @@ class Partition:
         if total != len(comp.leaves) or seen != set(comp.leaves):
             raise InvariantError("split blocks do not partition the component")
 
+        if comp.root2 in self.stale:
+            self._refresh_structure()
         pair = self.pair
         depth = pair.t2.depth
         anchors = [pair.lca_of_leaves(2, p) for p in parts]
         keep = min(range(len(parts)), key=lambda k: (depth[anchors[k]], anchors[k]))
         origin0 = comp.origin0 if comp.created_iter == self.iteration else comp.id
         ids = []
+        detached = []
         for k, p in enumerate(parts):
             if k == keep:
                 ids.append(self._new_component(sorted(p), comp.root2, origin0))
@@ -361,7 +430,10 @@ class Partition:
                 if self.cut[v] or v == comp.root2:
                     raise InvariantError("block anchor is not cuttable")
                 self.cut[v] = True
+                detached.append(v)
                 ids.append(self._new_component(sorted(p), v, origin0))
+        self._update_kept_tree(comp.root2, detached, len(parts[keep]))
+        self.stale.extend(detached)
         del self.comps[comp_id]
         return ids
 
@@ -377,6 +449,10 @@ class Partition:
         merged = sorted(a.leaves + b.leaves)
         del self.comps[a.id]
         del self.comps[b.id]
+        # the merged block has no forest tree until canonicalize_cuts,
+        # so a refresh before then raises
+        self.stale.append(-1)
+        self.sweep = None
         return self._new_component(merged, -1, -1)
 
     def canonicalize_cuts(self):
@@ -407,10 +483,12 @@ class Partition:
                 self.root_comp[v] = cid
         self.root_comp[t2.root] = keep
         self.stale = [c.root2 for c in self.comps.values()]
+        self.sweep = None
         self.refresh_annotations(None)
         nodes2 = pair.leaf_node2
+        root_comp, treeroot = self.root_comp, self.treeroot
         for i in range(pair.n):
-            if self.treecomp[nodes2[i]] != self.leaf_comp[i]:
+            if root_comp[treeroot[nodes2[i]]] != self.leaf_comp[i]:
                 raise InvariantError(
                     "partition is not realizable as a forest of the second tree")
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
 from .dual_certificate import DualState, check_balance
 from .forest_partition import Partition
@@ -123,13 +124,90 @@ def make_coloring(partition, node1):
     return Coloring(node1, lchild, rchild, color, red, blue)
 
 
+class _Sweep:
+    """What ``find_lowest_pcs`` keeps on a partition between calls.
+
+    Per node of the first tree below ``stop``, the node where the last
+    call stopped (``n_nodes`` when it found none): ``comp``, the root of
+    the forest tree of the block whose restriction below the node is
+    still incomplete (-1 when none), ``csize``, that restriction's size,
+    and ``meet``, its meeting node in the second tree.  ``by_meet`` maps
+    a second-tree node to the first-tree nodes that joined two children
+    there, stale entries included; ``rsize`` maps each forest-tree root
+    to its block's size, and ``next_id`` is the partition's at the time.
+    """
+
+    __slots__ = ("comp", "csize", "meet", "by_meet", "rsize", "stop",
+                 "next_id")
+
+    def __init__(self, partition):
+        pair = partition.pair
+        n1 = pair.t1.n_nodes
+        self.comp = [-1] * n1
+        self.csize = [0] * n1
+        self.meet = [0] * n1
+        self.by_meet = {}
+        self.rsize = rsize = [0] * pair.t2.n_nodes
+        for c in partition.comps.values():
+            rsize[c.root2] = len(c.leaves)
+        self.stop = n1
+        self.next_id = partition.next_id
+
+
+def _resume(partition, sweep):
+    """First-tree nodes below ``sweep.stop`` whose entries the splits
+    since the saved sweep may have changed, in ascending order.
+
+    Block ids are never reused, so the blocks from ``sweep.next_id`` on
+    are exactly those created since.  Seeds: every leaf of a block with
+    a new root, and for a block that kept an old root but shrank, the
+    nodes that joined two children on the second-tree path from its
+    meeting node up to its root, the only joins where condition "c" can
+    newly fire.  The answer is the seeds' ancestors.  A shrunk block
+    needs no other seed: entries of nodes that now hold all of it turn
+    complete, and an entry is read only by the parent, which compares
+    its size with the block's current size.
+    """
+    pair = partition.pair
+    parent1 = pair.t1.parent
+    leaf_node1 = pair.leaf_node1
+    comps = partition.comps
+    comp, meet, rsize, stop = sweep.comp, sweep.meet, sweep.rsize, sweep.stop
+    by_meet = sweep.by_meet
+    seeds = []
+    for cid in range(sweep.next_id, partition.next_id):
+        c = comps.get(cid)
+        if c is None:
+            continue
+        r, size = c.root2, len(c.leaves)
+        if not rsize[r]:
+            seeds.extend(map(leaf_node1.__getitem__, c.leaves))
+        elif rsize[r] != size:
+            for p in partition.meeting_path(r, size):
+                seeds.extend(v for v in by_meet.get(p, ())
+                             if v < stop and comp[v] == r and meet[v] == p)
+        rsize[r] = size
+    marked = set()
+    for v in seeds:
+        while 0 <= v < stop and v not in marked:
+            marked.add(v)
+            v = parent1[v]
+    return sorted(marked)
+
+
 def find_lowest_pcs(partition):
     """Lowest node of the first tree proving the partition infeasible.
 
-    Single ascending pass keeping, per node, the block covering it, the
-    size of that block's restriction below the node, and the meeting
-    node of the restriction in the second tree.  Returns None exactly
-    when the partition is an agreement forest.
+    An ascending pass keeping, per node, the forest-tree root of the
+    block whose restriction below the node is incomplete, the size of
+    that restriction and its meeting node in the second tree.  Returns
+    None exactly when the partition is an agreement forest.
+
+    The pass resumes from the state the previous call left on the
+    partition (see ``_resume``): it recomputes the entries that the
+    splits since then may have changed below the node where that call
+    stopped, then goes on upward from that node.  Without saved state,
+    on the first call and after a merge, it sweeps the whole first tree.
     """
     if partition.stale:
         partition.refresh_annotations()
@@ -139,22 +217,27 @@ def find_lowest_pcs(partition):
     left, right = t1.left, t1.right
     leaf_index1 = pair.leaf_index1
     leaf_node2 = pair.leaf_node2
-    leaf_comp = partition.leaf_comp
+    treeroot = partition.treeroot
     live2 = partition.live
-    sizes = partition.size_of
     lca2 = t2.lca
 
-    comp = [-1] * n1
-    csize = [0] * n1
-    meet = [0] * n1
+    sweep = partition.sweep
+    if sweep is None:
+        sweep = partition.sweep = _Sweep(partition)
+        order = range(n1)
+    else:
+        order = chain(_resume(partition, sweep), range(sweep.stop, n1))
+        sweep.next_id = partition.next_id
+    comp, csize, meet = sweep.comp, sweep.csize, sweep.meet
+    sizes, by_meet = sweep.rsize, sweep.by_meet
 
-    for v in range(n1):
+    for v in order:
         lv = left[v]
         if lv < 0:
-            i = leaf_index1[v]
-            comp[v] = leaf_comp[i]
+            x = leaf_node2[leaf_index1[v]]
+            comp[v] = treeroot[x]
             csize[v] = 1
-            meet[v] = leaf_node2[i]
+            meet[v] = x
             continue
         rv = right[v]
         cl = comp[lv]
@@ -164,6 +247,7 @@ def find_lowest_pcs(partition):
         if cr >= 0 and csize[rv] >= sizes[cr]:
             cr = -1
         if cl < 0 and cr < 0:
+            comp[v] = -1
             continue
         if cl < 0 or cr < 0:
             src = rv if cl < 0 else lv
@@ -172,17 +256,22 @@ def find_lowest_pcs(partition):
             meet[v] = meet[src]
             continue
         if cl != cr:
+            sweep.stop = v
             return Pcs(v, "b")
         p = lca2(meet[lv], meet[rv])
         if meet[lv] == p or meet[rv] == p:
+            sweep.stop = v
             return Pcs(v, "a")
         size = sizes[cl]
         sv = csize[lv] + csize[rv]
         if live2[p] == size and sv < size:
+            sweep.stop = v
             return Pcs(v, "c")
         comp[v] = cl
         csize[v] = sv
         meet[v] = p
+        by_meet.setdefault(p, []).append(v)
+    sweep.stop = n1
     return None
 
 
@@ -219,7 +308,7 @@ def classify_case(partition, coloring):
     col = coloring.color
     ua = partition.pair.lca_of_leaves(
         2, [i for i in a0.leaves if col[i] != WHITE])
-    if partition.acomp[ua] != a0.id:
+    if partition.covering(ua) != a0.id:
         raise InvariantError("colored meeting node is not covered by its block")
     rb_bad = _rb_violation(partition) is not None
     outside = partition.live[ua] < a0.size
@@ -242,20 +331,20 @@ def _rb_violation(partition):
     """
     if partition.stale:
         partition.refresh_annotations()
-    comps = partition.comps
-    acomp = partition.acomp
+    comps, root_comp = partition.comps, partition.root_comp
+    cover = partition.cover
     live_r, live_b = partition.live_r, partition.live_b
     left = partition.pair.t2.left
     for v in partition.tinted:
         if left[v] < 0:
             continue
-        cid = acomp[v]
-        if cid < 0:
+        r = cover[v]
+        if r < 0:
             continue
         lr = live_r[v]
         lb = live_b[v]
         if lr and lb:
-            c = comps[cid]
+            c = comps[root_comp[r]]
             if lr < c.n_red or lb < c.n_blue:
                 return v
     return None
@@ -270,22 +359,22 @@ def _splittable_violation(partition):
     """
     if partition.stale:
         partition.refresh_annotations()
-    comps = partition.comps
-    acomp = partition.acomp
+    comps, root_comp = partition.comps, partition.root_comp
+    cover = partition.cover
     live, live_r, live_b = partition.live, partition.live_r, partition.live_b
     left = partition.pair.t2.left
     for v in partition.tinted:
         if left[v] < 0:
             continue
-        cid = acomp[v]
-        if cid < 0:
+        r = cover[v]
+        if r < 0:
             continue
         lr = live_r[v]
         lb = live_b[v]
         lw = live[v] - lr - lb
         if (lr > 0) + (lb > 0) + (lw > 0) != 2:
             continue
-        c = comps[cid]
+        c = comps[root_comp[r]]
         if c.n_red and lr >= c.n_red:
             continue
         if c.n_blue and lb >= c.n_blue:
@@ -371,7 +460,7 @@ def special_split(partition, dual, coloring, cid, pairslist):
     if _n_colors(c) != 3:
         raise InvariantError("special split needs a tricolored block")
     ua = pair.lca_of_leaves(2, [i for i in c.leaves if col[i] != WHITE])
-    if partition.acomp[ua] != cid:
+    if partition.covering(ua) != cid:
         raise InvariantError("colored meeting node not covered by its block")
     leaves = c.leaves
     if partition.live[ua] == partition.live_r[ua] + partition.live_b[ua]:
@@ -422,7 +511,7 @@ def split(partition, dual, coloring, pairslist, top_cid=_ANY_TOP):
             continue
         if ncol == 3:
             ua = pair.lca_of_leaves(2, [i for i in c.leaves if col[i] != WHITE])
-            if partition.acomp[ua] != cid:
+            if partition.covering(ua) != cid:
                 raise InvariantError("colored meeting node not covered by its block")
             if partition.live[ua] < c.size:
                 decisions.append((cid, True))
@@ -483,7 +572,7 @@ def find_merge_pair(partition):
     pair = partition.pair
     t2 = pair.t2
     parent, smin, root = t2.parent, t2.subtree_min, t2.root
-    acomp = partition.acomp
+    covering = partition.covering
     bucket = {}
     for cid in scope:
         a = pair.lca_of_leaves(2, comps[cid].leaves)
@@ -505,7 +594,7 @@ def find_merge_pair(partition):
     while heap:
         v = heappop(heap)
         entries = reach[v]
-        cov = acomp[v]
+        cov = covering(v)
         rset = entries
         if cov in scope and cov not in rset:
             rset = entries + [cov]

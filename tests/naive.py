@@ -8,6 +8,7 @@ independent logic rather than against itself.
 from itertools import combinations
 
 from rbmaf.forest_partition import as_blocks
+from rbmaf.redblue_core import Pcs
 from rbmaf.tree_model import spanned_nodes
 
 
@@ -159,7 +160,8 @@ def naive_first_violation(pair, dual, components, sets):
 
 # ----------------------------------------------------------------------
 # full-sweep solver stages: one pass over every node of the second tree
-# per call, as the solver first did them
+# (the first tree for the lowest violation) per call, as the solver
+# first did them
 
 
 RED, BLUE, WHITE = 0, 1, 2
@@ -225,6 +227,76 @@ def full_structure(partition):
     return live, treecomp, acomp
 
 
+def cover_blocks(partition):
+    """The block covering each node of the second tree (-1 when none),
+    read through the partition's root-keyed ``cover`` array."""
+    root_comp = partition.root_comp
+    return [root_comp[r] if r >= 0 else -1 for r in partition.cover]
+
+
+def full_lowest_pcs(partition):
+    """Lowest node of the first tree proving the partition infeasible.
+
+    Single ascending pass keeping, per node, the block covering it, the
+    size of that block's restriction below the node, and the meeting
+    node of the restriction in the second tree.  Returns None exactly
+    when the partition is an agreement forest.
+    """
+    if partition.stale:
+        partition.refresh_annotations()
+    pair = partition.pair
+    t1, t2 = pair.t1, pair.t2
+    n1 = t1.n_nodes
+    left, right = t1.left, t1.right
+    leaf_index1 = pair.leaf_index1
+    leaf_node2 = pair.leaf_node2
+    leaf_comp = partition.leaf_comp
+    live2 = partition.live
+    sizes = partition.size_of
+    lca2 = t2.lca
+
+    comp = [-1] * n1
+    csize = [0] * n1
+    meet = [0] * n1
+
+    for v in range(n1):
+        lv = left[v]
+        if lv < 0:
+            i = leaf_index1[v]
+            comp[v] = leaf_comp[i]
+            csize[v] = 1
+            meet[v] = leaf_node2[i]
+            continue
+        rv = right[v]
+        cl = comp[lv]
+        if cl >= 0 and csize[lv] >= sizes[cl]:
+            cl = -1
+        cr = comp[rv]
+        if cr >= 0 and csize[rv] >= sizes[cr]:
+            cr = -1
+        if cl < 0 and cr < 0:
+            continue
+        if cl < 0 or cr < 0:
+            src = rv if cl < 0 else lv
+            comp[v] = comp[src]
+            csize[v] = csize[src]
+            meet[v] = meet[src]
+            continue
+        if cl != cr:
+            return Pcs(v, "b")
+        p = lca2(meet[lv], meet[rv])
+        if meet[lv] == p or meet[rv] == p:
+            return Pcs(v, "a")
+        size = sizes[cl]
+        sv = csize[lv] + csize[rv]
+        if live2[p] == size and sv < size:
+            return Pcs(v, "c")
+        comp[v] = cl
+        csize[v] = sv
+        meet[v] = p
+    return None
+
+
 def full_color_counts(partition):
     """Red, blue and white live leaves below every node of the second
     tree inside its forest tree, and ``{block id: [red, blue, white]}``,
@@ -252,7 +324,7 @@ def full_rb_violation(partition):
     """Lowest node whose covering block has red and blue below it and
     one of them above it too."""
     live_r, live_b, _, blocks = full_color_counts(partition)
-    acomp = partition.acomp
+    acomp = cover_blocks(partition)
     left = partition.pair.t2.left
     for v in range(partition.pair.t2.n_nodes):
         cid = acomp[v]
@@ -268,7 +340,7 @@ def full_splittable_violation(partition):
     """Lowest node whose covering block has exactly two colors below it
     and every one of its colors above it too."""
     live_r, live_b, live_w, blocks = full_color_counts(partition)
-    acomp = partition.acomp
+    acomp = cover_blocks(partition)
     left = partition.pair.t2.left
     for v in range(partition.pair.t2.n_nodes):
         cid = acomp[v]
@@ -326,7 +398,7 @@ def full_find_merge_pair(partition):
     t2 = pair.t2
     n = t2.n_nodes
     left, right = t2.left, t2.right
-    acomp = partition.acomp
+    acomp = cover_blocks(partition)
     bucket = {}
     for cid in scope:
         bucket.setdefault(fold_lca(pair, 2, comps[cid].leaves), []).append(cid)

@@ -101,7 +101,7 @@ def test_refresh_between_merge_and_canonicalize_raises(fig1):
         part.split_below(fig1.leaf_node2[fig1.index_of["w1"]])
     part.canonicalize_cuts()
     assert part.label_sets() == (tuple(fig1.labels),)
-    assert part.acomp == naive.full_structure(part)[2]
+    assert naive.cover_blocks(part) == naive.full_structure(part)[2]
 
 
 def test_split_rejects_overlapping_family(fig1):

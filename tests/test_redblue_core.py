@@ -369,8 +369,9 @@ def full_sweep_checks():
 
     def checked_refresh(partition, *args):
         refresh(partition, *args)
-        assert (partition.live, partition.treecomp, partition.acomp) == \
-            naive.full_structure(partition)
+        root_comp = partition.root_comp
+        assert (partition.live, [root_comp[r] for r in partition.treeroot],
+                naive.cover_blocks(partition)) == naive.full_structure(partition)
         live_r, live_b, _, blocks = naive.full_color_counts(partition)
         assert partition.live_r == live_r and partition.live_b == live_b
         assert partition.tinted == [v for v in range(len(live_r))
@@ -394,6 +395,7 @@ def full_sweep_checks():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Partition, "refresh_annotations", checked_refresh)
         for name, oracle in (
+                ("find_lowest_pcs", naive.full_lowest_pcs),
                 ("find_merge_pair", naive.full_find_merge_pair),
                 ("_top_components", naive.full_top_components),
                 ("_rb_violation", naive.full_rb_violation),
@@ -411,7 +413,7 @@ def test_incremental_stages_match_full_sweeps():
         for pair in instances:
             run(pair)
     assert calls["find_merge_pair"] > 500
-    assert min(calls.values()) > 0 and len(calls) == 5
+    assert min(calls.values()) > 0 and len(calls) == 6
 
 
 @settings(max_examples=40, deadline=None)
@@ -426,10 +428,130 @@ def test_incremental_stages_match_full_sweeps_fuzzed(n, seed, krspr, rho):
         run(make_pair(pair.t1, pair.t2, add_rho=rho))
 
 
+def _split_family(part, block, nodes):
+    """The leaves of ``block`` grouped by their deepest ancestor among
+    ``nodes`` (or none); the groups' spans in the second tree are
+    pairwise disjoint, so ``split_component`` can realize them."""
+    t2 = part.pair.t2
+    groups = {}
+    for x in block.leaves:
+        u = part.pair.leaf_node2[x]
+        above = [w for w in nodes if t2.subtree_min[w] <= u <= w]
+        key = max(above, key=t2.depth.__getitem__) if above else None
+        groups.setdefault(key, []).append(x)
+    return list(groups.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 30), st.integers(0, 10_000), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_resumed_sweep_matches_full_sweep_outside_run(n, seed, rho, rnd):
+    """Random split_below and split_component sequences, with the last
+    split now and then undone by merge_leaves and canonicalize_cuts; the
+    resumed sweep must agree with the full sweep after every step."""
+    base = random_pair(n, seed)
+    pair = make_pair(base.t1, base.t2, add_rho=rho)
+    part = Partition(pair)
+    with full_sweep_checks() as calls:
+        sweep = redblue_core.find_lowest_pcs
+        sweep(part)
+        last = None
+        for _ in range(2 * pair.n):
+            part.refresh_annotations()
+            covered = [v for v in range(pair.t2.n_nodes)
+                       if part.covering(v) >= 0
+                       and part.live[v] < part.comps[part.covering(v)].size]
+            if not covered:
+                break
+            step = rnd.random()
+            if last is not None and step < 0.15:
+                for leaves in last[1:]:
+                    part.merge_leaves(last[0][0], leaves[0])
+                part.canonicalize_cuts()
+                assert part.sweep is None
+                last = None
+            elif step < 0.55:
+                v = rnd.choice(covered)
+                below, above = part.split_below(v)
+                last = [part.comps[below].leaves, part.comps[above].leaves]
+            else:
+                comp = part.comps[part.covering(rnd.choice(covered))]
+                inside = [v for v in covered if part.covering(v) == comp.id]
+                nodes = rnd.sample(inside, min(len(inside), rnd.randint(1, 3)))
+                family = _split_family(part, comp, nodes)
+                if len(family) < 2:
+                    continue
+                ids = part.split_component(comp.id, family)
+                last = [part.comps[cid].leaves for cid in ids]
+            sweep(part)
+    assert calls["find_lowest_pcs"] > 0
+
+
+def test_resumed_sweep_seeds_joins_on_the_kept_blocks_meeting_path():
+    """After a split, condition "c" fires at a first-tree join whose
+    entries did not change but whose meeting node now holds the whole
+    kept block: the full sweep stops at node 3 there, and a resumed
+    sweep that skipped such joins would stop at node 8 instead."""
+    pair = random_pair(5, 10273)
+    assert (pair.t1.to_newick(), pair.t2.to_newick()) == (
+        "(L1,((L2,L3),(L4,L5)));", "(((L1,(L2,L4)),L3),L5);")
+    with full_sweep_checks() as calls:
+        run(pair)
+        run(make_pair(pair.t1, pair.t2, add_rho=True))
+    assert calls["find_lowest_pcs"] > 2
+
+
+@pytest.mark.parametrize("parts", [[[3], [0], [1, 2, 4]],
+                                   [[1, 2, 4], [0], [3]]])
+def test_split_with_nested_anchors_updates_the_kept_tree_once(parts):
+    """Corpus pair u-n5-s2: {L4} is detached from inside the detached
+    block {L2, L3, L5}, so the tree that keeps the root loses the outer
+    block's whole count, the nested block's included, exactly once,
+    whichever anchor comes first."""
+    pair = pair_from_newick("(((L1,L4),L3),(L2,L5));",
+                            "(L1,(((L2,L5),L4),L3));")
+    part = Partition(pair)
+    with full_sweep_checks() as calls:
+        part.refresh_annotations(None)
+        redblue_core.find_lowest_pcs(part)
+        ids = part.split_component(0, parts)
+        root = pair.t2.root
+        assert part.comps[ids[1]].root2 == root
+        assert part.live[root] == 1 and part.covering(root) == -1
+        part.refresh_annotations(None)
+        redblue_core.find_lowest_pcs(part)
+    assert calls["refresh_annotations"] == 2
+
+
+def test_split_component_on_a_just_detached_block_leaves_colors_pending():
+    """split_below detaches a block and split_component splits it at
+    once: the structural refresh that its stale tree needs runs without
+    the color pass, which the next reader still runs."""
+    tree = "(((a,b),(c,d)),((e,f),(g,h)));"
+    pair = pair_from_newick(tree, "(((a,c),(b,d)),((e,g),(f,h)));")
+    lab = pair.index_of
+    part = Partition(pair)
+    with full_sweep_checks() as calls:
+        part.refresh_annotations(make_coloring(part, pair.t1.root))
+        efgh = pair.t2.parent[pair.t2.parent[pair.leaf_node2[lab["e"]]]]
+        below, _ = part.split_below(efgh)
+        tinted = list(part.tinted)
+        ids = part.split_component(
+            below, [[lab["e"], lab["g"]], [lab["f"]], [lab["h"]]])
+        assert part.stale == [part.comps[cid].root2 for cid in ids[1:]]
+        assert part.tinted == tinted
+        assert calls["refresh_annotations"] == 1
+        redblue_core._rb_violation(part)
+        assert calls["refresh_annotations"] == 2
+        redblue_core._splittable_violation(part)
+
+
 def test_structure_refresh_after_three_cuts_on_one_lineage():
-    """Two split_component calls on one lineage leave three stale roots,
-    two of them recorded twice, for the refresh that split_below needs;
-    the cut of a right child then leaves its parent uncovered."""
+    """Two split_component calls on one lineage each bring their stale
+    kept tree up to date without a full refresh and update it in place,
+    so only the last detached root is left for the refresh that
+    split_below needs; the cut of a right child then leaves its parent
+    uncovered."""
     tree = "(((a,b),(c,d)),((e,f),(g,h)));"
     pair = pair_from_newick(tree, tree)
     lab = pair.index_of
@@ -440,14 +562,12 @@ def test_structure_refresh_after_three_cuts_on_one_lineage():
         ef, gh = part.split_component(first[1], [[lab["e"], lab["f"]],
                                                  [lab["g"], lab["h"]]])
         assert calls["refresh_annotations"] == 0
-        root, efgh = pair.t2.root, part.comps[ef].root2
-        assert sorted(part.stale) == sorted(
-            [root, root, efgh, efgh, part.comps[gh].root2])
+        assert part.stale == [part.comps[gh].root2]
         part.split_below(pair.leaf_node2[lab["f"]])
         part.refresh_annotations(None)
         assert calls["refresh_annotations"] == 2
     fork = pair.t2.parent[pair.leaf_node2[lab["f"]]]
-    assert part.acomp[fork] == -1 and part.live[fork] == 1
+    assert part.covering(fork) == -1 and part.live[fork] == 1
     assert part.label_sets() == (("a", "b", "c", "d"), ("e",), ("f",),
                                  ("g", "h"))
 
@@ -471,6 +591,6 @@ def test_merge_pair_fork_below_a_scope_meeting_node_is_skipped():
     part.refresh_annotations(Coloring(pair.t1.root, -1, -1, color, red,
                                       [lab["z"]]))
     dead = pair.t2.parent[pair.leaf_node2[lab["y"]]]
-    assert part.acomp[dead] == -1
+    assert part.covering(dead) == -1
     assert find_merge_pair(part) is None
     assert naive.full_find_merge_pair(part) is None
