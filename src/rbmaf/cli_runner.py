@@ -472,8 +472,9 @@ def _cmd_emit_lp(args):
     pair = _load_pair(args)
     model = _LP_BUILDERS[args.kind](pair)
     write_lp_file(model, args.output)
-    print("wrote %s: %d variables, %d constraints"
-          % (args.output, len(model.variables), len(model.constraints)))
+    print("wrote %s: %d variables, %d constraints, %d nonzeros"
+          % (args.output, len(model.variables), len(model.constraints),
+             model.nonzeros()))
     return 0
 
 

@@ -13,8 +13,11 @@ point verification in tests.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress, repeat, starmap
+from operator import add, eq, itemgetter, ne
+from typing import NamedTuple
 
 from .tree_model import (
     InvariantError,
@@ -40,25 +43,34 @@ COMPACT_LP_CAP = 120
 WU_GAP_MAX_ORDER = 16
 
 
-@dataclass
-class LpVariable:
+# Variables and rows are named tuples, so that a model builds them in
+# bulk with tuple.__new__ (as _make does) and no Python call each.
+class LpVariable(NamedTuple):
     name: str
     lower: float = 0.0
     upper: float | None = None
     integer: bool = False
 
 
-@dataclass
-class LpConstraint:
+class LpConstraint(NamedTuple):
     name: str
     coefs: dict
     sense: str
     rhs: float
 
 
+def _records(cls, *columns):
+    """One ``cls`` tuple per position of the columns, in order."""
+    return list(map(tuple.__new__, repeat(cls), zip(*columns)))
+
+
 @dataclass
 class LpModel:
-    """Sparse linear program: variables, rows, and a linear objective."""
+    """Sparse linear program: variables, rows, and a linear objective.
+
+    Variables and rows given to the constructor are checked as
+    :meth:`add_variables` and :meth:`add_constraint` check them.
+    """
 
     name: str
     variables: list = field(default_factory=list)
@@ -68,35 +80,85 @@ class LpModel:
     sense: str = "min"
 
     def __post_init__(self):
-        self._var_index = {v.name: k for k, v in enumerate(self.variables)}
-        self._row_names = {c.name for c in self.constraints}
+        self._var_index = {}
+        self._row_names = set()
+        variables, self.variables = self.variables, []
+        constraints, self.constraints = self.constraints, []
+        self._extend_variables([v.name for v in variables], variables)
+        for row in constraints:
+            self.add_constraint(row.name, row.coefs, row.sense, row.rhs)
 
     def add_variable(self, name, lower=0.0, upper=None, integer=False):
-        if name in self._var_index:
-            raise ValueError("duplicate variable %r" % name)
-        self._var_index[name] = len(self.variables)
-        self.variables.append(LpVariable(name, lower, upper, integer))
+        self._extend_variables([name],
+                               [LpVariable(name, lower, upper, integer)])
+
+    def add_variables(self, names, lower=0.0, upper=None, integer=False):
+        """Add one variable per name, all with the same bounds."""
+        names = list(names)
+        self._extend_variables(names, _records(
+            LpVariable, names, repeat(lower), repeat(upper), repeat(integer)))
+
+    def _extend_variables(self, names, variables):
+        index = self._var_index
+        if len(set(names)) < len(names) or not index.keys().isdisjoint(names):
+            seen = set(index)
+            for name in names:
+                if name in seen:
+                    raise ValueError("duplicate variable %r" % name)
+                seen.add(name)
+        index.update(zip(names, range(len(index), len(index) + len(names))))
+        self.variables.extend(variables)
 
     def add_constraint(self, name, coefs, sense, rhs):
         if name in self._row_names:
             raise ValueError("duplicate constraint %r" % name)
         if sense not in ("<=", ">=", "="):
             raise ValueError("bad sense %r" % sense)
-        for var in coefs:
-            if var not in self._var_index:
-                raise ValueError("constraint %r references unknown variable %r"
-                                 % (name, var))
+        coefs = dict(coefs)
+        if not coefs.keys() <= self._var_index.keys():
+            raise ValueError("constraint %r references unknown variable %r"
+                             % (name, _unknown(coefs, self._var_index)))
         self._row_names.add(name)
-        self.constraints.append(LpConstraint(name, dict(coefs), sense, rhs))
+        self.constraints.append(LpConstraint(name, coefs, sense, rhs))
+
+    def add_constraints(self, prefix, rows, sense, rhs):
+        """Add rows named ``prefix_1``, ``prefix_2``, ... in order, all
+        with the same sense and right-hand side.
+
+        ``rows`` are dicts, kept as given rather than copied.  Same as
+        calling :meth:`add_constraint` on each row otherwise, which is
+        what happens, to name the offender, when a check fails.
+        """
+        rows = list(rows)
+        names = [f"{prefix}_{k}" for k in range(1, len(rows) + 1)]
+        if (sense not in ("<=", ">=", "=")
+                or not self._row_names.isdisjoint(names)
+                or not self._var_index.keys() >= set().union(*rows)):
+            for name, coefs in zip(names, rows):
+                self.add_constraint(name, coefs, sense, rhs)
+        else:
+            self._row_names.update(names)
+            self.constraints += _records(
+                LpConstraint, names, rows, repeat(sense), repeat(rhs))
 
     def has_variable(self, name):
         return name in self._var_index
+
+    def nonzeros(self):
+        """Number of nonzero coefficients over all rows."""
+        return sum(1 for row in self.constraints
+                   for coef in row.coefs.values() if coef)
 
     def objective_value(self, assignment):
         total = self.objective_constant
         for var, coef in self.objective.items():
             total += coef * assignment.get(var, 0.0)
         return total
+
+
+def _unknown(coefs, index):
+    """First name in coefs that is not a key of index."""
+    return next(name for name in coefs if name not in index)
 
 
 def check_feasible_point(model, assignment, tolerance=1e-9):
@@ -136,54 +198,82 @@ def _num(x):
     return repr(float(x))
 
 
-def _terms(model, coefs):
-    """Signed terms of a row in variable order; zero coefficients and
-    names that are not variables are left out."""
-    index = model._var_index
-    parts = []
-    for name in sorted([name for name in coefs if name in index],
-                       key=index.__getitem__):
-        coef = coefs[name]
-        if coef == 1:
-            parts.append("+ " + name)
-        elif coef == -1:
-            parts.append("- " + name)
-        elif coef:
-            parts.append("%s %s %s" % ("+" if coef > 0 else "-",
-                                       _num(abs(coef)), name))
-    if parts and parts[0][0] == "+":
-        parts[0] = parts[0][2:]
-    return parts
+class _NumText(dict):
+    """LP text of each number, computed once per distinct value."""
+
+    def __missing__(self, x):
+        text = self[x] = _num(x)
+        return text
+
+
+_SIGN = {1.0: "+ ", -1.0: "- "}
+
+
+def _signed_terms(coefs, names):
+    """Terms of a row given its names in variable order, zero
+    coefficients left out.  Rows of +-1 are joined without a Python loop
+    over their terms."""
+    signs = list(map(_SIGN.get, map(coefs.__getitem__, names)))
+    if None in signs:  # zeros or coefficients other than +-1
+        values = list(map(coefs.__getitem__, names))
+        names = list(compress(names, values))
+        signs = [_SIGN.get(coef) or "%s %s " % ("+" if coef > 0 else "-",
+                                                 _num(abs(coef)))
+                 for coef in filter(None, values)]
+    text = " ".join(map(add, signs, names))
+    return text[2:] if text[:1] == "+" else text
 
 
 def render_lp_text(model):
-    """Deterministic LP-format text for a model."""
-    lines = ["\\ Problem: %s" % model.name, "Minimize"]
-    obj = _terms(model, model.objective)
+    """Deterministic LP-format text for a model, in time linear in its
+    rows, variables and nonzeros.
+
+    Terms are written in variable order.  A row whose coefficients are
+    all 1, as most rows of the builders are, is one join over its names.
+    """
+    index = model._var_index
+    position = index.__getitem__
+    num = _NumText()
+    objective = model.objective
+    if not objective.keys() <= index.keys():
+        raise ValueError("objective references unknown variable %r"
+                         % _unknown(objective, index))
+    names = sorted(objective, key=position)
+    obj = (" + ".join(names)
+           if list(objective.values()).count(1.0) == len(names)
+           else _signed_terms(objective, names))
     c = model.objective_constant
     if c or not obj:
-        obj.append(("+ " if c >= 0 else "- ") + _num(abs(c))
-                   if obj else _num(c))
-    lines.append(" obj: " + " ".join(obj))
-    lines.append("Subject To")
-    for row in model.constraints:
-        lines.append(" %s: %s %s %s" % (
-            row.name, " ".join(_terms(model, row.coefs)),
-            row.sense if row.sense != "=" else "=", _num(row.rhs)))
-    lines.append("Bounds")
-    for v in model.variables:
-        if v.upper is None:
-            lines.append(" %s <= %s" % (_num(v.lower), v.name))
-        else:
-            lines.append(" %s <= %s <= %s" % (_num(v.lower), v.name,
-                                              _num(v.upper)))
-    integers = [v.name for v in model.variables if v.integer]
+        obj = (obj + (" + " if c >= 0 else " - ") + num[abs(c)]
+               if obj else num[c])
+    lines = ["\\ Problem: %s" % model.name, "Minimize", " obj: " + obj,
+             "Subject To"]
+    append = lines.append
+    try:
+        for name, coefs, sense, rhs in model.constraints:
+            names = sorted(coefs, key=position)
+            if list(coefs.values()).count(1.0) == len(names):
+                append(f" {name}: {' + '.join(names)} {sense} {num[rhs]}")
+            else:
+                append(f" {name}: {_signed_terms(coefs, names)} {sense} "
+                       f"{num[rhs]}")
+    except KeyError:  # a row was changed after it was added
+        row = next(row for row in model.constraints
+                   if not row.coefs.keys() <= index.keys())
+        raise ValueError("constraint %r references unknown variable %r"
+                         % (row.name, _unknown(row.coefs, index))) from None
+    append("Bounds")
+    lines += [f" {num[lower]} <= {name}" if upper is None
+              else f" {num[lower]} <= {name} <= {num[upper]}"
+              for name, lower, upper, _ in model.variables]
+    integers = [" " + name for name, _, _, integer in model.variables
+                if integer]
     if integers:
-        lines.append("General")
-        for name in integers:
-            lines.append(" " + name)
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+        append("General")
+        lines += integers
+    append("End")
+    append("")
+    return "\n".join(lines)
 
 
 def write_lp_file(model, destination):
@@ -264,18 +354,20 @@ def enumerate_compatible_sets(pair, min_size=1):
     return empty + [leaves for leaves in sets if len(leaves) >= min_size]
 
 
-def _bits(mask):
-    """Positions of the set bits of a nonnegative integer, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+_FLAG_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _set_var_name(pair, leaves):
-    return "x_L_" + ".".join(pair.labels[i] for i in sorted(leaves))
+def _bit_matrix(masks, width):
+    """Bits 0 to width - 1 of each nonnegative integer, low bit first,
+    as one bytes of 0s and 1s with ``width + 1`` entries per integer.
+
+    ``flags[k * (width + 1):][:width]`` is the k-th integer's row and
+    ``flags[v::width + 1]`` the column of bit v; both select with
+    :func:`itertools.compress`.
+    """
+    top = 1 << width
+    return ("".join([bin(mask | top)[:1:-1] for mask in masks]).encode()
+            .translate(_FLAG_BYTES))
 
 
 def build_exponential_lp(pair):
@@ -285,33 +377,27 @@ def build_exponential_lp(pair):
     lying in exactly one chosen set and each internal node of either
     tree being spanned by at most one.
     """
-    table = compatible_set_table(pair)
-    sets = table[0]
-    model = LpModel("exponential_lp")
-    model.objective_constant = -1.0
-    leaf_rows = [dict() for _ in range(pair.n)]
-    names = []
-    for leaves in sets:
-        name = _set_var_name(pair, leaves)
-        names.append(name)
-        model.add_variable(name)
-        model.objective[name] = 1.0
+    sets, span1, span2 = compatible_set_table(pair)
+    labels = pair.labels
+    names = ["x_L_" + ".".join(map(labels.__getitem__, leaves))
+             for leaves in sets]
+    model = LpModel("exponential_lp", objective=dict.fromkeys(names, 1.0),
+                    objective_constant=-1.0)
+    model.add_variables(names)
+    # A loop over each set's few leaves measured faster here than
+    # selecting every leaf's row from all sets.
+    leaf_rows = [{} for _ in range(pair.n)]
+    for name, leaves in zip(names, sets):
         for i in leaves:
             leaf_rows[i][name] = 1.0
-    for i in range(pair.n):
-        model.add_constraint("leaf_%d" % (i + 1), leaf_rows[i], "=", 1.0)
-    ordinal = 0
-    for t in (1, 2):
-        left = pair.tree(t).left
-        spans = table[t]
-        for v in range(len(left)):
-            if left[v] < 0:
-                continue
-            row = {name: 1.0 for name, span in zip(names, spans)
-                   if span >> v & 1}
-            if row:
-                ordinal += 1
-                model.add_constraint("pack_%d" % ordinal, row, "<=", 1.0)
+    model.add_constraints("leaf", leaf_rows, "=", 1.0)
+    packs = []
+    for tree, spans in ((pair.t1, span1), (pair.t2, span2)):
+        width = tree.n_nodes
+        flags = _bit_matrix(spans, width)
+        packs += [dict.fromkeys(compress(names, flags[v::width + 1]), 1.0)
+                  for v in range(width) if tree.left[v] >= 0]
+    model.add_constraints("pack", filter(None, packs), "<=", 1.0)
     return model
 
 
@@ -323,13 +409,42 @@ class CompactLpGraph:
     the diagonal nodes stand for single leaves.  An arc points from a
     pair to a pair whose meeting node lies strictly lower in both
     trees; arcs keeping the first leaf form one class, arcs moving to
-    the second leaf the other.
+    the second leaf the other.  ``meet1[i][j]`` and ``meet2[i][j]`` are
+    the nodes where the leaves at 0-based positions i and j meet in
+    each tree.
     """
 
     nodes: list
     u1: list
     u2: list
     z_leaves: list
+    meet1: list
+    meet2: list
+
+
+def _meet_matrix(pair, t):
+    """``meet[i][j]``: the node of tree t where leaves i and j meet.
+
+    Every pair of leaves meets where a node joins the leaves of its two
+    children, so one pass over the internal nodes fills the matrix.
+    """
+    tree = pair.tree(t)
+    n = pair.n
+    below = [None] * tree.n_nodes  # leaf indices under each node
+    for i, v in enumerate(pair.leaf_nodes(t)):
+        below[v] = [i]
+    meet = [[v] * n for v in pair.leaf_nodes(t)]
+    for v in range(tree.n_nodes):  # children come before parents
+        left = tree.left[v]
+        if left < 0:
+            continue
+        lows, highs = below[left], below[tree.right[v]]
+        for i in lows:
+            row = meet[i]
+            for j in highs:
+                row[j] = meet[j][i] = v
+        below[v] = lows + highs
+    return meet
 
 
 def build_compact_graph(pair):
@@ -338,41 +453,38 @@ def build_compact_graph(pair):
         raise OracleCapError(
             "arc-flow LP is capped at COMPACT_LP_CAP = %d leaves (got %d)"
             % (COMPACT_LP_CAP, n))
-    t1, t2 = pair.t1, pair.t2
-    node1 = pair.leaf_node1
-    node2 = pair.leaf_node2
-    lca1 = [[0] * n for _ in range(n)]
-    lca2 = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lca1[i][j] = t1.lca(node1[i], node1[j])
-            lca2[i][j] = t2.lca(node2[i], node2[j])
-
-    def strictly_below(tree, d, a):
-        return d != a and tree.is_ancestor(a, d)
-
+    meet1 = _meet_matrix(pair, 1)
+    meet2 = _meet_matrix(pair, 2)
     nodes = [(i + 1, j + 1) for i in range(n) for j in range(i, n)]
-    nodes.sort()
+    # Candidate targets (head, m) of an arc, m >= head, with the nodes
+    # where head meets m.
+    reach = [None] + [
+        list(zip(range(h, n + 1), meet1[h - 1][h - 1:], meet2[h - 1][h - 1:]))
+        for h in range(1, n + 1)]
     u1 = []
     u2 = []
-    for (i1, i2) in nodes:
+    for r in nodes:
+        i1, i2 = r
         if i1 == i2:
             continue
-        a1 = lca1[i1 - 1][i2 - 1]
-        a2 = lca2[i1 - 1][i2 - 1]
-        for head, arcs in ((i1, u1), (i2, u2)):
-            for m in range(head, n + 1):
-                if (strictly_below(t1, lca1[head - 1][m - 1], a1)
-                        and strictly_below(t2, lca2[head - 1][m - 1], a2)):
-                    arcs.append(((i1, i2), (head, m)))
+        # Meeting nodes of head with any leaf lie on head's path to the
+        # root, as a does, and post-order ids grow up a path: d lies
+        # strictly below a exactly when d < a.
+        a1 = meet1[i1 - 1][i2 - 1]
+        a2 = meet2[i1 - 1][i2 - 1]
+        u1 += [(r, (i1, m)) for m, d1, d2 in reach[i1] if d1 < a1 and d2 < a2]
+        u2 += [(r, (i2, m)) for m, d1, d2 in reach[i2] if d1 < a1 and d2 < a2]
     return CompactLpGraph(
         nodes=nodes, u1=u1, u2=u2,
-        z_leaves=[(i + 1, i + 1) for i in range(n)])
+        z_leaves=[(i + 1, i + 1) for i in range(n)], meet1=meet1,
+        meet2=meet2)
+
+
+_ARC_NAME = "y_%d.%d__%d.%d"
 
 
 def _arc_name(arc):
-    (i1, i2), (j1, j2) = arc
-    return "y_%d.%d__%d.%d" % (i1, i2, j1, j2)
+    return _ARC_NAME % (arc[0] + arc[1])
 
 
 def build_compact_lp(pair, graph=None):
@@ -387,82 +499,66 @@ def build_compact_lp(pair, graph=None):
     if graph is None:
         graph = build_compact_graph(pair)
     n = pair.n
-    model = LpModel("compact_lp")
-    model.objective_constant = -1.0
-    xnames = []
-    for i in range(n):
-        name = "x_L_" + pair.labels[i]
-        xnames.append(name)
-        model.add_variable(name)
-        model.objective[name] = 1.0
-    out1 = {}
-    out2 = {}
-    into = {}
-    for arcs, out in ((graph.u1, out1), (graph.u2, out2)):
-        for arc in arcs:
-            name = _arc_name(arc)
-            model.add_variable(name)
-            out.setdefault(arc[0], []).append(name)
-            into.setdefault(arc[1], []).append(name)
+    xnames = ["x_L_" + pair.labels[i] for i in range(n)]
+    names1 = list(map(_ARC_NAME.__mod__, starmap(add, graph.u1)))
+    names2 = list(map(_ARC_NAME.__mod__, starmap(add, graph.u2)))
+    # The objective counts the first-class arcs out of non-diagonal
+    # nodes, which every arc leaves, less the arcs into them: 1 for a
+    # first-class arc into a diagonal node, 0 for one into another node,
+    # -1 for a second-class arc into a non-diagonal node.
+    objective = dict.fromkeys(xnames, 1.0)
+    objective.update(zip(names1, map(float, starmap(eq, map(
+        itemgetter(1), graph.u1)))))
+    objective.update(dict.fromkeys(compress(names2, starmap(ne, map(
+        itemgetter(1), graph.u2))), -1.0))
+    model = LpModel("compact_lp", objective=objective,
+                    objective_constant=-1.0)
+    model.add_variables(xnames + names1 + names2)
 
+    out1 = defaultdict(list)
+    out2 = defaultdict(list)
+    into = defaultdict(list)
+    for arcs, names, out in ((graph.u1, names1, out1),
+                             (graph.u2, names2, out2)):
+        for (r, s), name in zip(arcs, names):
+            out[r].append(name)
+            into[s].append(name)
+    # One pass over the non-diagonal nodes gathers every row; the arcs
+    # of the two classes and the arcs into a node are disjoint, so each
+    # row is a union of constant-coefficient blocks.
     diagonal = set(graph.z_leaves)
+    floweq = []
+    outin = []
+    by_lca1 = defaultdict(list)
+    by_lca2 = defaultdict(list)
     for r in graph.nodes:
         if r in diagonal:
             continue
-        for name in out1.get(r, ()):
-            model.objective[name] = model.objective.get(name, 0.0) + 1.0
-        for name in into.get(r, ()):
-            model.objective[name] = model.objective.get(name, 0.0) - 1.0
-
-    ordinal = 0
-    for r in graph.nodes:
-        if r in diagonal:
-            continue
-        coefs = {}
-        for name in out1.get(r, ()):
-            coefs[name] = coefs.get(name, 0.0) + 1.0
-        for name in out2.get(r, ()):
-            coefs[name] = coefs.get(name, 0.0) - 1.0
-        if coefs:
-            ordinal += 1
-            model.add_constraint("floweq_%d" % ordinal, coefs, "=", 0.0)
-    ordinal = 0
-    for r in graph.nodes:
-        if r in diagonal:
-            continue
-        coefs = {}
-        for name in out1.get(r, ()):
-            coefs[name] = coefs.get(name, 0.0) + 1.0
-        for name in into.get(r, ()):
-            coefs[name] = coefs.get(name, 0.0) - 1.0
-        if coefs:
-            ordinal += 1
-            model.add_constraint("outin_%d" % ordinal, coefs, ">=", 0.0)
-    for i in range(n):
-        coefs = {xnames[i]: 1.0}
-        for name in into.get((i + 1, i + 1), ()):
-            coefs[name] = 1.0
-        model.add_constraint("leafsat_%d" % (i + 1), coefs, "=", 1.0)
-
-    by_lca1 = {}
-    by_lca2 = {}
-    for r in graph.nodes:
-        if r in diagonal:
-            continue
-        names = out1.get(r, ())
-        if not names:
-            continue
-        v1 = pair.lca_of_leaves(1, (r[0] - 1, r[1] - 1))
-        v2 = pair.lca_of_leaves(2, (r[0] - 1, r[1] - 1))
-        by_lca1.setdefault(v1, []).extend(names)
-        by_lca2.setdefault(v2, []).extend(names)
-    ordinal = 0
-    for rows in (by_lca1, by_lca2):
-        for v in sorted(rows):
-            ordinal += 1
-            model.add_constraint(
-                "pack_%d" % ordinal, {name: 1.0 for name in rows[v]},
-                "<=", 1.0)
+        first = out1.get(r, ())
+        second = out2.get(r, ())
+        inward = into.get(r, ())
+        if first or second:
+            row = dict.fromkeys(first, 1.0)
+            for name in second:
+                row[name] = -1.0
+            floweq.append(row)
+        if first or inward:
+            row = dict.fromkeys(first, 1.0)
+            for name in inward:
+                row[name] = -1.0
+            outin.append(row)
+        if first:
+            a, b = r[0] - 1, r[1] - 1
+            by_lca1[graph.meet1[a][b]] += first
+            by_lca2[graph.meet2[a][b]] += first
+    model.add_constraints("floweq", floweq, "=", 0.0)
+    model.add_constraints("outin", outin, ">=", 0.0)
+    model.add_constraints("leafsat", [
+        dict.fromkeys([xnames[i]] + into.get((i + 1, i + 1), []), 1.0)
+        for i in range(n)], "=", 1.0)
+    model.add_constraints("pack", [
+        dict.fromkeys(rows[v], 1.0)
+        for rows in (by_lca1, by_lca2) for v in sorted(rows)], "<=", 1.0)
     return model
 
 
@@ -596,26 +692,21 @@ def build_wu_ilp(pair):
             "path-cutting ILP is capped at WU_ILP_CAP = %d leaves (got %d)"
             % (WU_ILP_CAP, n))
     names = ["xe_%d" % v for v in range(pair.t1.n_nodes - 1)]
-    model = LpModel("wu_ilp")
-    for name in names:
-        model.add_variable(name, 0.0, 1.0, integer=True)
-        model.objective[name] = 1.0
-
-    def cut(row, mask):
-        model.add_constraint(
-            row, {names[v]: 1.0 for v in _bits(mask)}, ">=", 1.0)
-
+    model = LpModel("wu_ilp", objective=dict.fromkeys(names, 1.0))
+    model.add_variables(names, 0.0, 1.0, integer=True)
     p1 = leaf_path_masks(pair, 1)
     p2 = leaf_path_masks(pair, 2)
-    for ordinal, (i, j, k) in enumerate(
-            sorted(incompatible_triples(pair)), 1):
-        cut("triple_%d" % ordinal, p1[i][j] | p1[i][k] | p1[j][k])
-    duos = list(combinations(range(n), 2))
-    ordinal = 0
-    for (i, j), (k, l) in combinations(duos, 2):
-        if p2[i][j] & p2[k][l] and not p1[i][j] & p1[k][l]:
-            ordinal += 1
-            cut("cross_%d" % ordinal, p1[i][j] | p1[k][l])
+    triples = [p1[i][j] | p1[i][k] | p1[j][k]
+               for i, j, k in sorted(incompatible_triples(pair))]
+    paths = [(p1[i][j], p2[i][j]) for i, j in combinations(range(n), 2)]
+    crosses = [a1 | b1 for (a1, a2), (b1, b2) in combinations(paths, 2)
+               if a2 & b2 and not a1 & b1]
+    width = len(names)
+    for prefix, masks in (("triple", triples), ("cross", crosses)):
+        flags = _bit_matrix(masks, width)
+        model.add_constraints(prefix, [
+            dict.fromkeys(compress(names, flags[k:k + width]), 1.0)
+            for k in range(0, len(flags), width + 1)], ">=", 1.0)
     return model
 
 

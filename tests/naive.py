@@ -443,3 +443,63 @@ def full_find_merge_pair(partition):
             stack.append(right[v])
             stack.append(left[v])
     return None
+
+
+# ----------------------------------------------------------------------
+# LP text, one term at a time, as the renderer first did it
+
+
+def _naive_num(x):
+    if x == int(x):
+        return str(int(x))
+    return repr(float(x))
+
+
+def _naive_terms(model, coefs):
+    """Signed terms of a row in variable order; zero coefficients and
+    names that are not variables are left out."""
+    index = model._var_index
+    parts = []
+    for name in sorted([name for name in coefs if name in index],
+                       key=index.__getitem__):
+        coef = coefs[name]
+        if coef == 1:
+            parts.append("+ " + name)
+        elif coef == -1:
+            parts.append("- " + name)
+        elif coef:
+            parts.append("%s %s %s" % ("+" if coef > 0 else "-",
+                                       _naive_num(abs(coef)), name))
+    if parts and parts[0][0] == "+":
+        parts[0] = parts[0][2:]
+    return parts
+
+
+def naive_render_lp_text(model):
+    """LP-format text of a model, one Python step per term."""
+    lines = ["\\ Problem: %s" % model.name, "Minimize"]
+    obj = _naive_terms(model, model.objective)
+    c = model.objective_constant
+    if c or not obj:
+        obj.append(("+ " if c >= 0 else "- ") + _naive_num(abs(c))
+                   if obj else _naive_num(c))
+    lines.append(" obj: " + " ".join(obj))
+    lines.append("Subject To")
+    for row in model.constraints:
+        lines.append(" %s: %s %s %s" % (
+            row.name, " ".join(_naive_terms(model, row.coefs)),
+            row.sense, _naive_num(row.rhs)))
+    lines.append("Bounds")
+    for v in model.variables:
+        if v.upper is None:
+            lines.append(" %s <= %s" % (_naive_num(v.lower), v.name))
+        else:
+            lines.append(" %s <= %s <= %s" % (_naive_num(v.lower), v.name,
+                                              _naive_num(v.upper)))
+    integers = [v.name for v in model.variables if v.integer]
+    if integers:
+        lines.append("General")
+        for name in integers:
+            lines.append(" " + name)
+    lines.append("End")
+    return "\n".join(lines) + "\n"

@@ -363,7 +363,7 @@ def test_cli_emit_lp(tmp_path, capsys):
     assert main(["emit-lp", "exp", "(a,b);", "(a,b);",
                  "-o", str(got)]) == 0
     line = capsys.readouterr().out.strip()
-    assert line == "wrote %s: 3 variables, 4 constraints" % got
+    assert line == "wrote %s: 3 variables, 4 constraints, 6 nonzeros" % got
     model = build_exponential_lp(pair_from_newick("(a,b);", "(a,b);"))
     assert got.read_text() == render_lp_text(model)
 

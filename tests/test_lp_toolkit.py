@@ -3,6 +3,7 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbmaf import (
     LpModel,
@@ -25,7 +26,12 @@ from rbmaf import (
     wu_gap_fractional,
     wu_gap_instance,
 )
-from rbmaf.lp_toolkit import arborescence_for_set, render_lp_text
+from rbmaf.lp_toolkit import (
+    LpConstraint,
+    LpVariable,
+    arborescence_for_set,
+    render_lp_text,
+)
 
 import naive
 
@@ -219,6 +225,119 @@ def test_lp_model_validation():
         model.add_constraint("r2", {"x": 1.0}, "<", 1.0)
     with pytest.raises(ValueError, match="unknown variable"):
         model.add_constraint("r3", {"zz": 1.0}, "<=", 1.0)
+
+
+def test_lp_model_constructor_validation():
+    """The constructor refuses what add_variable and add_constraint
+    refuse, with the same messages."""
+    with pytest.raises(ValueError, match="duplicate variable 'x'"):
+        LpModel("m", variables=[LpVariable("x"), LpVariable("x")])
+    x = [LpVariable("x")]
+    with pytest.raises(ValueError, match="references unknown variable 'y'"):
+        LpModel("m", variables=x,
+                constraints=[LpConstraint("r", {"y": 1.0}, "<=", 1.0)])
+    with pytest.raises(ValueError, match="duplicate constraint 'r'"):
+        LpModel("m", variables=x,
+                constraints=[LpConstraint("r", {"x": 1.0}, "<=", 1.0)] * 2)
+    with pytest.raises(ValueError, match="bad sense '<'"):
+        LpModel("m", variables=x,
+                constraints=[LpConstraint("r", {"x": 1.0}, "<", 1.0)])
+    model = LpModel("m", variables=x,
+                    constraints=[LpConstraint("r", {"x": 2.0}, "<=", 1.0)])
+    model.add_constraint("s", {"x": 1.0}, ">=", 0.0)
+    assert [row.name for row in model.constraints] == ["r", "s"]
+    assert render_lp_text(model).count("<= x") == 1
+
+
+def test_bulk_adds_refuse_like_single_adds():
+    model = LpModel("m")
+    model.add_variables(["a", "b"])
+    for names in (["c", "d", "c"], ["c", "a"]):
+        with pytest.raises(ValueError, match="duplicate variable"):
+            model.add_variables(names)
+    assert [v.name for v in model.variables] == ["a", "b"]
+    model.add_constraints("r", [{"a": 1.0}, {"b": 1.0}], "<=", 1.0)
+    assert [row.name for row in model.constraints] == ["r_1", "r_2"]
+    with pytest.raises(ValueError, match="duplicate constraint 'r_1'"):
+        model.add_constraints("r", [{"a": 1.0}], "<=", 1.0)
+    with pytest.raises(ValueError, match="bad sense"):
+        model.add_constraints("s", [{"a": 1.0}], "=<", 1.0)
+    with pytest.raises(ValueError, match="constraint 's_2' references "
+                       "unknown variable 'z'"):
+        model.add_constraints("s", [{"a": 1.0}, {"z": 1.0}], "<=", 1.0)
+
+
+def test_render_refuses_unknown_names():
+    """Objective terms and rows changed after they were added may not
+    name a missing variable; the objective's were dropped silently."""
+    model = LpModel("m")
+    model.add_variable("x")
+    model.objective = {"x": 1.0, "ghost": 2.0}
+    with pytest.raises(ValueError,
+                       match="objective references unknown variable 'ghost'"):
+        render_lp_text(model)
+    model.objective = {"x": 1.0}
+    model.add_constraint("r", {"x": 1.0}, "<=", 1.0)
+    model.constraints[0].coefs["ghost"] = 1.0
+    with pytest.raises(ValueError, match="constraint 'r' references "
+                       "unknown variable 'ghost'"):
+        render_lp_text(model)
+
+
+def test_render_matches_oracle_on_builders(figs):
+    """Every builder's model renders byte for byte as the term-by-term
+    oracle renders it; the exponential LP of the 16-leaf gap pair is
+    refused by its cap."""
+    instances = [inst for n in range(3, 13) for inst in corpus(n, 20)]
+    instances += [(name, figs[name].pair) for name in ("fig1", "fig9")]
+    instances += [("wu%d" % k, wu_gap_instance(k)) for k in (2, 4)]
+    for name, pair in instances:
+        for build in (build_exponential_lp, build_compact_lp, build_wu_ilp):
+            try:
+                model = build(pair)
+            except OracleCapError:
+                assert (name, build) == ("wu4", build_exponential_lp)
+                continue
+            want = naive.naive_render_lp_text(model)
+            assert render_lp_text(model) == want, (name, build.__name__)
+
+
+_NAMES = ["x%d" % k for k in range(10)]
+_COEFS = st.one_of(
+    st.sampled_from([1, 1.0, -1, -1.0, 0, 0.0, -0.0, 2, 0.5, -2.5, 1e20]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+_BOUNDS = st.sampled_from([0.0, 1.0, -2.5, 3, 0.125])
+
+
+@st.composite
+def lp_models(draw):
+    names = draw(st.lists(st.sampled_from(_NAMES), unique=True, max_size=8))
+    model = LpModel("m")
+    bulk = draw(st.integers(0, len(names)))
+    uppers = st.one_of(st.none(), _BOUNDS)
+    model.add_variables(names[:bulk], draw(_BOUNDS), draw(uppers),
+                        draw(st.booleans()))
+    for name in names[bulk:]:
+        model.add_variable(name, draw(_BOUNDS), draw(uppers),
+                           draw(st.booleans()))
+    rows = (st.dictionaries(st.sampled_from(names), _COEFS) if names
+            else st.just({}))
+    model.objective = draw(rows)
+    model.objective_constant = draw(st.sampled_from([-1.5, -1, 0.0, 2, 0.25]))
+    for k in range(draw(st.integers(0, 6))):
+        model.add_constraint("r%d" % k, draw(rows),
+                             draw(st.sampled_from(["<=", ">=", "="])),
+                             draw(_COEFS))
+    return model
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_models())
+def test_render_matches_oracle_on_any_model(model):
+    """Fractional, negative and zero coefficients, any bounds, integer
+    variables, empty objectives and any objective constant render as the
+    oracle renders them, whatever order the rows list their names in."""
+    assert render_lp_text(model) == naive.naive_render_lp_text(model)
 
 
 # ----------------------------------------------------------------------
