@@ -26,6 +26,7 @@ from .tree_model import (
     internal_mask,
     internal_span,
     leaf_path_masks,
+    meet_matrix,
     pair_from_newick,
 )
 
@@ -422,39 +423,14 @@ class CompactLpGraph:
     meet2: list
 
 
-def _meet_matrix(pair, t):
-    """``meet[i][j]``: the node of tree t where leaves i and j meet.
-
-    Every pair of leaves meets where a node joins the leaves of its two
-    children, so one pass over the internal nodes fills the matrix.
-    """
-    tree = pair.tree(t)
-    n = pair.n
-    below = [None] * tree.n_nodes  # leaf indices under each node
-    for i, v in enumerate(pair.leaf_nodes(t)):
-        below[v] = [i]
-    meet = [[v] * n for v in pair.leaf_nodes(t)]
-    for v in range(tree.n_nodes):  # children come before parents
-        left = tree.left[v]
-        if left < 0:
-            continue
-        lows, highs = below[left], below[tree.right[v]]
-        for i in lows:
-            row = meet[i]
-            for j in highs:
-                row[j] = meet[j][i] = v
-        below[v] = lows + highs
-    return meet
-
-
 def build_compact_graph(pair):
     n = pair.n
     if n > COMPACT_LP_CAP:
         raise OracleCapError(
             "arc-flow LP is capped at COMPACT_LP_CAP = %d leaves (got %d)"
             % (COMPACT_LP_CAP, n))
-    meet1 = _meet_matrix(pair, 1)
-    meet2 = _meet_matrix(pair, 2)
+    meet1 = meet_matrix(pair, 1)
+    meet2 = meet_matrix(pair, 2)
     nodes = [(i + 1, j + 1) for i in range(n) for j in range(i, n)]
     # Candidate targets (head, m) of an arc, m >= head, with the nodes
     # where head meets m.

@@ -279,6 +279,17 @@ def _n_colors(comp):
     return (comp.n_red > 0) + (comp.n_blue > 0) + (comp.n_white > 0)
 
 
+def _colored_meet(partition, coloring, comp):
+    """Second-tree node where the red and blue leaves of a tricolored
+    block meet; raises unless the block covers it."""
+    col = coloring.color
+    ua = partition.pair.lca_of_leaves(
+        2, [i for i in comp.leaves if col[i] != WHITE])
+    if partition.covering(ua) != comp.id:
+        raise InvariantError("colored meeting node is not covered by its block")
+    return ua
+
+
 def classify_case(partition, coloring):
     """Case of the colored start-of-iteration partition: 1, 2 or 3.
 
@@ -305,11 +316,7 @@ def classify_case(partition, coloring):
     a0 = multi[0]
     if _n_colors(a0) != 3:
         raise InvariantError("a lone multicolored block must carry all three colors")
-    col = coloring.color
-    ua = partition.pair.lca_of_leaves(
-        2, [i for i in a0.leaves if col[i] != WHITE])
-    if partition.covering(ua) != a0.id:
-        raise InvariantError("colored meeting node is not covered by its block")
+    ua = _colored_meet(partition, coloring, a0)
     rb_bad = _rb_violation(partition) is not None
     outside = partition.live[ua] < a0.size
     if rb_bad:
@@ -387,21 +394,21 @@ def _splittable_violation(partition):
 
 def make_rb_compatible(partition, dual):
     """Cut until every block's colored part is shaped alike in both trees."""
-    nodes = []
-    while True:
-        v = _rb_violation(partition)
-        if v is None:
-            return nodes
-        dual.star(2, v)
-        partition.split_below(v)
-        nodes.append(v)
+    return _cut_violations(partition, dual, rb=True)
 
 
 def make_splittable(partition, dual):
     """Cut until every block's color classes are span-disjoint."""
+    return _cut_violations(partition, dual, rb=False)
+
+
+def _cut_violations(partition, dual, rb):
+    """Star and cut below the lowest violation, from ``_rb_violation``
+    or ``_splittable_violation``, until there is none; returns the cut
+    nodes in order."""
     nodes = []
     while True:
-        v = _splittable_violation(partition)
+        v = _rb_violation(partition) if rb else _splittable_violation(partition)
         if v is None:
             return nodes
         dual.star(2, v)
@@ -459,9 +466,7 @@ def special_split(partition, dual, coloring, cid, pairslist):
     c = partition.comps[cid]
     if _n_colors(c) != 3:
         raise InvariantError("special split needs a tricolored block")
-    ua = pair.lca_of_leaves(2, [i for i in c.leaves if col[i] != WHITE])
-    if partition.covering(ua) != cid:
-        raise InvariantError("colored meeting node not covered by its block")
+    ua = _colored_meet(partition, coloring, c)
     leaves = c.leaves
     if partition.live[ua] == partition.live_r[ua] + partition.live_b[ua]:
         reds = [i for i in leaves if col[i] == RED]
@@ -501,7 +506,6 @@ def split(partition, dual, coloring, pairslist, top_cid=_ANY_TOP):
     """
     if partition.stale:
         partition.refresh_annotations()
-    pair = partition.pair
     col = coloring.color
     decisions = []
     for cid in sorted(partition.painted):
@@ -510,9 +514,7 @@ def split(partition, dual, coloring, pairslist, top_cid=_ANY_TOP):
         if ncol <= 1:
             continue
         if ncol == 3:
-            ua = pair.lca_of_leaves(2, [i for i in c.leaves if col[i] != WHITE])
-            if partition.covering(ua) != cid:
-                raise InvariantError("colored meeting node not covered by its block")
+            ua = _colored_meet(partition, coloring, c)
             if partition.live[ua] < c.size:
                 decisions.append((cid, True))
                 continue

@@ -5,7 +5,10 @@ left-to-right post-order walk, so every child id is smaller than its
 parent id, the root is the largest id, and the subtree of node ``v`` is
 exactly the contiguous id range ``[subtree_min[v], v]``.  Leaves carry
 string labels; internal labels and branch lengths in Newick input are
-parsed and discarded.
+parsed and discarded.  Lowest common ancestors are range-minimum
+queries on depth over the ids themselves (Bender and Farach-Colton,
+"The LCA problem revisited", 2000), with no Euler tour: a sparse table
+of at most n entries per level, built on the first query.
 
 A :class:`TreePair` binds two trees over the same label set to a shared
 dense leaf indexing (labels sorted lexicographically, indices 0..n-1)
@@ -22,7 +25,9 @@ which leaf sets can survive together inside one agreement component:
 :func:`incompatible_triples` and :func:`leaf_path_masks` tabulate both
 predicates per leaf triple and per leaf pair for the exact search, the
 compatible-set enumeration and the path-cutting ILP; the triple table
-is kept on the pair, so all of them share one copy.
+is kept on the pair, so all of them share one copy.  The third shared
+table, :func:`meet_matrix`, holds the node where each leaf pair meets;
+the triple table and the arc-flow graph read it.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ class RootedBinaryTree:
     __slots__ = (
         "n_nodes", "n_leaves", "root", "parent", "left", "right",
         "labels", "depth", "subtree_min", "leaf_ids", "_min_label",
-        "_euler", "_edepth", "_first", "_sparse", "_log",
+        "_sparse",
     )
 
     def __init__(self, parent, left, right, labels):
@@ -110,67 +115,43 @@ class RootedBinaryTree:
         self._min_label = None
 
     def _build_lca(self):
-        # Euler tour plus a sparse table of depth-minimum positions, built
-        # on the first lca call: trees that are only parsed, grafted or
-        # walked never pay for it.
-        n = self.n_nodes
-        left, right, depth = self.left, self.right, self.depth
-        euler = []
-        edepth = []
-        first = [-1] * n
-        stack = [(self.root, 0)]
-        while stack:
-            v, state = stack.pop()
-            if first[v] < 0:
-                first[v] = len(euler)
-            euler.append(v)
-            edepth.append(depth[v])
-            if state == 0 and left[v] >= 0:
-                stack.append((v, 1))
-                stack.append((left[v], 0))
-            elif state == 1:
-                stack.append((v, 2))
-                stack.append((right[v], 0))
-        self._euler = euler
-        self._edepth = edepth
-        self._first = first
-
-        m = len(euler)
-        log = [0] * (m + 1)
-        for i in range(2, m + 1):
-            log[i] = log[i >> 1] + 1
-        self._log = log
-        sparse = [list(range(m))]
-        j = 1
-        while (1 << j) <= m:
-            prev = sparse[-1]
-            half = 1 << (j - 1)
-            width = m - (1 << j) + 1
-            cur = [0] * width
-            for i in range(width):
-                a = prev[i]
-                b = prev[i + half]
-                cur[i] = a if edepth[a] <= edepth[b] else b
-            sparse.append(cur)
-            j += 1
+        # Sparse table over the post-order ids, built on the first lca
+        # call: trees that are only parsed, grafted or walked never pay
+        # for it.  Row k holds, for each id i, a shallowest node among
+        # the ids [i, i + 2**k).
+        depth = self.depth
+        row = list(range(self.n_nodes))
+        sparse = [row]
+        half = 1
+        while 2 * half <= self.n_nodes:
+            row = [a if depth[a] <= depth[b] else b
+                   for a, b in zip(row, row[half:])]
+            sparse.append(row)
+            half *= 2
         self._sparse = sparse
 
     def lca(self, u, v):
-        """Lowest common ancestor of nodes u and v in O(1)."""
+        """Lowest common ancestor of nodes u and v in O(1).
+
+        For u < v, every id in [u, v) lies below lca(u, v), and the
+        range holds a child of it: the child whose subtree holds u.  So
+        the answer is the parent of a shallowest id in the range.
+        """
         if u == v:
             return u
+        if u > v:
+            u, v = v, u
         try:
-            a = self._first[u]
-        except AttributeError:  # the tables are not built yet
+            sparse = self._sparse
+        except AttributeError:  # the table is not built yet
             self._build_lca()
-            a = self._first[u]
-        b = self._first[v]
-        if a > b:
-            a, b = b, a
-        k = self._log[b - a + 1]
-        x = self._sparse[k][a]
-        y = self._sparse[k][b - (1 << k) + 1]
-        return self._euler[x] if self._edepth[x] <= self._edepth[y] else self._euler[y]
+            sparse = self._sparse
+        k = (v - u).bit_length() - 1
+        row = sparse[k]
+        x = row[u]
+        y = row[v - (1 << k)]
+        depth = self.depth
+        return self.parent[x if depth[x] <= depth[y] else y]
 
     def is_ancestor(self, a, v):
         """True when a is v or an ancestor of v."""
@@ -385,9 +366,6 @@ class TreePair:
     def leaf_nodes(self, t):
         return self.leaf_node1 if t == 1 else self.leaf_node2
 
-    def lca(self, t, u, v):
-        return self.tree(t).lca(u, v)
-
     def lca_of_leaves(self, t, leaves):
         """Lca of a nonempty collection of leaf indices in tree t.
 
@@ -436,21 +414,40 @@ def _cherry(dxy, dxz, dyz):
     raise InvariantError("triple without a unique cherry pair")
 
 
-def _meet_depths(pair, t, leaves):
-    """``depths[i][j]``: depth in tree t of the lca of the i-th and j-th
-    of the given leaf indices."""
+def meet_matrix(pair, t):
+    """``meet[i][j]``: the node of tree t where leaves i and j meet.
+
+    Every pair of leaves meets where a node joins the leaves of its two
+    children, so one pass over the internal nodes fills the matrix.
+    The diagonal holds each leaf's own node.
+    """
     tree = pair.tree(t)
-    depth = tree.depth
-    nodes = [pair.leaf_node(t, x) for x in leaves]
-    return [[depth[tree.lca(u, v)] for v in nodes] for u in nodes]
+    n = pair.n
+    below = [None] * tree.n_nodes  # leaf indices under each node
+    for i, v in enumerate(pair.leaf_nodes(t)):
+        below[v] = [i]
+    meet = [[v] * n for v in pair.leaf_nodes(t)]
+    for v in range(tree.n_nodes):  # children come before parents
+        left = tree.left[v]
+        if left < 0:
+            continue
+        lows, highs = below[left], below[tree.right[v]]
+        for i in lows:
+            row = meet[i]
+            for j in highs:
+                row[j] = meet[j][i] = v
+        below[v] = lows + highs
+    return meet
 
 
 def triple_compatible(pair, a, b, c):
     """True when leaf indices a, b, c resolve to the same cherry in both trees."""
-    d1 = _meet_depths(pair, 1, (a, b, c))
-    d2 = _meet_depths(pair, 2, (a, b, c))
-    return (_cherry(d1[0][1], d1[0][2], d1[1][2])
-            == _cherry(d2[0][1], d2[0][2], d2[1][2]))
+    def cherry(t):
+        tree = pair.tree(t)
+        x, y, z = (pair.leaf_node(t, i) for i in (a, b, c))
+        depth, lca = tree.depth, tree.lca
+        return _cherry(depth[lca(x, y)], depth[lca(x, z)], depth[lca(y, z)])
+    return cherry(1) == cherry(2)
 
 
 def incompatible_triples(pair):
@@ -466,8 +463,8 @@ def incompatible_triples(pair):
 
 def _find_incompatible_triples(pair):
     n = pair.n
-    d1 = _meet_depths(pair, 1, range(n))
-    d2 = _meet_depths(pair, 2, range(n))
+    d1, d2 = ([[depth[v] for v in row] for row in meet_matrix(pair, t)]
+              for t, depth in ((1, pair.t1.depth), (2, pair.t2.depth)))
     return frozenset(
         (a, b, c)
         for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)
@@ -545,18 +542,15 @@ def set_compatible(pair, leaves):
 def spanned_nodes(pair, t, leaves):
     """Node ids lying on some leaf-to-leaf path of the set in tree t.
 
-    A singleton spans just its own leaf node.  For larger sets this is
-    the union of the paths from each member up to the set's lca.
+    This is the union of the paths from each member up to the set's
+    lca, which is the lca of its smallest and largest node ids; a
+    singleton spans just its own leaf node.
     """
     tree = pair.tree(t)
     nodes = [pair.leaf_node(t, x) for x in set(leaves)]
     if not nodes:
         return set()
-    if len(nodes) == 1:
-        return {nodes[0]}
-    m = nodes[0]
-    for v in nodes[1:]:
-        m = tree.lca(m, v)
+    m = tree.lca(min(nodes), max(nodes))
     parent = tree.parent
     seen = {m}
     for v in nodes:

@@ -1,5 +1,6 @@
 """Tree structure, Newick parsing, and compatibility predicates."""
 
+import random
 import re
 from itertools import combinations
 
@@ -9,10 +10,14 @@ from hypothesis import given, settings, strategies as st
 from rbmaf import (
     NewickError,
     RHO_LABEL,
+    RootedBinaryTree,
+    build_compact_graph,
     corpus,
+    exact_maf,
     incompatible_triples,
     leaf_path_masks,
     make_pair,
+    meet_matrix,
     pair_from_newick,
     parse_newick,
     random_pair,
@@ -111,6 +116,60 @@ def test_random_tree_properties(n, seed):
         assert tree.to_newick() == parse_newick(tree.to_newick()).to_newick()
         for u, v in combinations(range(tree.n_nodes), 2):
             assert tree.lca(u, v) == tree.lca(v, u) == naive.naive_lca(tree, u, v)
+
+
+@pytest.mark.parametrize("mode", ["uniform", "k_rspr"])
+@pytest.mark.parametrize("add_rho", [False, True])
+def test_lca_on_deep_tables(mode, add_rho):
+    """Every level of the table on 300-leaf trees: random pairs in both
+    orders, each node of the deepest root path against every ancestor,
+    and equal arguments."""
+    pair = random_pair(300, 1, mode=mode, k=20)
+    if add_rho:
+        pair = make_pair(pair.t1, pair.t2, add_rho=True)
+    rng = random.Random(7)
+    for t in (1, 2):
+        tree = pair.tree(t)
+        n = tree.n_nodes
+        for _ in range(10_000):
+            u, v = rng.randrange(n), rng.randrange(n)
+            assert tree.lca(u, v) == tree.lca(v, u) == naive.naive_lca(tree, u, v)
+        deepest = max(tree.leaf_ids, key=tree.depth.__getitem__)
+        path = naive.root_path(tree, deepest)
+        for i, u in enumerate(path):
+            for a in path[i:]:
+                assert tree.lca(u, a) == tree.lca(a, u) == a
+        assert all(tree.lca(v, v) == v for v in range(n))
+
+
+def test_meet_matrix_against_naive():
+    for n in range(3, 11):
+        for _, pair in corpus(n, 25):
+            for t in (1, 2):
+                tree = pair.tree(t)
+                meet = meet_matrix(pair, t)
+                nodes = pair.leaf_nodes(t)
+                for i in range(n):
+                    for j in range(n):
+                        assert meet[i][j] == naive.naive_lca(tree, nodes[i], nodes[j])
+
+
+def test_pair_tables_make_no_lca_calls(monkeypatch):
+    """The triple table, the arc-flow graph and the exact search read
+    meeting nodes from meet_matrix, never through lca."""
+    pairs = [pair for n in (5, 8) for _, pair in corpus(n, 5)]
+    calls = []
+    lca = RootedBinaryTree.lca
+
+    def counted(tree, u, v):
+        calls.append((u, v))
+        return lca(tree, u, v)
+    monkeypatch.setattr(RootedBinaryTree, "lca", counted)
+    for pair in pairs:
+        incompatible_triples(pair)
+        build_compact_graph(pair)
+        exact_maf(pair)
+    assert calls == []
 
 
 def test_pair_indexing(fig1):
