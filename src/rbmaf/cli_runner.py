@@ -126,34 +126,33 @@ def exact_maf(pair, partition_cap=None):
 
 
 class _Bud:
-    """Mutable node used only while building or editing random trees."""
+    """Mutable node used only while building or editing random trees.
 
-    __slots__ = ("left", "right", "parent", "label")
+    ``size`` counts the nodes of the subtree below and including it.
+    """
+
+    __slots__ = ("left", "right", "parent", "label", "size")
 
     def __init__(self, label=None):
         self.left = None
         self.right = None
         self.parent = None
         self.label = label
+        self.size = 1
 
 
 def _bud_newick(root):
     out = []
-    stack = [(root, 0)]
+    stack = [root]
     while stack:
-        node, state = stack.pop()
-        if node.label is not None:
+        node = stack.pop()
+        if isinstance(node, str):  # a ")" or "," pushed below
+            out.append(node)
+        elif node.label is not None:
             out.append(node.label)
-        elif state == 0:
-            out.append("(")
-            stack.append((node, 1))
-            stack.append((node.left, 0))
-        elif state == 1:
-            out.append(",")
-            stack.append((node, 2))
-            stack.append((node.right, 0))
         else:
-            out.append(")")
+            out.append("(")
+            stack += (")", node.right, ",", node.left)
     return "".join(out) + ";"
 
 
@@ -170,11 +169,23 @@ def _relink(node, new, root):
     return root
 
 
+def _grow(node, by):
+    """Add ``by`` to the size of every proper ancestor of ``node``."""
+    node = node.parent
+    while node is not None:
+        node.size += by
+        node = node.parent
+
+
 def _splice_above(host, graft, root):
-    """Insert a new joint above ``host`` adopting ``graft`` as sibling."""
+    """Insert a new joint above ``host`` adopting ``graft`` as sibling.
+
+    Sizes above the joint are left to the caller.
+    """
     joint = _Bud()
     joint.left = host
     joint.right = graft
+    joint.size = host.size + graft.size + 1
     root = _relink(host, joint, root)
     host.parent = joint
     graft.parent = joint
@@ -186,7 +197,8 @@ def _uniform_bud(labels, rng):
 
     Each new leaf attaches at one of the 2i-1 slots of the current
     i-leaf tree (one per node, counting the slot above the root), which
-    makes every shape equally likely.
+    makes every shape equally likely.  Subtree sizes are set in one
+    pass at the end.
     """
     nodes = [_Bud(labels[0])]
     root = nodes[0]
@@ -196,46 +208,73 @@ def _uniform_bud(labels, rng):
         root = _splice_above(host, leaf, root)
         nodes.append(host.parent)
         nodes.append(leaf)
+    order = [root]  # parents before children
+    for node in order:
+        if node.label is None:
+            order.append(node.left)
+            order.append(node.right)
+    for node in reversed(order):
+        if node.label is None:
+            node.size = node.left.size + node.right.size + 1
     return root
 
 
-def _subtree_buds(node):
-    """Nodes under ``node`` in pre-order, right child first.
+def _post_order_at(root, i):
+    """Node at index ``i`` of the tree's left-to-right post-order.
 
-    Reversed, the list is the left-to-right post-order, which is the
-    node numbering ``parse_newick`` gives the tree's Newick text.
+    That is the node numbering ``parse_newick`` gives the tree's Newick
+    text; the walk goes down from the root by subtree sizes.
     """
-    out = []
-    stack = [node]
-    while stack:
-        u = stack.pop()
-        out.append(u)
-        if u.label is None:
-            stack.append(u.left)
-            stack.append(u.right)
-    return out
+    node = root
+    while i != node.size - 1:
+        below = node.left.size
+        if i < below:
+            node = node.left
+        else:
+            i -= below
+            node = node.right
+    return node
+
+
+def _pre_order_at(root, i):
+    """Node at index ``i`` of the tree's pre-order, right child first."""
+    node = root
+    while i:
+        i -= 1
+        below = node.right.size
+        if i < below:
+            node = node.right
+        else:
+            i -= below
+            node = node.left
+    return node
 
 
 def _spr_once(root, rng):
     """One subtree prune and regraft, in place; returns the new root.
 
-    Returns None and leaves the tree as it was when the pruned subtree
-    would go back onto its former sibling: in a rooted binary tree with
-    distinct labels that is the only move that gives back the same
-    topology.
+    The pruned subtree is drawn by its left-to-right post-order index
+    (the root excluded) and the regraft point by its right-first
+    pre-order index in the pruned tree.  Returns None and leaves the
+    tree as it was when the pruned subtree would go back onto its
+    former sibling: in a rooted binary tree with distinct labels that
+    is the only move that gives back the same topology.
     """
-    nodes = _subtree_buds(root)[::-1]  # post-order, root last
-    moving = nodes[rng.randrange(len(nodes) - 1)]
+    moving = _post_order_at(root, rng.randrange(root.size - 1))
     gone = moving.parent
     sib = gone.left if gone.right is moving else gone.right
+    cut = moving.size + 1
+    _grow(gone, -cut)
     root = _relink(gone, sib, root)
-    hosts = _subtree_buds(root)
-    host = hosts[rng.randrange(len(hosts))]
+    host = _pre_order_at(root, rng.randrange(root.size))
     if host is sib:
         _relink(sib, gone, root)
         sib.parent = gone
+        _grow(gone, cut)
         return None
-    return _splice_above(host, moving, root)
+    root = _splice_above(host, moving, root)
+    _grow(moving.parent, cut)
+    return root
 
 
 def random_pair(n, seed=0, mode="uniform", k=None):

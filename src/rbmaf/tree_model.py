@@ -32,12 +32,21 @@ the triple table and the arc-flow graph read it.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 
 
 RHO_LABEL = "rho"
 
-_RESERVED = "(),;:'[]"
+# One token per match, after any whitespace: a leaf label, or a ``)``
+# with its internal label (group 1), each with an optional ``:length``
+# run (group 2); or any other single character (group 3).
+_LABEL = r"[^(),;:'\[\]\s]"
+_TOKEN = re.compile(r"\s*(?:((?:\)|%s)%s*)(?::([\d.+\-eE]*))?|(.))"
+                    % (_LABEL, _LABEL), re.S)
+# What the previous token was: an open parenthesis (or nothing), a
+# comma, or a whole node.
+_OPEN, _COMMA, _ITEM = "open", "comma", "item"
 
 
 class NewickError(ValueError):
@@ -215,103 +224,97 @@ class RootedBinaryTree:
 def parse_newick(text):
     """Parse a Newick string into a :class:`RootedBinaryTree`.
 
-    Every internal node must have exactly two children.  Leaf labels
-    are any run of characters outside ``(),;:'[]`` and whitespace.
-    Internal labels and ``:length`` suffixes are accepted and ignored.
+    Every internal node must have exactly two children, separated by a
+    comma.  Leaf labels are any run of characters outside ``(),;:'[]``
+    and whitespace.  Internal labels and ``:length`` suffixes directly
+    after a label or ``)`` are accepted and ignored.  Whitespace may
+    stand between tokens but separates nothing: ``(a b)`` raises
+    NewickError, as do an empty child and a comma outside parentheses.
     Quoted labels and ``[...]`` comments are not supported: a quote or
     bracket raises NewickError naming the character and its offset.
+
+    One regular-expression pass reads the text; a leaf gets its
+    post-order id when it appears, an internal node when its ``)``
+    closes.
     """
     s = text.strip()
     if not s:
         raise NewickError("empty input")
     if s.endswith(";"):
         s = s[:-1].rstrip()
-    end = len(s)
-
-    def read_name(i):
-        j = i
-        while j < end and s[j] not in _RESERVED and not s[j].isspace():
-            j += 1
-        return s[i:j], j
-
-    def skip_length(i):
-        if i < end and s[i] == ":":
-            i += 1
-            j = i
-            while j < end and (s[j].isdigit() or s[j] in ".+-eE"):
-                j += 1
-            try:
-                float(s[i:j])
-            except ValueError:
-                raise NewickError("bad branch length at offset %d" % i) from None
-            return j
-        return i
-
-    stack = [[]]
-    i = 0
-    while i < end:
-        c = s[i]
-        if c.isspace() or c == ",":
-            i += 1
-        elif c == "(":
-            stack.append([])
-            i += 1
-        elif c == ")":
-            kids = stack.pop()
+    parent, left, right, labels = [], [], [], []
+    stack = []  # the child lists of the enclosing open nodes
+    kids = []  # child ids of the innermost open node, or the roots
+    prev = _OPEN
+    for m in _TOKEN.finditer(s):
+        name, length, other = m.groups()
+        if other is None:
+            v = len(parent)
+            if name[0] == ")":
+                if not stack:
+                    raise NewickError("unbalanced ')'")
+                if len(kids) != 2:
+                    raise NewickError(
+                        "internal node with %d children, need exactly 2"
+                        % len(kids))
+                if prev is _COMMA:
+                    raise NewickError(
+                        "expected a leaf label at offset %d" % m.start(1))
+                l, r = kids
+                parent[l] = parent[r] = v
+                left.append(l)
+                right.append(r)
+                labels.append(None)
+                kids = stack.pop()
+            else:
+                if prev is _ITEM and stack:
+                    raise NewickError(
+                        "expected ',' at offset %d" % m.start(1))
+                left.append(-1)
+                right.append(-1)
+                labels.append(name)
+            if length is not None:
+                _check_length(s, m)
+            parent.append(-1)
+            kids.append(v)
+            prev = _ITEM
+        elif other == "(":
+            if prev is _ITEM and stack:
+                raise NewickError("expected ',' at offset %d" % m.start(3))
+            stack.append(kids)
+            kids = []
+            prev = _OPEN
+        elif other == ",":
             if not stack:
-                raise NewickError("unbalanced ')'")
-            if len(kids) != 2:
+                raise NewickError("unexpected ',' at offset %d" % m.start(3))
+            if prev is not _ITEM:
                 raise NewickError(
-                    "internal node with %d children, need exactly 2" % len(kids))
-            i += 1
-            _, i = read_name(i)
-            i = skip_length(i)
-            stack[-1].append((None, kids))
-        elif c in ";:":
-            raise NewickError("unexpected %r at offset %d" % (c, i))
-        elif c in "'[]":
+                    "expected a leaf label at offset %d" % m.start(3))
+            prev = _COMMA
+        elif other in ";:":
+            raise NewickError(
+                "unexpected %r at offset %d" % (other, m.start(3)))
+        else:
             raise NewickError(
                 "unsupported %r at offset %d: quoted labels and comments "
-                "are not read" % (c, i))
-        else:
-            name, i = read_name(i)
-            if not name:
-                raise NewickError("expected a leaf label at offset %d" % i)
-            i = skip_length(i)
-            stack[-1].append((name, None))
-    if len(stack) != 1:
+                "are not read" % (other, m.start(3)))
+    if stack:
         raise NewickError("unbalanced '('")
-    if len(stack[0]) != 1:
+    if len(kids) != 1:
         raise NewickError("expected a single root")
-
-    # Iterative post-order id assignment over the nested (label, kids) pairs.
-    parent, left, right, labels = [], [], [], []
-    count = 0
-    work = [[stack[0][0], []]]
-    while work:
-        node, got = work[-1]
-        name, kids = node
-        if kids is not None and len(got) < 2:
-            work.append([kids[len(got)], []])
-            continue
-        nid = count
-        count += 1
-        parent.append(-1)
-        if kids is None:
-            left.append(-1)
-            right.append(-1)
-            labels.append(name)
-        else:
-            l, r = got
-            left.append(l)
-            right.append(r)
-            labels.append(None)
-            parent[l] = nid
-            parent[r] = nid
-        work.pop()
-        if work:
-            work[-1][1].append(nid)
     return RootedBinaryTree(parent, left, right, labels)
+
+
+def _check_length(s, m):
+    """Reject a ``:length`` run that is not a number."""
+    i = m.start(2)
+    j = m.end(2)
+    try:
+        float(s[i:j])
+    except ValueError:
+        raise NewickError("bad branch length at offset %d" % i) from None
+    if j < len(s) and s[j].isdigit():  # a digit that is not decimal
+        raise NewickError("bad branch length at offset %d" % i)
 
 
 class TreePair:

@@ -9,7 +9,7 @@ from itertools import combinations
 
 from rbmaf.forest_partition import as_blocks
 from rbmaf.redblue_core import Pcs
-from rbmaf.tree_model import spanned_nodes
+from rbmaf.tree_model import NewickError, RootedBinaryTree, spanned_nodes
 
 
 def root_path(tree, v):
@@ -503,3 +503,127 @@ def naive_render_lp_text(model):
             lines.append(" " + name)
     lines.append("End")
     return "\n".join(lines) + "\n"
+
+
+# ----------------------------------------------------------------------
+# Newick text, one character at a time, as the reader first did it
+
+
+def naive_parse_newick(text):
+    """Character-loop Newick reader into nested tuples, then a second
+    walk that gives post-order ids.
+
+    It counts whitespace as a separator and skips empty children, so
+    ``(a b)`` and ``(a,,b)`` read as ``(a,b)``; :func:`parse_newick`
+    rejects both.
+    """
+    s = text.strip()
+    if not s:
+        raise NewickError("empty input")
+    if s.endswith(";"):
+        s = s[:-1].rstrip()
+    end = len(s)
+
+    def read_name(i):
+        j = i
+        while j < end and s[j] not in "(),;:'[]" and not s[j].isspace():
+            j += 1
+        return s[i:j], j
+
+    def skip_length(i):
+        if i < end and s[i] == ":":
+            i += 1
+            j = i
+            while j < end and (s[j].isdigit() or s[j] in ".+-eE"):
+                j += 1
+            try:
+                float(s[i:j])
+            except ValueError:
+                raise NewickError("bad branch length at offset %d" % i) from None
+            return j
+        return i
+
+    stack = [[]]
+    i = 0
+    while i < end:
+        c = s[i]
+        if c.isspace() or c == ",":
+            i += 1
+        elif c == "(":
+            stack.append([])
+            i += 1
+        elif c == ")":
+            kids = stack.pop()
+            if not stack:
+                raise NewickError("unbalanced ')'")
+            if len(kids) != 2:
+                raise NewickError(
+                    "internal node with %d children, need exactly 2" % len(kids))
+            i += 1
+            _, i = read_name(i)
+            i = skip_length(i)
+            stack[-1].append((None, kids))
+        elif c in ";:":
+            raise NewickError("unexpected %r at offset %d" % (c, i))
+        elif c in "'[]":
+            raise NewickError(
+                "unsupported %r at offset %d: quoted labels and comments "
+                "are not read" % (c, i))
+        else:
+            name, i = read_name(i)
+            if not name:
+                raise NewickError("expected a leaf label at offset %d" % i)
+            i = skip_length(i)
+            stack[-1].append((name, None))
+    if len(stack) != 1:
+        raise NewickError("unbalanced '('")
+    if len(stack[0]) != 1:
+        raise NewickError("expected a single root")
+
+    parent, left, right, labels = [], [], [], []
+    work = [[stack[0][0], []]]
+    while work:
+        node, got = work[-1]
+        name, kids = node
+        if kids is not None and len(got) < 2:
+            work.append([kids[len(got)], []])
+            continue
+        nid = len(parent)
+        parent.append(-1)
+        if kids is None:
+            left.append(-1)
+            right.append(-1)
+            labels.append(name)
+        else:
+            l, r = got
+            left.append(l)
+            right.append(r)
+            labels.append(None)
+            parent[l] = nid
+            parent[r] = nid
+        work.pop()
+        if work:
+            work[-1][1].append(nid)
+    return RootedBinaryTree(parent, left, right, labels)
+
+
+# ----------------------------------------------------------------------
+# random-tree draws by walking the whole bud tree, as the generator
+# first did them
+
+
+def naive_subtree_buds(node):
+    """Nodes under ``node`` in pre-order, right child first.
+
+    Reversed, the list is the left-to-right post-order, which is the
+    node numbering ``parse_newick`` gives the tree's Newick text.
+    """
+    out = []
+    stack = [node]
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        if u.label is None:
+            stack.append(u.left)
+            stack.append(u.right)
+    return out

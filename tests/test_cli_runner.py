@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -26,6 +27,8 @@ from rbmaf import (
 )
 from rbmaf.cli_runner import (
     _bud_newick,
+    _post_order_at,
+    _pre_order_at,
     _spr_once,
     _uniform_bud,
     certificate_dict,
@@ -241,6 +244,50 @@ def test_spr_noop_iff_sibling():
                         assert moved is not None, (before, m, h)
                         assert _bud_newick(moved) == _text(after) + ";"
     assert trees == 1 + 3 + 15 + 105 + 945
+
+
+def test_size_indexed_draws_match_walk():
+    """On random bud trees with 2 to 60 leaves, the lookups by subtree
+    size return the node at every index of the walked post-order and
+    right-first pre-order, and every size is the walked subtree size."""
+    for n in range(2, 61):
+        labels = ["L%d" % (i + 1) for i in range(n)]
+        for seed in range(3):
+            root = _uniform_bud(labels, random.Random(seed))
+            pre = naive.naive_subtree_buds(root)
+            for i, node in enumerate(pre[::-1]):
+                assert _post_order_at(root, i) is node
+            for i, node in enumerate(pre):
+                assert _pre_order_at(root, i) is node
+                assert node.size == len(naive.naive_subtree_buds(node))
+
+
+def test_sizes_track_every_move():
+    """n = 300, 50 prune and regraft moves, every third aimed at the
+    former sibling so that it is refused: after each move every bud's
+    size equals its walked subtree size."""
+    rng = random.Random(3)
+    root = _uniform_bud(["L%d" % (i + 1) for i in range(300)], rng)
+    refused = 0
+    for step in range(50):
+        pre = naive.naive_subtree_buds(root)
+        m = rng.randrange(len(pre) - 1)
+        moving = pre[::-1][m]
+        gone = moving.parent
+        sib = gone.left if gone.right is moving else gone.right
+        drop = {id(u) for u in naive.naive_subtree_buds(moving)} | {id(gone)}
+        hosts = [u for u in pre if id(u) not in drop]
+        h = hosts.index(sib) if step % 3 == 0 else rng.randrange(len(hosts))
+        moved = _spr_once(root, _Scripted((m, h)))
+        assert (moved is None) == (hosts[h] is sib)
+        if moved is None:
+            refused += 1
+        else:
+            root = moved
+        assert root.parent is None
+        for bud in naive.naive_subtree_buds(root):
+            assert bud.size == len(naive.naive_subtree_buds(bud))
+    assert refused >= 17
 
 
 def test_random_pair_argument_errors():

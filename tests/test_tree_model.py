@@ -55,19 +55,45 @@ def test_canonical_newick_is_order_insensitive():
     assert a == b == "((a,b),c);"
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    ";",
-    "(a,b,c);",
-    "(a,(b));",
-    "(a,a);",
-    "(a,b);extra",
-    "((a,b);",
-    "(a,);",
-])
+BAD_NEWICK = {
+    "": "empty input",
+    ";": "expected a single root",
+    "(a,b,c);": "internal node with 3 children, need exactly 2",
+    "(a,(b));": "internal node with 1 children, need exactly 2",
+    "(a,a);": "duplicate leaf label 'a'",
+    "(a,b);extra": "unexpected ';' at offset 5",
+    "((a,b);": "unbalanced '('",
+    "(a,);": "internal node with 1 children, need exactly 2",
+    "(a,b):;": "bad branch length at offset 6",
+    "(a:x,b);": "bad branch length at offset 3",
+    "(a:1\u00b2,b);": "bad branch length at offset 3",  # a digit, not decimal
+    "(a,b));": "unbalanced ')'",
+    # separators: whitespace separates nothing, and no child is empty
+    "(a b);": "expected ',' at offset 3",
+    "(a,,b);": "expected a leaf label at offset 3",
+    "(,a,b);": "expected a leaf label at offset 1",
+    "(a,b,);": "expected a leaf label at offset 5",
+    "((a,b)(c,d));": "expected ',' at offset 6",
+    "((a,b)x y,c);": "expected ',' at offset 8",
+    "(a,b),;": "unexpected ',' at offset 5",
+}
+
+# What only the one-pass reader rejects: the naive reader counts
+# whitespace as a separator and skips empty children.
+SEPARATOR_ERRORS = ("expected ',' at offset", "expected a leaf label at offset",
+                    "unexpected ',' at offset")
+
+
+@pytest.mark.parametrize("text", list(BAD_NEWICK))
 def test_bad_newick_rejected(text):
-    with pytest.raises(NewickError):
+    with pytest.raises(NewickError) as info:
         parse_newick(text)
+    assert str(info.value) == BAD_NEWICK[text]
+
+
+def test_whitespace_between_tokens_allowed():
+    text = " ( ( a:1.5 ,\n\tb )x:2e-1 , c ) ;\n"
+    assert parse_newick(text).to_newick() == "((a,b),c);"
 
 
 @pytest.mark.parametrize("text, char, offset", [
@@ -86,6 +112,90 @@ def test_quotes_and_comments_rejected(text, char, offset, capsys):
 
 def test_missing_semicolon_tolerated():
     assert parse_newick("(a,b)").to_newick() == "(a,b);"
+
+
+def _arrays(tree):
+    return tree.parent, tree.left, tree.right, tree.labels
+
+
+def _outcome(parse, text):
+    """The tree's arrays, or the NewickError message."""
+    try:
+        return _arrays(parse(text))
+    except NewickError as error:
+        return str(error)
+
+
+def _decorate(text, rng):
+    """``text`` with whitespace around its parentheses and commas, and
+    internal labels and branch lengths, all drawn from ``rng``."""
+    spaces = ["", "", " ", "\n", "\t  "]
+    lengths = ["1", "0.25", "1e-3", "-2.5E+1", ".5"]
+    out = []
+    for token in re.findall(r"[(),;]|[^(),;]+", text):
+        if token in ("(", ",", ")"):
+            out.append(rng.choice(spaces))
+        out.append(token)
+        if token == ")" and rng.random() < 0.3:
+            out.append("n%d" % rng.randrange(100))
+        if token not in ("(", ",", ";") and rng.random() < 0.5:
+            out.append(":" + rng.choice(lengths))
+        if token in ("(", ",", ")"):
+            out.append(rng.choice(spaces))
+    return "".join(out)
+
+
+def test_reader_matches_naive_on_corpus():
+    for n in range(3, 13):
+        for _, pair in corpus(n, 25):
+            for tree in (pair.t1, pair.t2):
+                text = tree.to_newick()
+                assert _arrays(parse_newick(text)) == \
+                    _arrays(naive.naive_parse_newick(text))
+
+
+@pytest.mark.parametrize("mode", ["uniform", "k_rspr"])
+def test_reader_matches_naive_on_decorated_text(mode):
+    rng = random.Random(11)
+    for seed in range(3):
+        pair = random_pair(300, seed, mode=mode, k=20)
+        for tree in (pair.t1, pair.t2):
+            text = _decorate(tree.to_newick(), rng)
+            assert text != tree.to_newick()
+            assert _arrays(parse_newick(text)) == \
+                _arrays(naive.naive_parse_newick(text)) == _arrays(tree)
+
+
+def test_reader_matches_naive_under_single_edits():
+    """Seeded single-character insertions, deletions and replacements:
+    both readers give the same arrays or the same message, except
+    where the one-pass reader rejects a separator the naive one
+    skipped."""
+    rng = random.Random(5)
+    bases = ["((a,b),c);", "(a:1.5,(b,c)x:2);", " ( (a , b)y , (c,d:1e-3) ) ;",
+             "((a1,b),(c:.5,d)):0;", "(a,(b,c))"]
+    bases += [_decorate(random_pair(n, n).t1.to_newick(), rng)
+              for n in range(2, 9)]
+    edits = 6000
+    diverged = 0
+    for _ in range(edits):
+        text = rng.choice(bases)
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice("(),;:'[] a1.e-")
+        kind = rng.randrange(3)
+        if kind == 0:
+            text = text[:i] + c + text[i:]
+        elif kind == 1:
+            text = text[:i] + c + text[i + 1:]
+        else:
+            text = text[:i] + text[i + 1:]
+        new = _outcome(parse_newick, text)
+        old = _outcome(naive.naive_parse_newick, text)
+        if new != old:
+            assert isinstance(new, str) and new.startswith(SEPARATOR_ERRORS), \
+                (text, new, old)
+            diverged += 1
+    assert 0 < diverged < edits // 4
 
 
 def test_lca_and_ancestor_against_naive(fig1, fig9):
