@@ -11,21 +11,22 @@ except for one shallowest component that keeps the original root).
 
 Annotations come from two passes over the second tree.  The structural
 pass gives, per node, the number of live leaves below it inside its
-forest tree, the root node of that forest tree, and the root of the
-forest tree covering the node, where "covering" means the node lies on a
-path between two leaves of that tree's block inside the forest.  Both
-arrays hold roots, not block ids: the part of a split block that keeps
-the root keeps every entry, and ``root_comp`` names the block.  A split
-updates the kept tree in place along the cut paths and along the chain
-from its root down to its new meeting node, the only nodes whose live
-count or coverage can change there; the detached trees are stale, and
-the structural pass walks only stale trees, so it costs the size of the
-new trees, not n.  The color pass runs on every refresh but visits only
-the tinted nodes, the forest-tree ancestors of the red and blue leaves,
-found by walking up from each colored leaf until a cut edge or an
-already tinted node: per tinted node it counts the red and blue live
-leaves below it, and per painted block (one holding a red or blue leaf)
-its red and blue leaves.  Every other node has no red or blue leaf
+forest tree and the root of the forest tree covering the node, where
+"covering" means the node lies on a path between two leaves of that
+tree's block inside the forest.  Coverage holds roots, not block ids:
+the part of a split block that keeps the root keeps every entry, and
+``root_comp`` names the block.  A split updates the kept tree in place
+along the cut paths and along the chain from its root down to its new
+meeting node, the only nodes whose live count or coverage can change
+there; the detached trees are stale, and the structural pass walks only
+stale trees, so it costs the size of the new trees, not n.  It also
+checks that every leaf it meets belongs to its tree's block.  The color
+pass runs on every refresh but visits only the tinted nodes, the
+forest-tree ancestors of the red and blue leaves, found by walking up
+from each colored leaf until a cut edge or an already tinted node: per
+tinted node it counts the red and blue live leaves below it, and per
+painted block (one holding a red or blue leaf) its red and blue leaves
+and its number of colors.  Every other node has no red or blue leaf
 below it, and white counts are live counts minus red and blue.
 """
 
@@ -40,21 +41,18 @@ class Component:
     """One block of the partition plus bookkeeping for the refinement loop.
 
     ``root2`` is the root node of the component's tree in the cut
-    forest, ``created_iter`` stamps the iteration that created it (0 for
-    the initial block), and ``origin0`` points to the ancestor block
-    that existed when that iteration started (it is read only while the
-    creating iteration runs).  Red and blue counts are filled by
+    forest, and ``origin0`` points to the ancestor block that existed
+    when the iteration that created this one started (it is read only
+    while that iteration runs).  Red and blue counts are filled by
     annotation refreshes (all white without a coloring).
     """
 
-    __slots__ = ("id", "leaves", "root2", "created_iter", "origin0",
-                 "n_red", "n_blue")
+    __slots__ = ("id", "leaves", "root2", "origin0", "n_red", "n_blue")
 
-    def __init__(self, cid, leaves, root2, created_iter, origin0):
+    def __init__(self, cid, leaves, root2, origin0):
         self.id = cid
         self.leaves = leaves
         self.root2 = root2
-        self.created_iter = created_iter
         self.origin0 = origin0
         self.n_red = 0
         self.n_blue = 0
@@ -74,45 +72,45 @@ class Component:
 class Partition:
     """Partition of the shared leaf set, realized by cutting the second tree.
 
-    Component ids are never reused, so creation order doubles as a
-    generation stamp, ``size_of[cid]`` is the size of block ``cid``
-    (dead or alive), and ``created`` lists the ids created in the
-    current iteration in creation order (the initial block counts as
-    created in iteration 0).  A split updates the tree that keeps the
-    block's root in place and records the roots of the trees it
-    detaches in ``stale``; readers refresh on demand when it is
-    nonempty, and the refresh rewrites the annotation arrays on those
-    trees only.  ``sweep`` holds ``find_lowest_pcs``'s saved state,
-    which merges drop because they re-derive the roots.
+    Component ids are never reused, so an id doubles as a generation
+    stamp: the blocks created in the current iteration are those with
+    ids from ``first_new`` on (the initial block counts as created in
+    iteration 0).  A block's size is the length of its leaf list, and a
+    leaf's forest tree is rooted at its block's ``root2``.  A split
+    updates the tree that keeps the block's root in place and records
+    the roots of the trees it detaches in ``stale``; readers refresh on
+    demand when it is nonempty, and the refresh rewrites the annotation
+    arrays on those trees only.  ``mixed`` maps each block the coloring
+    paints with two or three colors to that count.  ``sweep`` holds
+    ``find_lowest_pcs``'s saved state, which merges drop because they
+    re-derive the roots.
     """
 
     __slots__ = ("pair", "comps", "leaf_comp", "cut", "root_comp",
-                 "next_id", "iteration", "stale", "coloring", "size_of",
-                 "created", "live", "live_r", "live_b", "tinted", "painted",
-                 "treeroot", "cover", "sweep")
+                 "next_id", "first_new", "stale", "coloring", "live",
+                 "live_r", "live_b", "tinted", "painted", "mixed", "cover",
+                 "sweep")
 
     def __init__(self, pair):
         self.pair = pair
         root = pair.t2.root
-        comp = Component(0, list(range(pair.n)), root, 0, 0)
+        comp = Component(0, list(range(pair.n)), root, 0)
         self.comps = {0: comp}
         self.leaf_comp = [0] * pair.n
         self.cut = [False] * pair.t2.n_nodes
         self.root_comp = {root: 0}
         self.next_id = 1
-        self.iteration = 0
+        self.first_new = 0
         self.stale = [root]
         self.coloring = None
-        self.size_of = [pair.n]
-        self.created = [0]
         n2 = pair.t2.n_nodes
         self.live = [0] * n2
-        self.treeroot = [root] * n2
         self.cover = [-1] * n2
         self.live_r = [0] * n2
         self.live_b = [0] * n2
         self.tinted = []
         self.painted = set()
+        self.mixed = {}
         self.sweep = None
 
     def __len__(self):
@@ -160,9 +158,14 @@ class Partition:
             "deleted_edges": self.deleted_edges_labels(),
         }
 
+    @property
+    def created(self):
+        """Ids created in the current iteration, dead ones included."""
+        return range(self.first_new, self.next_id)
+
     def begin_iteration(self, k):
-        self.iteration = k
-        self.created = []
+        """Start iteration ``k``; the ids, not ``k``, mark what it creates."""
+        self.first_new = self.next_id
 
     # ------------------------------------------------------------------
     # annotations
@@ -181,15 +184,16 @@ class Partition:
         self._refresh_colors()
 
     def _refresh_structure(self):
-        """Recompute live counts, tree roots and coverage on the stale
-        forest trees.
+        """Recompute live counts and coverage on the stale forest trees.
 
         Post-order ids make the tree rooted at ``r`` the id range
         ``[subtree_min[r], r]`` minus the subtrees of its cut nodes, so
         a walk down from ``r`` that jumps past each cut subtree collects
         it.  One ascending pass over those nodes then fills the live
         counts and decides coverage from the live counts of the two
-        children against the size of the tree's block.
+        children against the size of the tree's block.  Every leaf met
+        must belong to that block, or the cuts do not realize the
+        partition.
         """
         stale = set(self.stale)
         if -1 in stale:
@@ -197,9 +201,8 @@ class Partition:
                 "annotations read after merge_leaves: canonicalize_cuts is pending")
         t2 = self.pair.t2
         left, right, smin = t2.left, t2.right, t2.subtree_min
-        cut = self.cut
-        live, treeroot, cover = self.live, self.treeroot, self.cover
-        root_comp, size_of = self.root_comp, self.size_of
+        leaf_index2, leaf_comp = self.pair.leaf_index2, self.leaf_comp
+        cut, live, cover = self.cut, self.live, self.cover
         for root in stale:
             nodes = [root]
             v, lo = root - 1, smin[root]
@@ -209,11 +212,15 @@ class Partition:
                 else:
                     nodes.append(v)
                     v -= 1
-            size = size_of[root_comp[root]]
+            cid = self.root_comp[root]
+            size = len(self.comps[cid].leaves)
             for v in reversed(nodes):
-                treeroot[v] = root
                 l = left[v]
                 if l < 0:
+                    if leaf_comp[leaf_index2[v]] != cid:
+                        raise InvariantError(
+                            "partition is not realizable as a forest of the "
+                            "second tree")
                     live[v] = 1
                     cover[v] = root
                     continue
@@ -283,7 +290,8 @@ class Partition:
         return path
 
     def _refresh_colors(self):
-        """Recount red and blue leaves on the tinted nodes and painted blocks.
+        """Recount red and blue leaves on the tinted nodes and painted
+        blocks, and classify the painted blocks by color count.
 
         The previous coloring's entries are zeroed first, so every node
         and block outside the new tinted and painted sets reads zero.
@@ -293,7 +301,7 @@ class Partition:
             live_r[v] = live_b[v] = 0
         for cid in self.painted & comps.keys():
             comps[cid].n_red = comps[cid].n_blue = 0
-        self.tinted, self.painted = [], set()
+        self.tinted, self.painted, self.mixed = [], set(), {}
         coloring = self.coloring
         if coloring is None:
             return
@@ -335,6 +343,12 @@ class Partition:
                 tb += live_b[r]
             live_r[v] = tr
             live_b[v] = tb
+        mixed = self.mixed
+        for cid in painted:
+            c = comps[cid]
+            k = (c.n_red > 0) + (c.n_blue > 0) + (c.n_red + c.n_blue < len(c.leaves))
+            if k > 1:
+                mixed[cid] = k
         self.tinted = tinted
         self.painted = painted
 
@@ -344,10 +358,7 @@ class Partition:
     def _new_component(self, leaves, root2, origin0):
         cid = self.next_id
         self.next_id += 1
-        comp = Component(cid, leaves, root2, self.iteration, origin0)
-        self.comps[cid] = comp
-        self.size_of.append(len(leaves))
-        self.created.append(cid)
+        self.comps[cid] = Component(cid, leaves, root2, origin0)
         self.root_comp[root2] = cid
         for x in leaves:
             self.leaf_comp[x] = cid
@@ -378,14 +389,7 @@ class Partition:
         above = [x for x in comp.leaves if not (lo <= nodes2[x] <= node2)]
         if len(below) != lv:
             raise InvariantError("live count disagrees with collected leaves")
-        self.cut[node2] = True
-        self._update_kept_tree(comp.root2, [node2], len(above))
-        self.stale.append(node2)
-        origin0 = comp.origin0 if comp.created_iter == self.iteration else comp.id
-        bid = self._new_component(below, node2, origin0)
-        aid = self._new_component(above, comp.root2, origin0)
-        del self.comps[comp.id]
-        return bid, aid
+        return self._replace(comp, [below, above], [node2, comp.root2])
 
     def split_component(self, comp_id, parts):
         """Replace one component by the given blocks, cutting canonically.
@@ -417,25 +421,27 @@ class Partition:
             self._refresh_structure()
         pair = self.pair
         depth = pair.t2.depth
-        anchors = [pair.lca_of_leaves(2, p) for p in parts]
-        keep = min(range(len(parts)), key=lambda k: (depth[anchors[k]], anchors[k]))
-        origin0 = comp.origin0 if comp.created_iter == self.iteration else comp.id
-        ids = []
-        detached = []
-        for k, p in enumerate(parts):
-            if k == keep:
-                ids.append(self._new_component(sorted(p), comp.root2, origin0))
-            else:
-                v = anchors[k]
-                if self.cut[v] or v == comp.root2:
-                    raise InvariantError("block anchor is not cuttable")
-                self.cut[v] = True
-                detached.append(v)
-                ids.append(self._new_component(sorted(p), v, origin0))
-        self._update_kept_tree(comp.root2, detached, len(parts[keep]))
-        self.stale.extend(detached)
-        del self.comps[comp_id]
-        return ids
+        roots = [pair.lca_of_leaves(2, p) for p in parts]
+        keep = min(range(len(parts)), key=lambda k: (depth[roots[k]], roots[k]))
+        roots[keep] = comp.root2
+        if (len(set(roots)) < len(roots)
+                or any(self.cut[v] for v in roots if v != comp.root2)):
+            raise InvariantError("block anchor is not cuttable")
+        return self._replace(comp, [sorted(p) for p in parts], roots)
+
+    def _replace(self, comp, parts, roots):
+        """Replace ``comp`` by the blocks ``parts``, the k-th rooted at
+        ``roots[k]``, cutting above every root but its own; returns the
+        new ids in ``parts`` order."""
+        root = comp.root2
+        detached = [v for v in roots if v != root]
+        for v in detached:
+            self.cut[v] = True
+        self._update_kept_tree(root, detached, len(parts[roots.index(root)]))
+        self.stale += detached
+        origin0 = comp.origin0 if comp.id >= self.first_new else comp.id
+        del self.comps[comp.id]
+        return [self._new_component(p, v, origin0) for p, v in zip(parts, roots)]
 
     # ------------------------------------------------------------------
     # merging
@@ -460,8 +466,9 @@ class Partition:
 
         Cut above each component's lca in the second tree except for one
         component of minimum lca depth, which keeps the original root.
-        Validates that the resulting forest reproduces every component,
-        so an unrealizable (span-overlapping) family raises.
+        The structural refresh validates that the resulting forest
+        reproduces every component, so an unrealizable (span-overlapping)
+        family raises.
         """
         pair = self.pair
         t2 = pair.t2
@@ -485,12 +492,6 @@ class Partition:
         self.stale = [c.root2 for c in self.comps.values()]
         self.sweep = None
         self.refresh_annotations(None)
-        nodes2 = pair.leaf_node2
-        root_comp, treeroot = self.root_comp, self.treeroot
-        for i in range(pair.n):
-            if root_comp[treeroot[nodes2[i]]] != self.leaf_comp[i]:
-                raise InvariantError(
-                    "partition is not realizable as a forest of the second tree")
 
 
 def as_blocks(components):

@@ -36,7 +36,9 @@ ENUMERATION_CAP = 15
 ARBORESCENCE_CAP = 6
 # Leaf counts above which the path-cutting ILP (O(n^4) rows) and the
 # arc-flow LP (O(n^3) arcs) are refused up front; at the caps each
-# takes about a second to build.
+# takes about a second to build.  The arc-flow LP's pack rows hold each
+# arc once per tree node its path passes, so at 120 leaves a random
+# pair's model has 1.5M to 2.2M nonzeros.
 WU_ILP_CAP = 40
 COMPACT_LP_CAP = 120
 # Largest gap-family order built: the pair has 2^k leaves, so the
@@ -67,7 +69,8 @@ def _records(cls, *columns):
 
 @dataclass
 class LpModel:
-    """Sparse linear program: variables, rows, and a linear objective.
+    """Sparse linear program: variables, rows, and a linear objective to
+    minimize.
 
     Variables and rows given to the constructor are checked as
     :meth:`add_variables` and :meth:`add_constraint` check them.
@@ -78,7 +81,6 @@ class LpModel:
     constraints: list = field(default_factory=list)
     objective: dict = field(default_factory=dict)
     objective_constant: float = 0.0
-    sense: str = "min"
 
     def __post_init__(self):
         self._var_index = {}
@@ -469,8 +471,11 @@ def build_compact_lp(pair, graph=None):
     Variables are one flow per DAG arc plus one saturation variable per
     leaf; the flow rows force arc supports to decompose into the
     arborescences that encode compatible sets, and the packing rows cap
-    the total flow rooted at any internal tree node.  Refuses more than
-    ``COMPACT_LP_CAP`` leaves.
+    the total flow of the sets spanning any internal tree node.  A set
+    spans a node where a pair of its arborescence meets, which is
+    charged to the pair's one first-class arc, and every node strictly
+    between the meeting nodes of an arc's ends, charged to that arc.
+    Refuses more than ``COMPACT_LP_CAP`` leaves.
     """
     if graph is None:
         graph = build_compact_graph(pair)
@@ -505,8 +510,6 @@ def build_compact_lp(pair, graph=None):
     diagonal = set(graph.z_leaves)
     floweq = []
     outin = []
-    by_lca1 = defaultdict(list)
-    by_lca2 = defaultdict(list)
     for r in graph.nodes:
         if r in diagonal:
             continue
@@ -523,18 +526,30 @@ def build_compact_lp(pair, graph=None):
             for name in inward:
                 row[name] = -1.0
             outin.append(row)
-        if first:
-            a, b = r[0] - 1, r[1] - 1
-            by_lca1[graph.meet1[a][b]] += first
-            by_lca2[graph.meet2[a][b]] += first
+    # An arc's head meets strictly below its tail in both trees, so a
+    # walk up from the parent of the head's meeting node reaches the
+    # tail's.
+    packs = []
+    for tree, meet in ((pair.t1, graph.meet1), (pair.t2, graph.meet2)):
+        parent = tree.parent
+        rows = [[] for _ in range(tree.n_nodes)]
+        for arcs, names, charged in ((graph.u1, names1, True),
+                                     (graph.u2, names2, False)):
+            for ((a, b), (c, d)), name in zip(arcs, names):
+                top = meet[a - 1][b - 1]
+                v = parent[meet[c - 1][d - 1]]
+                while v != top:
+                    rows[v].append(name)
+                    v = parent[v]
+                if charged:
+                    rows[top].append(name)
+        packs += [dict.fromkeys(row, 1.0) for row in rows if row]
     model.add_constraints("floweq", floweq, "=", 0.0)
     model.add_constraints("outin", outin, ">=", 0.0)
     model.add_constraints("leafsat", [
         dict.fromkeys([xnames[i]] + into.get((i + 1, i + 1), []), 1.0)
         for i in range(n)], "=", 1.0)
-    model.add_constraints("pack", [
-        dict.fromkeys(rows[v], 1.0)
-        for rows in (by_lca1, by_lca2) for v in sorted(rows)], "<=", 1.0)
+    model.add_constraints("pack", packs, "<=", 1.0)
     return model
 
 

@@ -217,7 +217,7 @@ def find_lowest_pcs(partition):
     left, right = t1.left, t1.right
     leaf_index1 = pair.leaf_index1
     leaf_node2 = pair.leaf_node2
-    treeroot = partition.treeroot
+    comps, leaf_comp = partition.comps, partition.leaf_comp
     live2 = partition.live
     lca2 = t2.lca
 
@@ -234,10 +234,10 @@ def find_lowest_pcs(partition):
     for v in order:
         lv = left[v]
         if lv < 0:
-            x = leaf_node2[leaf_index1[v]]
-            comp[v] = treeroot[x]
+            i = leaf_index1[v]
+            comp[v] = comps[leaf_comp[i]].root2
             csize[v] = 1
-            meet[v] = x
+            meet[v] = leaf_node2[i]
             continue
         rv = right[v]
         cl = comp[lv]
@@ -275,10 +275,6 @@ def find_lowest_pcs(partition):
     return None
 
 
-def _n_colors(comp):
-    return (comp.n_red > 0) + (comp.n_blue > 0) + (comp.n_white > 0)
-
-
 def _colored_meet(partition, coloring, comp):
     """Second-tree node where the red and blue leaves of a tricolored
     block meet; raises unless the block covers it."""
@@ -303,8 +299,8 @@ def classify_case(partition, coloring):
     """
     if partition.stale:
         partition.refresh_annotations()
-    comps = partition.comps
-    multi = [comps[cid] for cid in partition.painted if _n_colors(comps[cid]) >= 2]
+    comps, mixed = partition.comps, partition.mixed
+    multi = [comps[cid] for cid in mixed]
     if len(multi) == 2:
         a, b = sorted(multi, key=lambda c: c.n_red, reverse=True)
         if not (a.n_red and a.n_white and not a.n_blue
@@ -314,7 +310,7 @@ def classify_case(partition, coloring):
     if len(multi) != 1:
         raise InvariantError("expected one or two multicolored blocks")
     a0 = multi[0]
-    if _n_colors(a0) != 3:
+    if mixed[a0.id] != 3:
         raise InvariantError("a lone multicolored block must carry all three colors")
     ua = _colored_meet(partition, coloring, a0)
     rb_bad = _rb_violation(partition) is not None
@@ -464,7 +460,7 @@ def special_split(partition, dual, coloring, cid, pairslist):
     pair = partition.pair
     col = coloring.color
     c = partition.comps[cid]
-    if _n_colors(c) != 3:
+    if partition.mixed.get(cid) != 3:
         raise InvariantError("special split needs a tricolored block")
     ua = _colored_meet(partition, coloring, c)
     leaves = c.leaves
@@ -508,11 +504,8 @@ def split(partition, dual, coloring, pairslist, top_cid=_ANY_TOP):
         partition.refresh_annotations()
     col = coloring.color
     decisions = []
-    for cid in sorted(partition.painted):
+    for cid, ncol in sorted(partition.mixed.items()):
         c = partition.comps[cid]
-        ncol = _n_colors(c)
-        if ncol <= 1:
-            continue
         if ncol == 3:
             ua = _colored_meet(partition, coloring, c)
             if partition.live[ua] < c.size:
@@ -729,9 +722,8 @@ def run(pair, record_snapshots=False, on_iteration=None):
             top_cid = tops[0]
         else:
             top_cid = None
-        tri = [cid for cid in partition.painted
-               if _n_colors(partition.comps[cid]) == 3]
-        t = sum(1 for cid in tri if cid not in tops)
+        t = sum(1 for cid, ncol in partition.mixed.items()
+                if ncol == 3 and cid not in tops)
 
         chi, pair_added, special = split(
             partition, dual, coloring, pairslist, top_cid)

@@ -188,20 +188,32 @@ class RootedBinaryTree:
         return self._min_label
 
     def to_newick(self, canonical=False):
-        """Serialize; canonical mode orders children by smallest leaf label."""
-        parts = [None] * self.n_nodes
+        """Serialize; canonical mode orders children by smallest leaf label.
+
+        A walk down from the root writes each label and bracket once into
+        one list, joined at the end, so the time is linear in the text.
+        """
         ml = self.min_labels() if canonical else None
         left, right, labels = self.left, self.right, self.labels
-        for v in range(self.n_nodes):
+        pieces = []
+        # A string on the stack is text to write, an int a node to visit.
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            if v.__class__ is str:
+                pieces.append(v)
+                continue
             l = left[v]
             if l < 0:
-                parts[v] = labels[v]
-            else:
-                r = right[v]
-                if canonical and ml[r] < ml[l]:
-                    l, r = r, l
-                parts[v] = "(%s,%s)" % (parts[l], parts[r])
-        return parts[self.root] + ";"
+                pieces.append(labels[v])
+                continue
+            r = right[v]
+            if canonical and ml[r] < ml[l]:
+                l, r = r, l
+            pieces.append("(")
+            stack += (")", r, ",", l)
+        pieces.append(";")
+        return "".join(pieces)
 
     def with_root_sibling(self, label):
         """New tree whose fresh root has a new leaf and this tree as children.
@@ -329,9 +341,9 @@ class TreePair:
 
     __slots__ = ("t1", "t2", "labels", "n", "index_of",
                  "leaf_node1", "leaf_node2", "leaf_index1", "leaf_index2",
-                 "has_rho", "_triples", "_compatible_sets")
+                 "_triples", "_compatible_sets")
 
-    def __init__(self, t1, t2, has_rho=False):
+    def __init__(self, t1, t2):
         lab1 = {t1.labels[v] for v in t1.leaf_ids}
         lab2 = {t2.labels[v] for v in t2.leaf_ids}
         if lab1 != lab2:
@@ -350,7 +362,6 @@ class TreePair:
         for i in range(self.n):
             self.leaf_index1[self.leaf_node1[i]] = i
             self.leaf_index2[self.leaf_node2[i]] = i
-        self.has_rho = has_rho
         # Per-pair tables, built on first use: incompatible_triples and
         # lp_toolkit.compatible_set_table.
         self._triples = None
@@ -393,7 +404,6 @@ def make_pair(t1, t2, add_rho=False):
     if add_rho:
         t1 = t1.with_root_sibling(RHO_LABEL)
         t2 = t2.with_root_sibling(RHO_LABEL)
-        return TreePair(t1, t2, has_rho=True)
     return TreePair(t1, t2)
 
 

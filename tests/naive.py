@@ -202,8 +202,7 @@ def full_structure(partition):
 
     treecomp = [0] * n
     acomp = [-1] * n
-    root_comp = partition.root_comp
-    size_of = partition.size_of
+    root_comp, comps = partition.root_comp, partition.comps
     for v in range(n - 1, -1, -1):
         if cut[v] or v == n - 1:
             a = root_comp[v]
@@ -216,7 +215,7 @@ def full_structure(partition):
         l = left[v]
         if l < 0:
             acomp[v] = a
-        elif lv < size_of[a]:
+        elif lv < len(comps[a].leaves):
             acomp[v] = a
         else:
             r = right[v]
@@ -252,7 +251,7 @@ def full_lowest_pcs(partition):
     leaf_node2 = pair.leaf_node2
     leaf_comp = partition.leaf_comp
     live2 = partition.live
-    sizes = partition.size_of
+    sizes = {cid: len(c.leaves) for cid, c in partition.comps.items()}
     lca2 = t2.lca
 
     comp = [-1] * n1
@@ -357,8 +356,8 @@ def full_splittable_violation(partition):
 def full_top_components(partition):
     """Blocks created this iteration whose meeting node lies below no
     other created block's meeting node, in creation order."""
-    k = partition.iteration
-    created = [c for c in partition.comps.values() if c.created_iter == k]
+    created = [c for c in partition.comps.values()
+               if c.id >= partition.first_new]
     if not created:
         return []
     pair = partition.pair
@@ -381,12 +380,11 @@ def full_top_components(partition):
 def full_find_merge_pair(partition):
     """The undoable pair of colored leaves by a full upward scan of the
     second tree and then a root-down search, or None."""
-    k = partition.iteration
     comps = partition.comps
     blocks = full_color_counts(partition)[3]
     scope = {}
     for c in comps.values():
-        if c.created_iter != k:
+        if c.id < partition.first_new:
             continue
         for color in (RED, BLUE):
             if blocks[c.id][color] == c.size:
@@ -506,7 +504,26 @@ def naive_render_lp_text(model):
 
 
 # ----------------------------------------------------------------------
-# Newick text, one character at a time, as the reader first did it
+# Newick text, one character at a time, as the reader first did it, and
+# one nested string per node, as the writer first did it
+
+
+def naive_to_newick(tree, canonical=False):
+    """Newick text of a tree, built bottom-up with each internal node's
+    text formatted from its children's, so a label is copied once per
+    ancestor."""
+    parts = [None] * tree.n_nodes
+    ml = tree.min_labels() if canonical else None
+    for v in range(tree.n_nodes):
+        l = tree.left[v]
+        if l < 0:
+            parts[v] = tree.labels[v]
+        else:
+            r = tree.right[v]
+            if canonical and ml[r] < ml[l]:
+                l, r = r, l
+            parts[v] = "(%s,%s)" % (parts[l], parts[r])
+    return parts[tree.root] + ";"
 
 
 def naive_parse_newick(text):

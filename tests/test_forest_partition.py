@@ -117,6 +117,18 @@ def test_split_rejects_overlapping_family(fig1):
         ])
 
 
+def test_canonicalize_rejects_unrealizable_family(fig1):
+    """{b1, b2, r2} and {r1, w1} have distinct meeting nodes in the
+    second tree, so every cut is placed, but the cut above the meeting
+    node of {r1, w1} takes b1 and b2 into that block's forest tree."""
+    part = Partition(fig1)
+    part.split_component(0, [[i] for i in range(fig1.n)])
+    for a, b in (("b1", "b2"), ("b1", "r2"), ("r1", "w1")):
+        part.merge_leaves(*idx(fig1, a, b))
+    with pytest.raises(InvariantError, match="partition is not realizable"):
+        part.canonicalize_cuts()
+
+
 def test_begin_iteration_stamps_origin(fig1):
     """Blocks split off in an iteration, however often their lineage is
     cut, point to the block that existed when the iteration began."""
@@ -128,10 +140,10 @@ def test_begin_iteration_stamps_origin(fig1):
         start, [idx(fig1, "b2", "w1"), idx(fig1, "r2", "w2", "w3")])
     ids += part.split_below(fig1.leaf_node2[fig1.index_of["r2"]])
     for cid in ids:
+        assert cid >= part.first_new
         if cid in part.comps:
-            assert part.comps[cid].created_iter == 3
             assert part.comps[cid].origin0 == start
-    assert part.created == ids
+    assert list(part.created) == ids
 
 
 def test_is_feasible_maf_known_cases(fig1):

@@ -133,7 +133,7 @@ def test_oracle_and_lp_golden(figs):
         for text in outputs:
             digest.update(text.encode() + b"\n")
     assert digest.hexdigest() == (
-        "a00662a0ff29effca5275805d37c40f91e2ac6be8640ebff84a06aa6c5bc2b67")
+        "5a7e18cb350ecc0ee8a89537bde27a6451e7d618c62bd3d26d3c7e51a34ed894")
 
 
 # ----------------------------------------------------------------------
@@ -434,6 +434,30 @@ def test_encode_ignores_singletons(cherry):
     point = encode_lpstar_point(cherry, g, {(0,): 0.7, (0, 1): 1.0})
     assert point == {"y_1.2__1.1": 1.0, "y_1.2__2.2": 1.0,
                      "x_L_a": 0.0, "x_L_b": 0.0}
+
+
+def test_compact_lp_optimum_equals_exponential(figs):
+    """The arc-flow program is a reformulation: under HiGHS its optimum
+    equals the exponential program's, between the solver's bound D and
+    the exact optimum, and above Wu's relaxation where that is weak."""
+    pytest.importorskip("scipy")
+    from lp_solve import solve_lp
+
+    for n in range(3, 10):
+        for name, pair in corpus(n, 25):
+            lp = solve_lp(build_compact_lp(pair))
+            assert lp == pytest.approx(solve_lp(build_exponential_lp(pair)),
+                                       abs=1e-6), name
+            res = run(pair)
+            opt = exact_maf(pair)
+            assert res.dual_objective - 1e-6 <= lp <= opt + 1e-6, name
+            assert opt <= res.value, name
+    fig9 = figs["fig9"]
+    lp9 = solve_lp(build_compact_lp(fig9.pair))
+    assert lp9 == pytest.approx(fig9.known_lp_opt)
+    assert solve_lp(build_wu_ilp(fig9.pair)) < lp9 - 1e-6
+    gap = wu_gap_instance(4)
+    assert solve_lp(build_wu_ilp(gap)) < solve_lp(build_compact_lp(gap)) - 1e-6
 
 
 # ----------------------------------------------------------------------

@@ -369,9 +369,12 @@ def full_sweep_checks():
 
     def checked_refresh(partition, *args):
         refresh(partition, *args)
-        root_comp = partition.root_comp
-        assert (partition.live, [root_comp[r] for r in partition.treeroot],
-                naive.cover_blocks(partition)) == naive.full_structure(partition)
+        live, treecomp, acomp = naive.full_structure(partition)
+        assert partition.live == live
+        assert naive.cover_blocks(partition) == acomp
+        leaf_node2 = partition.pair.leaf_node2
+        assert partition.leaf_comp == [treecomp[leaf_node2[i]]
+                                       for i in range(partition.pair.n)]
         live_r, live_b, _, blocks = naive.full_color_counts(partition)
         assert partition.live_r == live_r and partition.live_b == live_b
         assert partition.tinted == [v for v in range(len(live_r))
@@ -380,6 +383,9 @@ def full_sweep_checks():
                                      if b[0] or b[1]}
         assert {cid: [c.n_red, c.n_blue, c.n_white]
                 for cid, c in partition.comps.items()} == blocks
+        assert partition.mixed == {cid: sum(1 for x in b if x)
+                                   for cid, b in blocks.items()
+                                   if sum(1 for x in b if x) >= 2}
         calls["refresh_annotations"] += 1
 
     def checked(name, oracle):

@@ -55,6 +55,21 @@ def test_canonical_newick_is_order_insensitive():
     assert a == b == "((a,b),c);"
 
 
+def test_writer_matches_naive():
+    """Plain and canonical text of corpus trees and of 300-leaf uniform
+    and k-rSPR trees, with and without the shared root leaf."""
+    pairs = [pair for n in range(3, 13) for _, pair in corpus(n, 25)]
+    for seed in range(3):
+        for mode in ("uniform", "k_rspr"):
+            pair = random_pair(300, seed, mode=mode, k=20)
+            pairs += [pair, make_pair(pair.t1, pair.t2, add_rho=True)]
+    for pair in pairs:
+        for tree in (pair.t1, pair.t2):
+            for canonical in (False, True):
+                assert tree.to_newick(canonical) == \
+                    naive.naive_to_newick(tree, canonical)
+
+
 BAD_NEWICK = {
     "": "empty input",
     ";": "expected a single root",
