@@ -9,28 +9,39 @@ unioning component leaf sets and then re-deriving a canonical cut set
 that realizes them (cut above each component's lca in the second tree,
 except for one shallowest component that keeps the original root).
 
+Every leaf maps to the root of its forest tree (``leaf_root``) and
+``root_comp`` names the block of each root, so a split writes
+``leaf_root`` only for the leaves it detaches: the part that keeps the
+root keeps its entries, gets its new id through ``root_comp`` and
+inherits the block's sorted leaf list, from which the detached leaves
+are deleted by bisection.
+
 Annotations come from two passes over the second tree.  The structural
 pass gives, per node, the number of live leaves below it inside its
 forest tree and the root of the forest tree covering the node, where
 "covering" means the node lies on a path between two leaves of that
-tree's block inside the forest.  Coverage holds roots, not block ids:
-the part of a split block that keeps the root keeps every entry, and
-``root_comp`` names the block.  A split updates the kept tree in place
-along the cut paths and along the chain from its root down to its new
-meeting node, the only nodes whose live count or coverage can change
-there; the detached trees are stale, and the structural pass walks only
-stale trees, so it costs the size of the new trees, not n.  It also
-checks that every leaf it meets belongs to its tree's block.  The color
-pass runs on every refresh but visits only the tinted nodes, the
+tree's block inside the forest.  Coverage holds roots, not block ids,
+for the same reason.  A split updates the kept tree in place along the
+cut paths and along the chain from its root down to its new meeting
+node, the only nodes whose live count or coverage can change there; the
+detached trees are stale, and the structural pass walks only stale
+trees, so it costs the size of the new trees, not n.  It also checks
+that every leaf it meets maps to its tree's root.  The color pass runs
+when a coloring is installed and visits only the tinted nodes, the
 forest-tree ancestors of the red and blue leaves, found by walking up
 from each colored leaf until a cut edge or an already tinted node: per
 tinted node it counts the red and blue live leaves below it, and per
 painted block (one holding a red or blue leaf) its red and blue leaves
-and its number of colors.  Every other node has no red or blue leaf
-below it, and white counts are live counts minus red and blue.
+and its number of colors.  Splits keep those counts current: each cut
+takes its subtree's red and blue counts off the nodes above it, up to
+the first cut node.  Every other node has no red or blue leaf below it,
+and white counts are live counts minus red and blue.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from itertools import chain
 
 from .tree_model import InvariantError, set_compatible, spanned_nodes
 
@@ -43,30 +54,52 @@ class Component:
     ``root2`` is the root node of the component's tree in the cut
     forest, and ``origin0`` points to the ancestor block that existed
     when the iteration that created this one started (it is read only
-    while that iteration runs).  Red and blue counts are filled by
-    annotation refreshes (all white without a coloring).
+    while that iteration runs).  ``leaves`` is sorted and ``size`` is
+    its length: a block's leaves never change, a split hands its list on
+    to the new block that keeps its root.  Red and blue counts follow
+    the installed coloring (all white without one).
     """
 
-    __slots__ = ("id", "leaves", "root2", "origin0", "n_red", "n_blue")
+    __slots__ = ("id", "leaves", "size", "root2", "origin0", "n_red",
+                 "n_blue")
 
     def __init__(self, cid, leaves, root2, origin0):
         self.id = cid
         self.leaves = leaves
+        self.size = len(leaves)
         self.root2 = root2
         self.origin0 = origin0
         self.n_red = 0
         self.n_blue = 0
 
     @property
-    def size(self):
-        return len(self.leaves)
-
-    @property
     def n_white(self):
-        return len(self.leaves) - self.n_red - self.n_blue
+        return self.size - self.n_red - self.n_blue
 
     def __repr__(self):
         return "Component(%d, %r)" % (self.id, self.leaves)
+
+
+def _drop_sorted(leaves, drop):
+    """Delete the sorted list ``drop`` from the sorted list ``leaves``,
+    which holds all of it, in place, finding each element by bisection.
+
+    A deletion moves the tail of the list in one block copy, and a
+    rebuild copies every element with its reference count, so a few
+    deletions cost less than a rebuild (by about 100 times for one leaf
+    of 100k) and many deletions more (6 times at 5,000).
+    """
+    if len(drop) < 128:
+        for x in reversed(drop):
+            del leaves[bisect_left(leaves, x)]
+        return
+    kept, i = [], 0
+    for x in drop:
+        j = bisect_left(leaves, x, i)
+        kept += leaves[i:j]
+        i = j + 1
+    kept += leaves[i:]
+    leaves[:] = kept
 
 
 class Partition:
@@ -75,8 +108,8 @@ class Partition:
     Component ids are never reused, so an id doubles as a generation
     stamp: the blocks created in the current iteration are those with
     ids from ``first_new`` on (the initial block counts as created in
-    iteration 0).  A block's size is the length of its leaf list, and a
-    leaf's forest tree is rooted at its block's ``root2``.  A split
+    iteration 0).  A block's leaves are its forest tree's leaves, and
+    ``root_comp[leaf_root[i]]`` is the block of leaf ``i``.  A split
     updates the tree that keeps the block's root in place and records
     the roots of the trees it detaches in ``stale``; readers refresh on
     demand when it is nonempty, and the refresh rewrites the annotation
@@ -86,7 +119,7 @@ class Partition:
     re-derive the roots.
     """
 
-    __slots__ = ("pair", "comps", "leaf_comp", "cut", "root_comp",
+    __slots__ = ("pair", "comps", "leaf_root", "cut", "root_comp",
                  "next_id", "first_new", "stale", "coloring", "live",
                  "live_r", "live_b", "tinted", "painted", "mixed", "cover",
                  "sweep")
@@ -96,7 +129,7 @@ class Partition:
         root = pair.t2.root
         comp = Component(0, list(range(pair.n)), root, 0)
         self.comps = {0: comp}
-        self.leaf_comp = [0] * pair.n
+        self.leaf_root = [root] * pair.n
         self.cut = [False] * pair.t2.n_nodes
         self.root_comp = {root: 0}
         self.next_id = 1
@@ -117,7 +150,7 @@ class Partition:
         return len(self.comps)
 
     def component_of_leaf(self, i):
-        return self.comps[self.leaf_comp[i]]
+        return self.comps[self.root_comp[self.leaf_root[i]]]
 
     def covering(self, v):
         """Id of the block covering node ``v`` of the second tree, or -1."""
@@ -171,53 +204,59 @@ class Partition:
     # annotations
 
     def refresh_annotations(self, coloring=_KEEP):
-        """Install ``coloring`` (default: keep the current one) and bring
-        the annotations up to date.
+        """Bring the structural annotations up to date, and when
+        ``coloring`` is given, install it and count its colors.
 
         The structural pass runs only when the forest changed since the
-        last refresh; the color pass always runs.
+        last refresh.  The color counts need no refresh otherwise: every
+        split carries them through its cuts.
         """
-        if coloring is not _KEEP:
-            self.coloring = coloring
         if self.stale:
             self._refresh_structure()
-        self._refresh_colors()
+        if coloring is not _KEEP:
+            self.coloring = coloring
+            self._refresh_colors()
+
+    def _forest_nodes(self, top):
+        """Nodes of the forest tree below ``top``, in descending id order.
+
+        Post-order ids make the subtree of ``top`` the id range
+        ``[subtree_min[top], top]``, so a walk down the range that jumps
+        past each cut subtree collects them.
+        """
+        cut, smin = self.cut, self.pair.t2.subtree_min
+        nodes = [top]
+        v, lo = top - 1, smin[top]
+        while v >= lo:
+            if cut[v]:
+                v = smin[v] - 1
+            else:
+                nodes.append(v)
+                v -= 1
+        return nodes
 
     def _refresh_structure(self):
         """Recompute live counts and coverage on the stale forest trees.
 
-        Post-order ids make the tree rooted at ``r`` the id range
-        ``[subtree_min[r], r]`` minus the subtrees of its cut nodes, so
-        a walk down from ``r`` that jumps past each cut subtree collects
-        it.  One ascending pass over those nodes then fills the live
-        counts and decides coverage from the live counts of the two
-        children against the size of the tree's block.  Every leaf met
-        must belong to that block, or the cuts do not realize the
-        partition.
+        One ascending pass over each tree's nodes fills the live counts
+        and decides coverage from the live counts of the two children
+        against the size of the tree's block.  Every leaf met must map
+        to the tree's root, or the cuts do not realize the partition.
         """
         stale = set(self.stale)
         if -1 in stale:
             raise InvariantError(
                 "annotations read after merge_leaves: canonicalize_cuts is pending")
         t2 = self.pair.t2
-        left, right, smin = t2.left, t2.right, t2.subtree_min
-        leaf_index2, leaf_comp = self.pair.leaf_index2, self.leaf_comp
+        left, right = t2.left, t2.right
+        leaf_index2, leaf_root = self.pair.leaf_index2, self.leaf_root
         cut, live, cover = self.cut, self.live, self.cover
         for root in stale:
-            nodes = [root]
-            v, lo = root - 1, smin[root]
-            while v >= lo:
-                if cut[v]:
-                    v = smin[v] - 1
-                else:
-                    nodes.append(v)
-                    v -= 1
-            cid = self.root_comp[root]
-            size = len(self.comps[cid].leaves)
-            for v in reversed(nodes):
+            size = self.comps[self.root_comp[root]].size
+            for v in reversed(self._forest_nodes(root)):
                 l = left[v]
                 if l < 0:
-                    if leaf_comp[leaf_index2[v]] != cid:
+                    if leaf_root[leaf_index2[v]] != root:
                         raise InvariantError(
                             "partition is not realizable as a forest of the "
                             "second tree")
@@ -235,54 +274,25 @@ class Partition:
                     cover[v] = -1
         self.stale = []
 
-    def _update_kept_tree(self, root, anchors, size):
-        """Update the tree rooted at ``root`` in place after the edges
-        above ``anchors`` were cut, leaving its block ``size`` leaves.
-
-        Anchors can nest; only the outermost ones count, each taking its
-        old live count, which includes the nested ones, off its
-        ancestors up to ``root``.  Coverage then changes only on those
-        paths, and on the chain from ``root`` down to the block's new
-        meeting node: a node there holds every leaf of the block, so it
-        is covered only if both its children hold some.
-        """
-        t2 = self.pair.t2
-        left, right, parent, smin = t2.left, t2.right, t2.parent, t2.subtree_min
-        cut, live, cover = self.cut, self.live, self.cover
-        path = []
-        for a in anchors:
-            if any(smin[b] <= a < b for b in anchors):
-                continue
-            d = live[a]
-            v = a
-            while v != root:
-                v = parent[v]
-                live[v] -= d
-                path.append(v)
-        for v in path:
-            l, r = left[v], right[v]
-            ll = 0 if cut[l] else live[l]
-            rr = 0 if cut[r] else live[r]
-            lv = ll + rr
-            cover[v] = root if lv and (lv < size or (ll and rr)) else -1
-        for v in self.meeting_path(root, size)[:-1]:
-            cover[v] = -1
-
-    def meeting_path(self, root, size):
-        """Nodes from ``root`` down to the meeting node of the block of
-        ``size`` leaves whose forest tree it roots: the nodes holding
-        every leaf of that block, each above the last with one live child.
+    def meeting_path(self, root, size, below=None):
+        """Nodes from ``root`` down to the meeting node of ``size``
+        leaves of the forest tree it roots, each above the last with one
+        child holding all of them.  ``below(v)`` counts those leaves in
+        the subtree of ``v``; by default they are the whole block, and
+        the live counts count them.
         """
         t2 = self.pair.t2
         left, right = t2.left, t2.right
-        cut, live = self.cut, self.live
+        cut = self.cut
+        if below is None:
+            below = self.live.__getitem__
         v = root
         path = [v]
         while left[v] >= 0:
             l, r = left[v], right[v]
-            if not cut[l] and live[l] == size:
+            if not cut[l] and below(l) == size:
                 v = l
-            elif not cut[r] and live[r] == size:
+            elif not cut[r] and below(r) == size:
                 v = r
             else:
                 break
@@ -290,8 +300,9 @@ class Partition:
         return path
 
     def _refresh_colors(self):
-        """Recount red and blue leaves on the tinted nodes and painted
-        blocks, and classify the painted blocks by color count.
+        """Count the installed coloring's red and blue leaves on the
+        tinted nodes and painted blocks, and classify the painted blocks
+        by color count.
 
         The previous coloring's entries are zeroed first, so every node
         and block outside the new tinted and painted sets reads zero.
@@ -310,16 +321,6 @@ class Partition:
         left, right, parent, root = t2.left, t2.right, t2.parent, t2.root
         cut = self.cut
         leaf_node2 = pair.leaf_node2
-        leaf_comp = self.leaf_comp
-        painted = set()
-        for i in coloring.red:
-            c = comps[leaf_comp[i]]
-            c.n_red += 1
-            painted.add(c.id)
-        for i in coloring.blue:
-            c = comps[leaf_comp[i]]
-            c.n_blue += 1
-            painted.add(c.id)
         seen = set()
         for leaves, counts in ((coloring.red, live_r), (coloring.blue, live_b)):
             for v in map(leaf_node2.__getitem__, leaves):
@@ -343,26 +344,24 @@ class Partition:
                 tb += live_b[r]
             live_r[v] = tr
             live_b[v] = tb
-        mixed = self.mixed
-        for cid in painted:
-            c = comps[cid]
-            k = (c.n_red > 0) + (c.n_blue > 0) + (c.n_red + c.n_blue < len(c.leaves))
-            if k > 1:
-                mixed[cid] = k
         self.tinted = tinted
-        self.painted = painted
+        root_comp, leaf_root = self.root_comp, self.leaf_root
+        for r in {leaf_root[i] for i in chain(coloring.red, coloring.blue)}:
+            self._paint(comps[root_comp[r]])
+
+    def _paint(self, c):
+        """Record block ``c``, which holds a red or blue leaf, as painted,
+        with the red and blue counts of its root, and as mixed when it
+        carries two or three colors."""
+        r = c.n_red = self.live_r[c.root2]
+        b = c.n_blue = self.live_b[c.root2]
+        self.painted.add(c.id)
+        k = (r > 0) + (b > 0) + (r + b < c.size)
+        if k > 1:
+            self.mixed[c.id] = k
 
     # ------------------------------------------------------------------
     # refinement
-
-    def _new_component(self, leaves, root2, origin0):
-        cid = self.next_id
-        self.next_id += 1
-        self.comps[cid] = Component(cid, leaves, root2, origin0)
-        self.root_comp[root2] = cid
-        for x in leaves:
-            self.leaf_comp[x] = cid
-        return cid
 
     def split_below(self, node2):
         """Delete the edge above ``node2``, splitting the covering component.
@@ -371,95 +370,214 @@ class Partition:
         leaves inside the subtree of ``node2`` and the complementary
         block; both are new components.  Returns their ids (below,
         above).  Raises when ``node2`` is not covered or the upper block
-        would be empty.
+        would be empty.  The lower block's leaves come from a walk of its
+        forest tree; the upper block keeps the root.
         """
         if self.stale:
-            self.refresh_annotations(_KEEP)
+            self.refresh_annotations()
         a = self.covering(node2)
         if a < 0:
             raise InvariantError("refinement point is not covered by any component")
         comp = self.comps[a]
         lv = self.live[node2]
-        if lv >= len(comp.leaves):
+        if lv >= comp.size:
             raise InvariantError("refinement would leave an empty upper block")
-        t2 = self.pair.t2
-        lo = t2.subtree_min[node2]
-        nodes2 = self.pair.leaf_node2
-        below = [x for x in comp.leaves if lo <= nodes2[x] <= node2]
-        above = [x for x in comp.leaves if not (lo <= nodes2[x] <= node2)]
+        left, leaf_index2 = self.pair.t2.left, self.pair.leaf_index2
+        below = sorted(leaf_index2[v] for v in self._forest_nodes(node2)
+                       if left[v] < 0)
         if len(below) != lv:
             raise InvariantError("live count disagrees with collected leaves")
-        return self._replace(comp, [below, above], [node2, comp.root2])
+        return self._replace(comp, [below], [node2, comp.root2])
 
-    def split_component(self, comp_id, parts):
+    def split_component(self, comp_id, parts, rest=False):
         """Replace one component by the given blocks, cutting canonically.
 
-        ``parts`` is a list of disjoint nonempty leaf-index lists whose
-        union is the component.  The block whose lca in the second tree
-        is shallowest keeps the component's tree root; every other block
-        is detached by deleting the edge above its own lca.  Valid only
-        when the blocks' spans are pairwise disjoint in the second tree;
-        under that condition each detached subtree, after the deeper
-        cuts, holds exactly its block.  New ids follow ``parts`` order.
-        When the component's own tree is stale, the pending structural
-        refresh runs first; the color pass stays pending.
+        ``parts`` is a list of disjoint nonempty leaf-index lists inside
+        the component.  Their union is the component, or with ``rest``
+        it leaves a nonempty rest of the component's leaves, which forms
+        one more block, the last.  The block whose lca in the second
+        tree is shallowest keeps the component's tree root; every other
+        block is detached by deleting the edge above its own lca.  Valid
+        only when the blocks' spans are pairwise disjoint in the second
+        tree; under that condition each detached subtree, after the
+        deeper cuts, holds exactly its block.  New ids follow ``parts``
+        order.  The last block's lca comes from a walk down from the
+        root that counts the other blocks' leaves by bisection, so the
+        call costs the leaves of ``parts`` and of the detached blocks.
         """
         comp = self.comps[comp_id]
-        if len(parts) < 2:
+        root = comp.root2
+        if root in self.stale:
+            self._refresh_structure()
+        if len(parts) + rest < 2:
             raise InvariantError("split needs at least two blocks")
-        total = 0
         seen = set()
         for p in parts:
             if not p:
                 raise InvariantError("empty block in split")
-            total += len(p)
             seen.update(p)
-        if total != len(comp.leaves) or seen != set(comp.leaves):
+        total = sum(map(len, parts))
+        leaf_root = self.leaf_root
+        if (len(seen) != total or set(map(leaf_root.__getitem__, seen)) != {root}
+                or (total >= comp.size if rest else total != comp.size)):
             raise InvariantError("split blocks do not partition the component")
 
-        if comp.root2 in self.stale:
-            self._refresh_structure()
         pair = self.pair
-        depth = pair.t2.depth
+        t2 = pair.t2
+        depth, smin = t2.depth, t2.subtree_min
         roots = [pair.lca_of_leaves(2, p) for p in parts]
-        keep = min(range(len(parts)), key=lambda k: (depth[roots[k]], roots[k]))
-        roots[keep] = comp.root2
+        if rest:
+            nodes = sorted(map(pair.leaf_node2.__getitem__, seen))
+            live = self.live
+
+            def rest_below(v):
+                return live[v] - bisect_right(nodes, v) + bisect_left(nodes, smin[v])
+
+            roots.append(
+                self.meeting_path(root, comp.size - total, rest_below)[-1])
+        keep = min(range(len(roots)), key=lambda k: (depth[roots[k]], roots[k]))
+        roots[keep] = root
         if (len(set(roots)) < len(roots)
-                or any(self.cut[v] for v in roots if v != comp.root2)):
+                or any(self.cut[v] for v in roots if v != root)):
             raise InvariantError("block anchor is not cuttable")
         return self._replace(comp, [sorted(p) for p in parts], roots)
 
     def _replace(self, comp, parts, roots):
-        """Replace ``comp`` by the blocks ``parts``, the k-th rooted at
-        ``roots[k]``, cutting above every root but its own; returns the
-        new ids in ``parts`` order."""
+        """Replace ``comp`` by blocks rooted at ``roots``, cutting above
+        every root but its own; returns the new ids in that order.
+
+        ``parts`` holds the blocks' sorted leaf lists, or all but the
+        last, which is then the rest of ``comp``'s leaves.  Only
+        detached leaves get a new ``leaf_root``.  The block that keeps
+        the root keeps ``comp``'s leaf list object, which loses the
+        other blocks' leaves.  A detached rest is read off that list,
+        which costs the kept block's leaves too, but the caller listed
+        those.
+        """
         root = comp.root2
-        detached = [v for v in roots if v != root]
-        for v in detached:
-            self.cut[v] = True
-        self._update_kept_tree(root, detached, len(parts[roots.index(root)]))
-        self.stale += detached
+        keep = roots.index(root)
+        sizes = [len(p) for p in parts]
+        if len(parts) < len(roots):
+            sizes.append(comp.size - sum(sizes))
+        anchors = [v for v in roots if v != root]
+        self._cut(root, anchors, sizes[keep])
+        leaf_root = self.leaf_root
+        blocks = []
+        for k, v in enumerate(roots):
+            if k == keep:
+                p = comp.leaves
+            elif k < len(parts):
+                p = parts[k]
+            else:
+                given = set(chain.from_iterable(parts))
+                p = [x for x in comp.leaves if x not in given]
+            if k != keep:
+                for x in p:
+                    leaf_root[x] = v
+            blocks.append(p)
+        if keep < len(parts):
+            comp.leaves[:] = parts[keep]
+        else:
+            _drop_sorted(comp.leaves, sorted(chain.from_iterable(parts)))
+
         origin0 = comp.origin0 if comp.id >= self.first_new else comp.id
-        del self.comps[comp.id]
-        return [self._new_component(p, v, origin0) for p, v in zip(parts, roots)]
+        comps, root_comp = self.comps, self.root_comp
+        live_r, live_b = self.live_r, self.live_b
+        del comps[comp.id]
+        self.painted.discard(comp.id)
+        self.mixed.pop(comp.id, None)
+        ids = range(self.next_id, self.next_id + len(roots))
+        self.next_id = ids.stop
+        for cid, p, v in zip(ids, blocks, roots):
+            c = comps[cid] = Component(cid, p, v, origin0)
+            root_comp[v] = cid
+            if live_r[v] or live_b[v]:
+                self._paint(c)
+        self.stale += anchors
+        return list(ids)
+
+    def _cut(self, root, anchors, size):
+        """Cut the edges above ``anchors``, nodes of the forest tree
+        rooted at ``root``, which keeps ``size`` leaves.
+
+        Each anchor's live, red and blue counts, read before any update,
+        come off the nodes above it up to the first cut node: the root,
+        or an anchor it nests in, whose count then excludes it.  Tinted
+        nodes left without red and blue leaves leave ``tinted``.  In the
+        kept tree, coverage changes only on the paths that reach the
+        root, and on the chain from the root down to the block's new
+        meeting node: a node there holds every leaf of the block, so it
+        is covered only if both its children hold some.  The detached
+        trees are left to the structural refresh.
+        """
+        t2 = self.pair.t2
+        left, right, parent = t2.left, t2.right, t2.parent
+        cut, live, cover = self.cut, self.live, self.cover
+        live_r, live_b = self.live_r, self.live_b
+        counts = [(live[a], live_r[a], live_b[a]) for a in anchors]
+        for a in anchors:
+            cut[a] = True
+        path, emptied = [], []
+        for a, (d, dr, db) in zip(anchors, counts):
+            start = len(path)
+            v = parent[a]
+            while True:
+                live[v] -= d
+                if dr or db:
+                    live_r[v] -= dr
+                    live_b[v] -= db
+                    if not (live_r[v] or live_b[v]):
+                        emptied.append(v)
+                path.append(v)
+                if v == root or cut[v]:
+                    break
+                v = parent[v]
+            if v != root:
+                del path[start:]
+        for v in path:
+            l, r = left[v], right[v]
+            ll = 0 if cut[l] else live[l]
+            rr = 0 if cut[r] else live[r]
+            lv = ll + rr
+            cover[v] = root if lv and (lv < size or (ll and rr)) else -1
+        for v in self.meeting_path(root, size)[:-1]:
+            cover[v] = -1
+        tinted = self.tinted
+        for v in emptied:
+            del tinted[bisect_left(tinted, v)]
 
     # ------------------------------------------------------------------
     # merging
 
     def merge_leaves(self, x1, x2):
-        """Union the two components containing the given leaves."""
-        a = self.comps[self.leaf_comp[x1]]
-        b = self.comps[self.leaf_comp[x2]]
+        """Union the two components containing the given leaves.
+
+        The merged block has no forest tree (``root2`` is -1) until
+        ``canonicalize_cuts``; the smaller block's leaves are mapped to
+        the larger one's old root, which names the merged block until
+        then.
+        """
+        a = self.component_of_leaf(x1)
+        b = self.component_of_leaf(x2)
         if a.id == b.id:
             raise InvariantError("merge pair already shares a component")
+        if a.size < b.size:
+            a, b = b, a
+        leaf_root = self.leaf_root
+        key = leaf_root[a.leaves[0]]
+        for x in b.leaves:
+            leaf_root[x] = key
         merged = sorted(a.leaves + b.leaves)
         del self.comps[a.id]
         del self.comps[b.id]
-        # the merged block has no forest tree until canonicalize_cuts,
-        # so a refresh before then raises
+        # a refresh before canonicalize_cuts raises
         self.stale.append(-1)
         self.sweep = None
-        return self._new_component(merged, -1, -1)
+        cid = self.next_id
+        self.next_id += 1
+        self.comps[cid] = Component(cid, merged, -1, -1)
+        self.root_comp[key] = cid
+        return cid
 
     def canonicalize_cuts(self):
         """Re-derive the deleted-edge set from the component leaf sets.
@@ -478,6 +596,7 @@ class Partition:
         keep = min(self.comps, key=lambda cid: (depth[anchors[cid]], anchors[cid], cid))
         self.cut = [False] * t2.n_nodes
         self.root_comp = {}
+        leaf_root = self.leaf_root
         for cid, c in self.comps.items():
             if cid == keep:
                 c.root2 = t2.root
@@ -488,6 +607,8 @@ class Partition:
                 self.cut[v] = True
                 c.root2 = v
                 self.root_comp[v] = cid
+            for x in c.leaves:
+                leaf_root[x] = c.root2
         self.root_comp[t2.root] = keep
         self.stale = [c.root2 for c in self.comps.values()]
         self.sweep = None

@@ -149,7 +149,7 @@ class _Sweep:
         self.by_meet = {}
         self.rsize = rsize = [0] * pair.t2.n_nodes
         for c in partition.comps.values():
-            rsize[c.root2] = len(c.leaves)
+            rsize[c.root2] = c.size
         self.stop = n1
         self.next_id = partition.next_id
 
@@ -179,7 +179,7 @@ def _resume(partition, sweep):
         c = comps.get(cid)
         if c is None:
             continue
-        r, size = c.root2, len(c.leaves)
+        r, size = c.root2, c.size
         if not rsize[r]:
             seeds.extend(map(leaf_node1.__getitem__, c.leaves))
         elif rsize[r] != size:
@@ -217,7 +217,7 @@ def find_lowest_pcs(partition):
     left, right = t1.left, t1.right
     leaf_index1 = pair.leaf_index1
     leaf_node2 = pair.leaf_node2
-    comps, leaf_comp = partition.comps, partition.leaf_comp
+    leaf_root = partition.leaf_root
     live2 = partition.live
     lca2 = t2.lca
 
@@ -235,7 +235,7 @@ def find_lowest_pcs(partition):
         lv = left[v]
         if lv < 0:
             i = leaf_index1[v]
-            comp[v] = comps[leaf_comp[i]].root2
+            comp[v] = leaf_root[i]
             csize[v] = 1
             meet[v] = leaf_node2[i]
             continue
@@ -275,12 +275,13 @@ def find_lowest_pcs(partition):
     return None
 
 
-def _colored_meet(partition, coloring, comp):
+def _colored_meet(partition, comp):
     """Second-tree node where the red and blue leaves of a tricolored
-    block meet; raises unless the block covers it."""
-    col = coloring.color
-    ua = partition.pair.lca_of_leaves(
-        2, [i for i in comp.leaves if col[i] != WHITE])
+    block meet, found by a walk down from the block's root on the red
+    and blue counts; raises unless the block covers it."""
+    live_r, live_b = partition.live_r, partition.live_b
+    ua = partition.meeting_path(comp.root2, comp.n_red + comp.n_blue,
+                                lambda v: live_r[v] + live_b[v])[-1]
     if partition.covering(ua) != comp.id:
         raise InvariantError("colored meeting node is not covered by its block")
     return ua
@@ -312,7 +313,7 @@ def classify_case(partition, coloring):
     a0 = multi[0]
     if mixed[a0.id] != 3:
         raise InvariantError("a lone multicolored block must carry all three colors")
-    ua = _colored_meet(partition, coloring, a0)
+    ua = _colored_meet(partition, a0)
     rb_bad = _rb_violation(partition) is not None
     outside = partition.live[ua] < a0.size
     if rb_bad:
@@ -417,16 +418,19 @@ def _top_components(partition):
 
     A created block is top when its meeting node in the second tree is
     not a strict descendant of another created block's meeting node.
-    Subtrees are the id ranges ``[subtree_min[a], a]``, which nest or
-    are disjoint, so in pre-order (ascending ``subtree_min``, ancestors
+    Meeting nodes come from walks down from the blocks' roots.  Subtrees
+    are the id ranges ``[subtree_min[a], a]``, which nest or are
+    disjoint, so in pre-order (ascending ``subtree_min``, ancestors
     first) a meeting node lies below an earlier one exactly when it is
     at most the largest earlier meeting node.
     """
+    if partition.stale:
+        partition.refresh_annotations()
     comps = partition.comps
     created = [cid for cid in partition.created if cid in comps]
-    pair = partition.pair
-    smin = pair.t2.subtree_min
-    anchors = {cid: pair.lca_of_leaves(2, comps[cid].leaves) for cid in created}
+    smin = partition.pair.t2.subtree_min
+    anchors = {cid: partition.meeting_path(comps[cid].root2, comps[cid].size)[-1]
+               for cid in created}
     below = set()
     hi = prev = -1
     for cid in sorted(created, key=lambda cid: (smin[anchors[cid]], -anchors[cid])):
@@ -444,6 +448,19 @@ def _top_components(partition):
 _ANY_TOP = object()
 
 
+def _color_classes(partition, coloring):
+    """Red and blue leaves of every multicolored block, sorted, keyed by
+    block id: one pass over the colored leaves."""
+    classes = {cid: ([], []) for cid in partition.mixed}
+    root_comp, leaf_root = partition.root_comp, partition.leaf_root
+    for k, leaves in enumerate((coloring.red, coloring.blue)):
+        for i in leaves:
+            cls = classes.get(root_comp[leaf_root[i]])
+            if cls is not None:
+                cls[k].append(i)
+    return classes
+
+
 def special_split(partition, dual, coloring, cid, pairslist):
     """Replace one tricolored block by the two-branch special rule.
 
@@ -456,35 +473,29 @@ def special_split(partition, dual, coloring, cid, pairslist):
     (chi, pair_added, node, branch).
     """
     if partition.stale:
-        partition.refresh_annotations(coloring)
+        partition.refresh_annotations()
     pair = partition.pair
-    col = coloring.color
     c = partition.comps[cid]
     if partition.mixed.get(cid) != 3:
         raise InvariantError("special split needs a tricolored block")
-    ua = _colored_meet(partition, coloring, c)
-    leaves = c.leaves
+    ua = _colored_meet(partition, c)
+    reds, blues = _color_classes(partition, coloring)[cid]
     if partition.live[ua] == partition.live_r[ua] + partition.live_b[ua]:
-        reds = [i for i in leaves if col[i] == RED]
-        rest = [i for i in leaves if col[i] != RED]
-        partition.split_component(cid, [reds, rest])
-        pairslist.append(
-            (min(reds), min(i for i in rest if col[i] == BLUE)))
+        partition.split_component(cid, [reds], rest=True)
+        pairslist.append((reds[0], blues[0]))
         return 0, True, ua, 1
     t2 = pair.t2
     nodes2 = pair.leaf_node2
     dual.star(2, ua)
     lo = t2.subtree_min[ua]
-    inside = [i for i in leaves if lo <= nodes2[i] <= ua]
-    outside = [i for i in leaves if not lo <= nodes2[i] <= ua]
-    parts = [outside]
-    parts.extend(
-        [i for i in inside if col[i] == k] for k in (RED, BLUE, WHITE))
-    if not all(parts):
+    outside = [i for i in c.leaves if not lo <= nodes2[i] <= ua]
+    if not outside:
         raise InvariantError("four-way special split needs four blocks")
+    col = coloring.color
     if any(col[i] != WHITE for i in outside):
         raise InvariantError("leaves outside the meeting node must be white")
-    partition.split_component(cid, parts)
+    # the white leaves below the meeting node are the rest
+    partition.split_component(cid, [outside, reds, blues], rest=True)
     return 1, False, ua, 2
 
 
@@ -498,29 +509,30 @@ def split(partition, dual, coloring, pairslist, top_cid=_ANY_TOP):
     passes the top block of the iteration here (or None when no special
     split is legal).  Returns (chi, pair_added, special) where chi
     flags the four-way split and special carries (block id, node,
-    branch).
+    branch).  The red and blue classes come from the coloring; the
+    white class is each block's rest.
     """
     if partition.stale:
         partition.refresh_annotations()
-    col = coloring.color
+    comps = partition.comps
     decisions = []
     for cid, ncol in sorted(partition.mixed.items()):
-        c = partition.comps[cid]
+        c = comps[cid]
         if ncol == 3:
-            ua = _colored_meet(partition, coloring, c)
+            ua = _colored_meet(partition, c)
             if partition.live[ua] < c.size:
                 decisions.append((cid, True))
                 continue
         decisions.append((cid, False))
+    classes = _color_classes(partition, coloring)
 
     chi = 0
     pair_added = False
     special = None
     for cid, needs_special in decisions:
         if not needs_special:
-            leaves = partition.comps[cid].leaves
-            parts = [[i for i in leaves if col[i] == k] for k in (RED, BLUE, WHITE)]
-            partition.split_component(cid, [p for p in parts if p])
+            parts = [p for p in classes[cid] if p]
+            partition.split_component(cid, parts, rest=comps[cid].n_white > 0)
             continue
         if top_cid is not _ANY_TOP and cid != top_cid:
             raise InvariantError("special split outside the top block")

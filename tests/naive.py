@@ -226,6 +226,15 @@ def full_structure(partition):
     return live, treecomp, acomp
 
 
+def leaf_blocks(partition):
+    """The block id of every leaf, read off the blocks' leaf lists."""
+    out = [-1] * partition.pair.n
+    for cid, c in partition.comps.items():
+        for x in c.leaves:
+            out[x] = cid
+    return out
+
+
 def cover_blocks(partition):
     """The block covering each node of the second tree (-1 when none),
     read through the partition's root-keyed ``cover`` array."""
@@ -249,7 +258,7 @@ def full_lowest_pcs(partition):
     left, right = t1.left, t1.right
     leaf_index1 = pair.leaf_index1
     leaf_node2 = pair.leaf_node2
-    leaf_comp = partition.leaf_comp
+    leaf_comp = leaf_blocks(partition)
     live2 = partition.live
     sizes = {cid: len(c.leaves) for cid, c in partition.comps.items()}
     lca2 = t2.lca
@@ -314,7 +323,7 @@ def full_color_counts(partition):
         for live in counts:
             live[v] = sum(live[ch] for ch in (left[v], right[v]) if not cut[ch])
     blocks = {cid: [0, 0, 0] for cid in partition.comps}
-    for i, cid in enumerate(partition.leaf_comp):
+    for i, cid in enumerate(leaf_blocks(partition)):
         blocks[cid][col[i]] += 1
     return counts[RED], counts[BLUE], counts[WHITE], blocks
 

@@ -135,7 +135,7 @@ def test_begin_iteration_stamps_origin(fig1):
     part = Partition(fig1)
     part.split_below(2)
     part.begin_iteration(3)
-    start = part.leaf_comp[fig1.index_of["b2"]]
+    start = part.component_of_leaf(fig1.index_of["b2"]).id
     ids = part.split_component(
         start, [idx(fig1, "b2", "w1"), idx(fig1, "r2", "w2", "w3")])
     ids += part.split_below(fig1.leaf_node2[fig1.index_of["r2"]])

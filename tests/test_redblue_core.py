@@ -296,6 +296,10 @@ def test_k_feasible_after_every_iteration():
         run(pair, on_iteration=check)
 
 
+def same_block(partition, x, y):
+    return partition.component_of_leaf(x) is partition.component_of_leaf(y)
+
+
 def test_colored_leaves_stay_together():
     """Once two colored leaves share a block at an iteration end, they
     share a block in every later snapshot and in the final forest."""
@@ -308,14 +312,14 @@ def test_colored_leaves_stay_together():
                        for v in t1.leaves_below(record.pcs_node)]
             for i, x in enumerate(colored):
                 for y in colored[i + 1:]:
-                    if partition.leaf_comp[x] == partition.leaf_comp[y]:
+                    if same_block(partition, x, y):
                         stuck.append((x, y))
             for x, y in stuck:
-                assert partition.leaf_comp[x] == partition.leaf_comp[y], name
+                assert same_block(partition, x, y), name
 
         res = run(pair, on_iteration=check)
         for x, y in stuck:
-            assert res.partition.leaf_comp[x] == res.partition.leaf_comp[y], name
+            assert same_block(res.partition, x, y), name
 
 
 def test_final_forests_feasible_small_corpus():
@@ -360,33 +364,55 @@ def test_solver_golden():
 # the incremental stages against the full-sweep oracles
 
 
+def check_blocks_and_colors(partition):
+    """Each leaf's block, from ``leaf_root``, from the blocks' leaf lists
+    and from the cut forest, and every color count, against the full
+    recounts in ``naive``."""
+    treecomp = naive.full_structure(partition)[1]
+    n = partition.pair.n
+    leaf_node2 = partition.pair.leaf_node2
+    blocks_of = [partition.component_of_leaf(i).id for i in range(n)]
+    assert blocks_of == naive.leaf_blocks(partition)
+    assert blocks_of == [treecomp[leaf_node2[i]] for i in range(n)]
+    live_r, live_b, _, blocks = naive.full_color_counts(partition)
+    assert partition.live_r == live_r and partition.live_b == live_b
+    assert partition.tinted == [v for v in range(len(live_r))
+                                if live_r[v] or live_b[v]]
+    assert partition.painted == {cid for cid, b in blocks.items()
+                                 if b[0] or b[1]}
+    assert {cid: [c.n_red, c.n_blue, c.n_white]
+            for cid, c in partition.comps.items()} == blocks
+    assert partition.mixed == {cid: sum(1 for x in b if x)
+                               for cid, b in blocks.items()
+                               if sum(1 for x in b if x) >= 2}
+
+
 @contextmanager
 def full_sweep_checks():
     """Run the solver with every incremental stage checked, call by call,
-    against its full-sweep oracle in ``naive``.  Yields a call counter."""
+    against its full-sweep oracle in ``naive``: the annotations after
+    every refresh, and the blocks and color counts after every split.
+    Yields a call counter."""
     calls = Counter()
     refresh = Partition.refresh_annotations
 
     def checked_refresh(partition, *args):
         refresh(partition, *args)
-        live, treecomp, acomp = naive.full_structure(partition)
+        live, _, acomp = naive.full_structure(partition)
         assert partition.live == live
         assert naive.cover_blocks(partition) == acomp
-        leaf_node2 = partition.pair.leaf_node2
-        assert partition.leaf_comp == [treecomp[leaf_node2[i]]
-                                       for i in range(partition.pair.n)]
-        live_r, live_b, _, blocks = naive.full_color_counts(partition)
-        assert partition.live_r == live_r and partition.live_b == live_b
-        assert partition.tinted == [v for v in range(len(live_r))
-                                    if live_r[v] or live_b[v]]
-        assert partition.painted == {cid for cid, b in blocks.items()
-                                     if b[0] or b[1]}
-        assert {cid: [c.n_red, c.n_blue, c.n_white]
-                for cid, c in partition.comps.items()} == blocks
-        assert partition.mixed == {cid: sum(1 for x in b if x)
-                                   for cid, b in blocks.items()
-                                   if sum(1 for x in b if x) >= 2}
+        check_blocks_and_colors(partition)
         calls["refresh_annotations"] += 1
+
+    def checked_split(name):
+        fast = getattr(Partition, name)
+
+        def wrapper(partition, *args, **kwargs):
+            got = fast(partition, *args, **kwargs)
+            check_blocks_and_colors(partition)
+            calls[name] += 1
+            return got
+        return wrapper
 
     def checked(name, oracle):
         fast = getattr(redblue_core, name)
@@ -400,6 +426,8 @@ def full_sweep_checks():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Partition, "refresh_annotations", checked_refresh)
+        for name in ("split_below", "split_component"):
+            mp.setattr(Partition, name, checked_split(name))
         for name, oracle in (
                 ("find_lowest_pcs", naive.full_lowest_pcs),
                 ("find_merge_pair", naive.full_find_merge_pair),
@@ -419,7 +447,8 @@ def test_incremental_stages_match_full_sweeps():
         for pair in instances:
             run(pair)
     assert calls["find_merge_pair"] > 500
-    assert min(calls.values()) > 0 and len(calls) == 6
+    assert calls["split_below"] > 200 and calls["split_component"] > 200
+    assert min(calls.values()) > 0 and len(calls) == 8
 
 
 @settings(max_examples=40, deadline=None)
@@ -529,27 +558,124 @@ def test_split_with_nested_anchors_updates_the_kept_tree_once(parts):
     assert calls["refresh_annotations"] == 2
 
 
-def test_split_component_on_a_just_detached_block_leaves_colors_pending():
-    """split_below detaches a block and split_component splits it at
-    once: the structural refresh that its stale tree needs runs without
-    the color pass, which the next reader still runs."""
-    tree = "(((a,b),(c,d)),((e,f),(g,h)));"
-    pair = pair_from_newick(tree, "(((a,c),(b,d)),((e,g),(f,h)));")
+def test_colors_are_current_after_each_split_without_a_refresh():
+    """split_below detaches {x, p, q, r, w, s} and split_component splits
+    it at once into {p, r}, the nested {q} and the rest {x, w, s}, with
+    no refresh in between.  The color counts are current after each
+    split: {q}'s blue leaf comes off the nodes up to the anchor of
+    {p, r}, which then comes off the nodes up to the block's root, and
+    the node above that anchor, left with the white w alone, leaves the
+    tinted nodes."""
+    pair = pair_from_newick("((z,(x,w)),(((p,r),q),s));",
+                            "(z,(x,((((p,q),r),w),s)));")
     lab = pair.index_of
+    t2, leaf2 = pair.t2, pair.leaf_node2
     part = Partition(pair)
     with full_sweep_checks() as calls:
-        part.refresh_annotations(make_coloring(part, pair.t1.root))
-        efgh = pair.t2.parent[pair.t2.parent[pair.leaf_node2[lab["e"]]]]
-        below, _ = part.split_below(efgh)
-        tinted = list(part.tinted)
+        coloring = make_coloring(part, pair.t1.parent[pair.leaf_node1[lab["s"]]])
+        assert sorted(coloring.blue) == sorted(lab[x] for x in "pqr")
+        part.refresh_annotations(coloring)
+        x_node = t2.parent[leaf2[lab["x"]]]
+        block, _ = part.split_below(x_node)
+        assert t2.root not in part.tinted
+        pq = t2.parent[leaf2[lab["p"]]]
+        pqr, pqrw = t2.parent[pq], t2.parent[t2.parent[pq]]
+        assert part.live_b[pq] == 2 and pqrw in part.tinted
         ids = part.split_component(
-            below, [[lab["e"], lab["g"]], [lab["f"]], [lab["h"]]])
-        assert part.stale == [part.comps[cid].root2 for cid in ids[1:]]
-        assert part.tinted == tinted
-        assert calls["refresh_annotations"] == 1
-        redblue_core._rb_violation(part)
-        assert calls["refresh_annotations"] == 2
-        redblue_core._splittable_violation(part)
+            block, [[lab["p"], lab["r"]], [lab["q"]]], rest=True)
+        assert [part.comps[cid].root2 for cid in ids] == [
+            pqr, leaf2[lab["q"]], x_node]
+        assert part.live_b[pq] == 1 and part.live_b[pqr] == 2
+        assert pqrw not in part.tinted
+        assert part.mixed == {ids[2]: 2}
+        assert calls == Counter(refresh_annotations=1, split_below=1,
+                                split_component=1)
+
+
+class _WriteLog(list):
+    """A list that records the index of every item assignment."""
+
+    def __setitem__(self, i, value):
+        self.writes.append(i)
+        super().__setitem__(i, value)
+
+
+def _tree_block(partition, v):
+    """The block whose forest tree holds node ``v`` of the second tree."""
+    parent, cut = partition.pair.t2.parent, partition.cut
+    while not cut[v] and parent[v] >= 0:
+        v = parent[v]
+    return partition.comps[partition.root_comp[v]]
+
+
+def test_splits_write_only_the_detached_leaves():
+    """Every split while solving k-rSPR pairs at n = 2000 leaves the
+    block that keeps the root with the split block's own leaf list
+    object, and writes ``leaf_root`` once for each detached leaf and for
+    no other leaf; a split that relabels or rebuilds the whole block
+    fails here, without timing anything."""
+    init = Partition.__init__
+    calls = Counter()
+
+    def logged_init(self, pair):
+        init(self, pair)
+        self.leaf_root = _WriteLog(self.leaf_root)
+        self.leaf_root.writes = []
+
+    def guarded(name, block_of):
+        fast = getattr(Partition, name)
+
+        def wrapper(partition, arg, *args, **kwargs):
+            comp = block_of(partition, arg)
+            root, leaves = comp.root2, comp.leaves
+            partition.leaf_root.writes.clear()
+            ids = fast(partition, arg, *args, **kwargs)
+            new = [partition.comps[cid] for cid in ids]
+            kept = [c for c in new if c.root2 == root]
+            assert len(kept) == 1 and kept[0].leaves is leaves, name
+            detached = sorted(x for c in new if c is not kept[0]
+                              for x in c.leaves)
+            assert sorted(partition.leaf_root.writes) == detached, name
+            calls[name] += 1
+            calls["kept"] += kept[0].size
+            calls["detached"] += len(detached)
+            return ids
+        return wrapper
+
+    base = random_pair(2000, 3, mode="k_rspr", k=20)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Partition, "__init__", logged_init)
+        mp.setattr(Partition, "split_below", guarded("split_below", _tree_block))
+        mp.setattr(Partition, "split_component", guarded(
+            "split_component", lambda part, cid: part.comps[cid]))
+        for rho in (False, True):
+            run(make_pair(base.t1, base.t2, add_rho=rho))
+    assert calls["split_below"] > 20 and calls["split_component"] > 20
+    assert calls["detached"] * 10 < calls["kept"]
+
+
+def test_color_pass_runs_once_per_iteration():
+    """While solving, the color pass runs only when a coloring is
+    installed: once per iteration, and once more when canonicalize_cuts
+    clears the coloring."""
+    instances = [pair for _, pair in corpus(9, 20)]
+    for seed in range(2):
+        pair = random_pair(300, seed, mode="k_rspr", k=20)
+        instances += [random_pair(300, seed), pair,
+                      make_pair(pair.t1, pair.t2, add_rho=True)]
+    colors = Partition._refresh_colors
+    calls = Counter()
+
+    def counted(partition):
+        calls["colors"] += 1
+        colors(partition)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Partition, "_refresh_colors", counted)
+        for pair in instances:
+            calls.clear()
+            res = run(pair)
+            assert calls["colors"] == len(res.iterations) + 1
 
 
 def test_structure_refresh_after_three_cuts_on_one_lineage():
