@@ -34,6 +34,8 @@ from .tree_model import (
     InvariantError,
     NewickError,
     OracleCapError,
+    RootedBinaryTree,
+    TreePair,
     incompatible_triples,
     leaf_path_masks,
     pair_from_newick,
@@ -141,19 +143,37 @@ class _Bud:
         self.size = 1
 
 
-def _bud_newick(root):
-    out = []
+def _bud_tree(root):
+    """The bud tree as a :class:`RootedBinaryTree`, ids in left-to-right
+    post-order: the ids ``parse_newick`` gives the tree's Newick text.
+
+    One explicit-stack walk: a leaf gets its id when it is reached, an
+    internal node when both its children are done.
+    """
+    parent, left, right, labels = [], [], [], []
     stack = [root]
+    kids = []  # ids of the finished subtrees still waiting for a parent
     while stack:
         node = stack.pop()
-        if isinstance(node, str):  # a ")" or "," pushed below
-            out.append(node)
-        elif node.label is not None:
-            out.append(node.label)
+        if node is not None and node.label is None:
+            stack += (None, node.right, node.left)  # None closes the node
+            continue
+        v = len(parent)
+        if node is None:
+            r = kids.pop()
+            l = kids[-1]
+            parent[l] = parent[r] = v
+            left.append(l)
+            right.append(r)
+            labels.append(None)
+            kids[-1] = v
         else:
-            out.append("(")
-            stack += (")", node.right, ",", node.left)
-    return "".join(out) + ";"
+            left.append(-1)
+            right.append(-1)
+            labels.append(node.label)
+            kids.append(v)
+        parent.append(-1)
+    return RootedBinaryTree(parent, left, right, labels)
 
 
 def _relink(node, new, root):
@@ -222,8 +242,8 @@ def _uniform_bud(labels, rng):
 def _post_order_at(root, i):
     """Node at index ``i`` of the tree's left-to-right post-order.
 
-    That is the node numbering ``parse_newick`` gives the tree's Newick
-    text; the walk goes down from the root by subtree sizes.
+    That is the node numbering ``_bud_tree`` gives; the walk goes down
+    from the root by subtree sizes.
     """
     node = root
     while i != node.size - 1:
@@ -288,7 +308,9 @@ def random_pair(n, seed=0, mode="uniform", k=None):
     subtree's former sibling, the one move that changes nothing; so the
     true distance is at most ``k``.  When no shape-changing move exists
     (two leaves) the move is skipped.  Randomness comes from
-    ``random.Random(seed)`` (Mersenne Twister).
+    ``random.Random(seed)`` (Mersenne Twister).  Each tree goes from its
+    nodes straight to post-order arrays (``_bud_tree``); no Newick text
+    is written or read.
     """
     if n < 2:
         raise ValueError("need at least 2 leaves, got %d" % n)
@@ -296,25 +318,25 @@ def random_pair(n, seed=0, mode="uniform", k=None):
     labels = ["L%0*d" % (width, i + 1) for i in range(n)]
     rng = random.Random(seed)
     if mode == "uniform":
-        s1 = _bud_newick(_uniform_bud(labels, rng))
-        s2 = _bud_newick(_uniform_bud(labels, rng))
+        t1 = _bud_tree(_uniform_bud(labels, rng))
+        t2 = _bud_tree(_uniform_bud(labels, rng))
     elif mode == "k_rspr":
         if k is None or k < 0:
             raise ValueError("k_rspr mode needs k >= 0")
         if k >= n:
             raise ValueError("k must stay below the leaf count")
         root = _uniform_bud(labels, rng)
-        s1 = _bud_newick(root)
+        t1 = _bud_tree(root)
         for _ in range(k):
             for _attempt in range(_SPR_ATTEMPTS):
                 moved = _spr_once(root, rng)
                 if moved is not None:
                     root = moved
                     break
-        s2 = _bud_newick(root)
+        t2 = _bud_tree(root)
     else:
         raise ValueError("unknown mode %r" % mode)
-    return pair_from_newick(s1, s2)
+    return TreePair(t1, t2)
 
 
 def corpus(n, count, base_seed=0, mode="mixed"):

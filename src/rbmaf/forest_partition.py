@@ -196,8 +196,8 @@ class Partition:
         """Ids created in the current iteration, dead ones included."""
         return range(self.first_new, self.next_id)
 
-    def begin_iteration(self, k):
-        """Start iteration ``k``; the ids, not ``k``, mark what it creates."""
+    def begin_iteration(self):
+        """Start an iteration: ids from here on mark what it creates."""
         self.first_new = self.next_id
 
     # ------------------------------------------------------------------

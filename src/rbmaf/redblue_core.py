@@ -686,7 +686,7 @@ def run(pair, record_snapshots=False, on_iteration=None):
         if pcs is None:
             break
         k += 1
-        partition.begin_iteration(k)
+        partition.begin_iteration()
         coloring = make_coloring(partition, pcs.node)
         partition.refresh_annotations(coloring)
         case = classify_case(partition, coloring)

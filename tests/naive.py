@@ -653,3 +653,23 @@ def naive_subtree_buds(node):
             stack.append(u.left)
             stack.append(u.right)
     return out
+
+
+def naive_bud_newick(root):
+    """Newick text of a bud tree, children left to right.
+
+    The generator wrote this text and parsed it back before it built
+    its tree arrays from the buds directly.
+    """
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):  # a ")" or "," pushed below
+            out.append(node)
+        elif node.label is not None:
+            out.append(node.label)
+        else:
+            out.append("(")
+            stack += (")", node.right, ",", node.left)
+    return "".join(out) + ";"

@@ -142,7 +142,7 @@ def test_criterion_06_worked_trace_goldens(fig1):
     assert ["b1", "r1"] in after_first["components"]
 
     part = Partition(fig1)
-    part.begin_iteration(1)
+    part.begin_iteration()
     coloring = make_coloring(part, 6)
     part.refresh_annotations(coloring)
     assert make_rb_compatible(part, DualState(fig1)) == [fig1.t2.lca(r1, b1)]

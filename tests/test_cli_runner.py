@@ -18,15 +18,17 @@ from rbmaf import (
     InvariantError,
     OracleCapError,
     RunReport,
+    cli_runner,
     corpus,
     exact_maf,
     make_report,
     pair_from_newick,
     random_pair,
     run,
+    tree_model,
 )
 from rbmaf.cli_runner import (
-    _bud_newick,
+    _bud_tree,
     _post_order_at,
     _pre_order_at,
     _spr_once,
@@ -239,21 +241,38 @@ def test_spr_noop_iff_sibling():
                     moved = _spr_once(root, _Scripted((m, h)))
                     if _canonical(after) == same:
                         assert moved is None, (before, m, h)
-                        assert _bud_newick(root) == _text(before) + ";"
+                        moved, after = root, before  # left as it was
                     else:
                         assert moved is not None, (before, m, h)
-                        assert _bud_newick(moved) == _text(after) + ";"
+                    text = _text(after) + ";"
+                    assert naive.naive_bud_newick(moved) == text
+                    assert _bud_tree(moved).to_newick() == text
     assert trees == 1 + 3 + 15 + 105 + 945
+
+
+_TREE_FIELDS = ("parent", "left", "right", "labels", "depth",
+                "subtree_min", "leaf_ids")
+
+
+def _assert_bud_tree_matches_text(root):
+    """The arrays built from the buds equal those parsed from their
+    Newick text."""
+    built = _bud_tree(root)
+    parsed = tree_model.parse_newick(naive.naive_bud_newick(root))
+    for name in _TREE_FIELDS:
+        assert getattr(built, name) == getattr(parsed, name), name
 
 
 def test_size_indexed_draws_match_walk():
     """On random bud trees with 2 to 60 leaves, the lookups by subtree
     size return the node at every index of the walked post-order and
-    right-first pre-order, and every size is the walked subtree size."""
+    right-first pre-order, every size is the walked subtree size, and
+    the tree arrays equal those of the tree's Newick text."""
     for n in range(2, 61):
         labels = ["L%d" % (i + 1) for i in range(n)]
         for seed in range(3):
             root = _uniform_bud(labels, random.Random(seed))
+            _assert_bud_tree_matches_text(root)
             pre = naive.naive_subtree_buds(root)
             for i, node in enumerate(pre[::-1]):
                 assert _post_order_at(root, i) is node
@@ -265,7 +284,8 @@ def test_size_indexed_draws_match_walk():
 def test_sizes_track_every_move():
     """n = 300, 50 prune and regraft moves, every third aimed at the
     former sibling so that it is refused: after each move every bud's
-    size equals its walked subtree size."""
+    size equals its walked subtree size, and the tree arrays equal those
+    of the tree's Newick text."""
     rng = random.Random(3)
     root = _uniform_bud(["L%d" % (i + 1) for i in range(300)], rng)
     refused = 0
@@ -287,7 +307,21 @@ def test_sizes_track_every_move():
         assert root.parent is None
         for bud in naive.naive_subtree_buds(root):
             assert bud.size == len(naive.naive_subtree_buds(bud))
+        _assert_bud_tree_matches_text(root)
     assert refused >= 17
+
+
+def test_random_pair_reads_no_newick(monkeypatch):
+    """Generated pairs and corpora are built without parsing any text."""
+    def refuse(text):
+        raise AssertionError("parse_newick called by the generator")
+
+    monkeypatch.setattr(tree_model, "parse_newick", refuse)
+    monkeypatch.setattr(cli_runner, "parse_newick", refuse)
+    for n in (2, 10, 1000):
+        assert random_pair(n, seed=n).n == n
+        assert random_pair(n, seed=n, mode="k_rspr", k=1).n == n
+    assert len(list(corpus(8, 4))) == 4
 
 
 def test_random_pair_argument_errors():

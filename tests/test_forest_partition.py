@@ -134,7 +134,7 @@ def test_begin_iteration_stamps_origin(fig1):
     cut, point to the block that existed when the iteration began."""
     part = Partition(fig1)
     part.split_below(2)
-    part.begin_iteration(3)
+    part.begin_iteration()
     start = part.component_of_leaf(fig1.index_of["b2"]).id
     ids = part.split_component(
         start, [idx(fig1, "b2", "w1"), idx(fig1, "r2", "w2", "w3")])

@@ -46,7 +46,7 @@ def build_state(pair, parts_labels):
     part = Partition(pair)
     cid = next(iter(part.comps))
     part.split_component(cid, [[lab[x] for x in p] for p in parts_labels])
-    part.begin_iteration(1)
+    part.begin_iteration()
     return part
 
 
@@ -712,7 +712,7 @@ def test_merge_pair_fork_below_a_scope_meeting_node_is_skipped():
     pair = pair_from_newick(tree, tree)
     lab = pair.index_of
     part = Partition(pair)
-    part.begin_iteration(1)
+    part.begin_iteration()
     part.split_component(0, [[lab[x] for x in block] for block in
                              (["x1", "x2"], ["w1", "w2"], ["y"], ["z"])])
     color = [WHITE] * pair.n
