@@ -18,9 +18,10 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .dual_certificate import VERIFY_CAP, verify_dual_feasibility
+from .dual_certificate import verify_dual_feasibility
 from .forest_partition import is_feasible_maf
 from .lp_toolkit import (
+    ENUMERATION_CAP,
     WU_GAP_MAX_ORDER,
     build_compact_lp,
     build_exponential_lp,
@@ -574,7 +575,7 @@ def _cmd_fuzz(args):
     if args.iters < 1:
         raise ValueError("fuzz needs --iters >= 1, got %d" % args.iters)
     want_exact = args.n <= args.exact_cap
-    verify = want_exact and args.n <= VERIFY_CAP
+    verify = want_exact and args.n <= ENUMERATION_CAP
     failures = []
     worst = None
     for name, pair in corpus(args.n, args.iters, args.seed, args.mode):

@@ -13,10 +13,8 @@ solver's output a certified 2-approximation.
 from __future__ import annotations
 
 from .forest_partition import as_blocks
-from .lp_toolkit import compatible_set_table
+from .lp_toolkit import ENUMERATION_CAP, compatible_set_table
 from .tree_model import InvariantError, OracleCapError, spanned_nodes
-
-VERIFY_CAP = 15
 
 
 class DualState:
@@ -111,14 +109,14 @@ def verify_dual_feasibility(pair, dual, components):
 
     Reads every compatible set from the pair's compatible-set table,
     which is built once per pair and reused by later calls, so it is
-    gated to ``VERIFY_CAP`` leaves.  Returns True when every load is at
-    most one; on a violation raises InvariantError naming the first
-    violating set in lexicographic order.
+    gated to ``ENUMERATION_CAP`` leaves.  Returns True when every load
+    is at most one; on a violation raises InvariantError naming the
+    first violating set in lexicographic order.
     """
-    if pair.n > VERIFY_CAP:
+    if pair.n > ENUMERATION_CAP:
         raise OracleCapError(
             "certificate verification enumerates compatible sets and is "
-            "capped at %d leaves (got %d)" % (VERIFY_CAP, pair.n))
+            "capped at %d leaves (got %d)" % (ENUMERATION_CAP, pair.n))
     if any(y > 0 for y in dual.y1) or any(y > 0 for y in dual.y2):
         raise InvariantError("certificate has a positive potential")
     load_of = _load_function(pair, dual, components)

@@ -4,10 +4,11 @@ The deleted-edge set over the second tree is the authoritative state
 while the refinement loop runs: every component is the leaf set of one
 tree of the forest obtained by removing the deleted edges, and the
 number of deleted edges always equals the number of components minus
-one.  The merge phase at the very end briefly inverts that authority,
-unioning component leaf sets and then re-deriving a canonical cut set
-that realizes them (cut above each component's lca in the second tree,
-except for one shallowest component that keeps the original root).
+one.  The merge phase at the very end is one call that inverts that
+authority: it unions component leaf sets and then re-derives a
+canonical cut set that realizes them (cut above each component's lca in
+the second tree, except for one shallowest component that keeps the
+original root).
 
 Every leaf maps to the root of its forest tree (``leaf_root``) and
 ``root_comp`` names the block of each root, so a split writes
@@ -21,21 +22,22 @@ pass gives, per node, the number of live leaves below it inside its
 forest tree and the root of the forest tree covering the node, where
 "covering" means the node lies on a path between two leaves of that
 tree's block inside the forest.  Coverage holds roots, not block ids,
-for the same reason.  A split updates the kept tree in place along the
-cut paths and along the chain from its root down to its new meeting
-node, the only nodes whose live count or coverage can change there; the
-detached trees are stale, and the structural pass walks only stale
-trees, so it costs the size of the new trees, not n.  It also checks
-that every leaf it meets maps to its tree's root.  The color pass runs
-when a coloring is installed and visits only the tinted nodes, the
-forest-tree ancestors of the red and blue leaves, found by walking up
-from each colored leaf until a cut edge or an already tinted node: per
-tinted node it counts the red and blue live leaves below it, and per
-painted block (one holding a red or blue leaf) its red and blue leaves
-and its number of colors.  Splits keep those counts current: each cut
-takes its subtree's red and blue counts off the nodes above it, up to
-the first cut node.  Every other node has no red or blue leaf below it,
-and white counts are live counts minus red and blue.
+for the same reason.  Both are current after every public call.  A
+split updates the kept tree in place along the cut paths and along the
+chain from its root down to its new meeting node, the only nodes whose
+live count or coverage can change there, and runs the structural pass
+on the trees it detaches, so it costs the size of the new trees, not n.
+The pass also checks that every leaf it meets maps to its tree's root.
+The color pass runs when a coloring is installed and visits only the
+tinted nodes, the forest-tree ancestors of the red and blue leaves,
+found by walking up from each colored leaf until a cut edge or an
+already tinted node: per tinted node it counts the red and blue live
+leaves below it, and per painted block (one holding a red or blue leaf)
+its red and blue leaves and its number of colors.  Splits keep those
+counts current: each cut takes its subtree's red and blue counts off
+the nodes above it, up to the first cut node.  Every other node has no
+red or blue leaf below it, and white counts are live counts minus red
+and blue.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ from bisect import bisect_left, bisect_right
 from itertools import chain
 
 from .tree_model import InvariantError, set_compatible, spanned_nodes
-
-_KEEP = object()
 
 
 class Component:
@@ -109,20 +109,18 @@ class Partition:
     stamp: the blocks created in the current iteration are those with
     ids from ``first_new`` on (the initial block counts as created in
     iteration 0).  A block's leaves are its forest tree's leaves, and
-    ``root_comp[leaf_root[i]]`` is the block of leaf ``i``.  A split
-    updates the tree that keeps the block's root in place and records
-    the roots of the trees it detaches in ``stale``; readers refresh on
-    demand when it is nonempty, and the refresh rewrites the annotation
-    arrays on those trees only.  ``mixed`` maps each block the coloring
-    paints with two or three colors to that count.  ``sweep`` holds
-    ``find_lowest_pcs``'s saved state, which merges drop because they
-    re-derive the roots.
+    ``root_comp[leaf_root[i]]`` is the block of leaf ``i``.  The
+    annotations are current after every public call: a split updates
+    the tree that keeps the block's root in place and rewrites the
+    annotation arrays on the trees it detaches only.  ``mixed`` maps
+    each block the coloring paints with two or three colors to that
+    count.  ``sweep`` holds ``find_lowest_pcs``'s saved state, which
+    ``merge`` drops because it re-derives the roots.
     """
 
     __slots__ = ("pair", "comps", "leaf_root", "cut", "root_comp",
-                 "next_id", "first_new", "stale", "coloring", "live",
-                 "live_r", "live_b", "tinted", "painted", "mixed", "cover",
-                 "sweep")
+                 "next_id", "first_new", "coloring", "live", "live_r",
+                 "live_b", "tinted", "painted", "mixed", "cover", "sweep")
 
     def __init__(self, pair):
         self.pair = pair
@@ -134,7 +132,6 @@ class Partition:
         self.root_comp = {root: 0}
         self.next_id = 1
         self.first_new = 0
-        self.stale = [root]
         self.coloring = None
         n2 = pair.t2.n_nodes
         self.live = [0] * n2
@@ -145,6 +142,7 @@ class Partition:
         self.painted = set()
         self.mixed = {}
         self.sweep = None
+        self._refresh_structure([root])
 
     def __len__(self):
         return len(self.comps)
@@ -203,19 +201,14 @@ class Partition:
     # ------------------------------------------------------------------
     # annotations
 
-    def refresh_annotations(self, coloring=_KEEP):
-        """Bring the structural annotations up to date, and when
-        ``coloring`` is given, install it and count its colors.
+    def refresh_annotations(self, coloring):
+        """Install ``coloring`` (None clears it) and count its colors.
 
-        The structural pass runs only when the forest changed since the
-        last refresh.  The color counts need no refresh otherwise: every
-        split carries them through its cuts.
+        The color counts need no refresh otherwise: every split carries
+        them through its cuts.
         """
-        if self.stale:
-            self._refresh_structure()
-        if coloring is not _KEEP:
-            self.coloring = coloring
-            self._refresh_colors()
+        self.coloring = coloring
+        self._refresh_colors()
 
     def _forest_nodes(self, top):
         """Nodes of the forest tree below ``top``, in descending id order.
@@ -235,23 +228,20 @@ class Partition:
                 v -= 1
         return nodes
 
-    def _refresh_structure(self):
-        """Recompute live counts and coverage on the stale forest trees.
+    def _refresh_structure(self, roots):
+        """Recompute live counts and coverage on the forest trees with
+        the given roots.
 
         One ascending pass over each tree's nodes fills the live counts
         and decides coverage from the live counts of the two children
         against the size of the tree's block.  Every leaf met must map
         to the tree's root, or the cuts do not realize the partition.
         """
-        stale = set(self.stale)
-        if -1 in stale:
-            raise InvariantError(
-                "annotations read after merge_leaves: canonicalize_cuts is pending")
         t2 = self.pair.t2
         left, right = t2.left, t2.right
         leaf_index2, leaf_root = self.pair.leaf_index2, self.leaf_root
         cut, live, cover = self.cut, self.live, self.cover
-        for root in stale:
+        for root in roots:
             size = self.comps[self.root_comp[root]].size
             for v in reversed(self._forest_nodes(root)):
                 l = left[v]
@@ -272,7 +262,6 @@ class Partition:
                     cover[v] = root
                 else:
                     cover[v] = -1
-        self.stale = []
 
     def meeting_path(self, root, size, below=None):
         """Nodes from ``root`` down to the meeting node of ``size``
@@ -373,8 +362,6 @@ class Partition:
         would be empty.  The lower block's leaves come from a walk of its
         forest tree; the upper block keeps the root.
         """
-        if self.stale:
-            self.refresh_annotations()
         a = self.covering(node2)
         if a < 0:
             raise InvariantError("refinement point is not covered by any component")
@@ -407,8 +394,6 @@ class Partition:
         """
         comp = self.comps[comp_id]
         root = comp.root2
-        if root in self.stale:
-            self._refresh_structure()
         if len(parts) + rest < 2:
             raise InvariantError("split needs at least two blocks")
         seen = set()
@@ -452,7 +437,7 @@ class Partition:
         the root keeps ``comp``'s leaf list object, which loses the
         other blocks' leaves.  A detached rest is read off that list,
         which costs the kept block's leaves too, but the caller listed
-        those.
+        those.  The detached trees get the structural pass.
         """
         root = comp.root2
         keep = roots.index(root)
@@ -493,7 +478,7 @@ class Partition:
             root_comp[v] = cid
             if live_r[v] or live_b[v]:
                 self._paint(c)
-        self.stale += anchors
+        self._refresh_structure(anchors)
         return list(ids)
 
     def _cut(self, root, anchors, size):
@@ -508,7 +493,7 @@ class Partition:
         root, and on the chain from the root down to the block's new
         meeting node: a node there holds every leaf of the block, so it
         is covered only if both its children hold some.  The detached
-        trees are left to the structural refresh.
+        trees are left to the structural pass.
         """
         t2 = self.pair.t2
         left, right, parent = t2.left, t2.right, t2.parent
@@ -549,42 +534,39 @@ class Partition:
     # ------------------------------------------------------------------
     # merging
 
-    def merge_leaves(self, x1, x2):
-        """Union the two components containing the given leaves.
+    def merge(self, pairs):
+        """Union the two components containing each pair of leaves, in
+        order, then re-derive the cuts with ``canonicalize_cuts``.
 
-        The merged block has no forest tree (``root2`` is -1) until
-        ``canonicalize_cuts``; the smaller block's leaves are mapped to
-        the larger one's old root, which names the merged block until
-        then.
+        Until then a merged block has no forest tree: the smaller
+        block's leaves map to the larger one's old root, which names the
+        merged block.
         """
-        a = self.component_of_leaf(x1)
-        b = self.component_of_leaf(x2)
-        if a.id == b.id:
-            raise InvariantError("merge pair already shares a component")
-        if a.size < b.size:
-            a, b = b, a
-        leaf_root = self.leaf_root
-        key = leaf_root[a.leaves[0]]
-        for x in b.leaves:
-            leaf_root[x] = key
-        merged = sorted(a.leaves + b.leaves)
-        del self.comps[a.id]
-        del self.comps[b.id]
-        # a refresh before canonicalize_cuts raises
-        self.stale.append(-1)
-        self.sweep = None
-        cid = self.next_id
-        self.next_id += 1
-        self.comps[cid] = Component(cid, merged, -1, -1)
-        self.root_comp[key] = cid
-        return cid
+        comps, leaf_root = self.comps, self.leaf_root
+        for x1, x2 in pairs:
+            a = self.component_of_leaf(x1)
+            b = self.component_of_leaf(x2)
+            if a.id == b.id:
+                raise InvariantError("merge pair already shares a component")
+            if a.size < b.size:
+                a, b = b, a
+            key = leaf_root[a.leaves[0]]
+            for x in b.leaves:
+                leaf_root[x] = key
+            del comps[a.id]
+            del comps[b.id]
+            cid = self.next_id
+            self.next_id += 1
+            comps[cid] = Component(cid, sorted(a.leaves + b.leaves), -1, -1)
+            self.root_comp[key] = cid
+        self.canonicalize_cuts()
 
     def canonicalize_cuts(self):
         """Re-derive the deleted-edge set from the component leaf sets.
 
         Cut above each component's lca in the second tree except for one
         component of minimum lca depth, which keeps the original root.
-        The structural refresh validates that the resulting forest
+        The structural pass validates that the resulting forest
         reproduces every component, so an unrealizable (span-overlapping)
         family raises.
         """
@@ -610,8 +592,8 @@ class Partition:
             for x in c.leaves:
                 leaf_root[x] = c.root2
         self.root_comp[t2.root] = keep
-        self.stale = [c.root2 for c in self.comps.values()]
         self.sweep = None
+        self._refresh_structure([c.root2 for c in self.comps.values()])
         self.refresh_annotations(None)
 
 

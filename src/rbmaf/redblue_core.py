@@ -37,13 +37,10 @@ class Coloring:
     """Leaf coloring induced by one internal node of the first tree.
 
     Red is the right child's leaf set, blue the left child's, white the
-    rest.  ``color`` maps leaf index to RED, BLUE or WHITE.
+    rest; ``red`` and ``blue`` hold sorted leaf indices.
     """
 
     node1: int
-    left1: int
-    right1: int
-    color: list
     red: list
     blue: list
 
@@ -112,16 +109,10 @@ def make_coloring(partition, node1):
     t1 = pair.t1
     if t1.left[node1] < 0:
         raise InvariantError("coloring node must be internal")
-    lchild, rchild = t1.left[node1], t1.right[node1]
     idx = pair.leaf_index1
-    color = [WHITE] * pair.n
-    red = sorted(idx[x] for x in t1.leaves_below(rchild))
-    blue = sorted(idx[x] for x in t1.leaves_below(lchild))
-    for i in red:
-        color[i] = RED
-    for i in blue:
-        color[i] = BLUE
-    return Coloring(node1, lchild, rchild, color, red, blue)
+    red = sorted(idx[x] for x in t1.leaves_below(t1.right[node1]))
+    blue = sorted(idx[x] for x in t1.leaves_below(t1.left[node1]))
+    return Coloring(node1, red, blue)
 
 
 class _Sweep:
@@ -209,8 +200,6 @@ def find_lowest_pcs(partition):
     stopped, then goes on upward from that node.  Without saved state,
     on the first call and after a merge, it sweeps the whole first tree.
     """
-    if partition.stale:
-        partition.refresh_annotations()
     pair = partition.pair
     t1, t2 = pair.t1, pair.t2
     n1 = t1.n_nodes
@@ -287,7 +276,7 @@ def _colored_meet(partition, comp):
     return ua
 
 
-def classify_case(partition, coloring):
+def classify_case(partition):
     """Case of the colored start-of-iteration partition: 1, 2 or 3.
 
     Case 1: one multicolored block, three colors, colored part not
@@ -298,8 +287,6 @@ def classify_case(partition, coloring):
     below the colored part's meeting node.  Any other shape raises
     InvariantError.
     """
-    if partition.stale:
-        partition.refresh_annotations()
     comps, mixed = partition.comps, partition.mixed
     multi = [comps[cid] for cid in mixed]
     if len(multi) == 2:
@@ -333,8 +320,6 @@ def _rb_violation(partition):
     such a node exists if and only if some block's colored part is not
     shaped alike in both trees.
     """
-    if partition.stale:
-        partition.refresh_annotations()
     comps, root_comp = partition.comps, partition.root_comp
     cover = partition.cover
     live_r, live_b = partition.live_r, partition.live_b
@@ -361,8 +346,6 @@ def _splittable_violation(partition):
     exactly two colors while every color the block carries also occurs
     above it.
     """
-    if partition.stale:
-        partition.refresh_annotations()
     comps, root_comp = partition.comps, partition.root_comp
     cover = partition.cover
     live, live_r, live_b = partition.live, partition.live_r, partition.live_b
@@ -424,8 +407,6 @@ def _top_components(partition):
     first) a meeting node lies below an earlier one exactly when it is
     at most the largest earlier meeting node.
     """
-    if partition.stale:
-        partition.refresh_annotations()
     comps = partition.comps
     created = [cid for cid in partition.created if cid in comps]
     smin = partition.pair.t2.subtree_min
@@ -472,8 +453,6 @@ def special_split(partition, dual, coloring, cid, pairslist):
     one more certificate decrement at that node.  Returns
     (chi, pair_added, node, branch).
     """
-    if partition.stale:
-        partition.refresh_annotations()
     pair = partition.pair
     c = partition.comps[cid]
     if partition.mixed.get(cid) != 3:
@@ -491,8 +470,7 @@ def special_split(partition, dual, coloring, cid, pairslist):
     outside = [i for i in c.leaves if not lo <= nodes2[i] <= ua]
     if not outside:
         raise InvariantError("four-way special split needs four blocks")
-    col = coloring.color
-    if any(col[i] != WHITE for i in outside):
+    if not set(outside).isdisjoint(chain(reds, blues)):
         raise InvariantError("leaves outside the meeting node must be white")
     # the white leaves below the meeting node are the rest
     partition.split_component(cid, [outside, reds, blues], rest=True)
@@ -512,8 +490,6 @@ def split(partition, dual, coloring, pairslist, top_cid=_ANY_TOP):
     branch).  The red and blue classes come from the coloring; the
     white class is each block's rest.
     """
-    if partition.stale:
-        partition.refresh_annotations()
     comps = partition.comps
     decisions = []
     for cid, ncol in sorted(partition.mixed.items()):
@@ -561,8 +537,6 @@ def find_merge_pair(partition):
     from both children before it passes anything on, and then the
     uncovered nodes reached by exactly two blocks, in pre-order.
     """
-    if partition.stale:
-        partition.refresh_annotations()
     comps = partition.comps
     scope = {}
     for cid in partition.created:
@@ -649,9 +623,7 @@ def find_merge_pair(partition):
 
 def merge_components(partition, pairslist):
     """Undo the remembered splits, most recent first, and re-derive cuts."""
-    for x1, x2 in reversed(pairslist):
-        partition.merge_leaves(x1, x2)
-    partition.canonicalize_cuts()
+    partition.merge(reversed(pairslist))
 
 
 def run(pair, record_snapshots=False, on_iteration=None):
@@ -689,7 +661,7 @@ def run(pair, record_snapshots=False, on_iteration=None):
         partition.begin_iteration()
         coloring = make_coloring(partition, pcs.node)
         partition.refresh_annotations(coloring)
-        case = classify_case(partition, coloring)
+        case = classify_case(partition)
         if case != _CASE_OF_CONDITION[pcs.condition]:
             raise InvariantError("partition shape disagrees with the detected condition")
 

@@ -344,19 +344,15 @@ class TreePair:
                  "_triples", "_compatible_sets")
 
     def __init__(self, t1, t2):
-        lab1 = {t1.labels[v] for v in t1.leaf_ids}
-        lab2 = {t2.labels[v] for v in t2.leaf_ids}
-        if lab1 != lab2:
+        self.leaf_node1 = sorted(t1.leaf_ids, key=t1.labels.__getitem__)
+        self.leaf_node2 = sorted(t2.leaf_ids, key=t2.labels.__getitem__)
+        self.labels = list(map(t1.labels.__getitem__, self.leaf_node1))
+        if self.labels != list(map(t2.labels.__getitem__, self.leaf_node2)):
             raise NewickError("trees carry different label sets")
         self.t1 = t1
         self.t2 = t2
-        self.labels = sorted(lab1)
         self.n = len(self.labels)
         self.index_of = {lab: i for i, lab in enumerate(self.labels)}
-        node_of_1 = {t1.labels[v]: v for v in t1.leaf_ids}
-        node_of_2 = {t2.labels[v]: v for v in t2.leaf_ids}
-        self.leaf_node1 = [node_of_1[lab] for lab in self.labels]
-        self.leaf_node2 = [node_of_2[lab] for lab in self.labels]
         self.leaf_index1 = [-1] * t1.n_nodes
         self.leaf_index2 = [-1] * t2.n_nodes
         for i in range(self.n):

@@ -250,8 +250,6 @@ def full_lowest_pcs(partition):
     node of the restriction in the second tree.  Returns None exactly
     when the partition is an agreement forest.
     """
-    if partition.stale:
-        partition.refresh_annotations()
     pair = partition.pair
     t1, t2 = pair.t1, pair.t2
     n1 = t1.n_nodes
@@ -308,13 +306,18 @@ def full_lowest_pcs(partition):
 def full_color_counts(partition):
     """Red, blue and white live leaves below every node of the second
     tree inside its forest tree, and ``{block id: [red, blue, white]}``,
-    from the partition's coloring and cut set (all white without one)."""
+    from the partition's coloring's red and blue leaves and cut set (all
+    white without a coloring)."""
     pair = partition.pair
     t2 = pair.t2
     n = t2.n_nodes
     left, right, cut = t2.left, t2.right, partition.cut
     coloring = partition.coloring
-    col = coloring.color if coloring is not None else [WHITE] * pair.n
+    col = [WHITE] * pair.n
+    if coloring is not None:
+        for color, leaves in ((RED, coloring.red), (BLUE, coloring.blue)):
+            for i in leaves:
+                col[i] = color
     counts = [[0] * n for _ in range(3)]
     for v in range(n):
         if left[v] < 0:

@@ -1,6 +1,7 @@
 """Exact oracle, instance generators, reports, and the command line."""
 
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -9,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -633,3 +635,22 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=60, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout == "exact 0\n"
+
+
+def test_perfbench_trace_targets_exist():
+    """Every name the benchmark's tracer patches is defined by its owner
+    itself, so a rename fails here instead of in ``run.py --trace 1``.
+    The tracing module is compiled from its source, so nothing is
+    written next to it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         tracing.__dict__)
+    targets = [t[:2] for t in tracing.SPAN_TARGETS + tracing.COUNT_TARGETS]
+    modules = {m: importlib.import_module("rbmaf." + m) for m, _ in targets}
+    missing = []
+    for module, attr in targets:
+        owner, key = tracing._owner_and_name(modules, module, attr)
+        if key not in owner.__dict__:
+            missing.append("%s.%s" % (module, attr))
+    assert len(targets) > 20 and not missing, missing

@@ -47,7 +47,6 @@ def test_split_below_rejects_uncovered_and_empty_upper(fig1):
     with pytest.raises(InvariantError):
         part.split_below(fig1.t2.root)
     part.split_below(2)
-    part.refresh_annotations(None)
     with pytest.raises(InvariantError):
         part.split_below(2)
 
@@ -81,27 +80,12 @@ def test_merge_then_canonicalize_round_trip(fig1):
     part = Partition(fig1)
     part.split_below(2)
     b1, b2 = idx(fig1, "b1", "b2")
-    part.merge_leaves(b1, b2)
-    part.canonicalize_cuts()
-    assert len(part) == 1
-    assert part.deleted_edges_labels() == []
-    with pytest.raises(InvariantError):
-        part.merge_leaves(b1, b2)
-
-
-def test_refresh_between_merge_and_canonicalize_raises(fig1):
-    """A merged block has no forest tree until the cuts are re-derived,
-    so reading annotations in between is an error, not stale data."""
-    part = Partition(fig1)
-    part.split_below(2)
-    part.merge_leaves(*idx(fig1, "b1", "b2"))
-    with pytest.raises(InvariantError, match="canonicalize_cuts is pending"):
-        part.refresh_annotations(None)
-    with pytest.raises(InvariantError, match="canonicalize_cuts is pending"):
-        part.split_below(fig1.leaf_node2[fig1.index_of["w1"]])
-    part.canonicalize_cuts()
+    part.merge([(b1, b2)])
     assert part.label_sets() == (tuple(fig1.labels),)
+    assert part.deleted_edges_labels() == []
     assert naive.cover_blocks(part) == naive.full_structure(part)[2]
+    with pytest.raises(InvariantError):
+        part.merge([(b1, b2)])
 
 
 def test_split_rejects_overlapping_family(fig1):
@@ -123,10 +107,9 @@ def test_canonicalize_rejects_unrealizable_family(fig1):
     node of {r1, w1} takes b1 and b2 into that block's forest tree."""
     part = Partition(fig1)
     part.split_component(0, [[i] for i in range(fig1.n)])
-    for a, b in (("b1", "b2"), ("b1", "r2"), ("r1", "w1")):
-        part.merge_leaves(*idx(fig1, a, b))
     with pytest.raises(InvariantError, match="partition is not realizable"):
-        part.canonicalize_cuts()
+        part.merge([idx(fig1, a, b) for a, b in
+                    (("b1", "b2"), ("b1", "r2"), ("r1", "w1"))])
 
 
 def test_begin_iteration_stamps_origin(fig1):

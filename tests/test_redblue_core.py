@@ -11,9 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from rbmaf import redblue_core
 from rbmaf import (
-    BLUE,
-    RED,
-    WHITE,
     Coloring,
     DualState,
     InvariantError,
@@ -140,8 +137,9 @@ def test_make_coloring_at_fig1_pcs(fig1):
     coloring = make_coloring(part, 6)
     reds = sorted(fig1.labels[i] for i in coloring.red)
     blues = sorted(fig1.labels[i] for i in coloring.blue)
-    whites = sorted(lab for lab, c in zip(fig1.labels, coloring.color)
-                    if c == WHITE)
+    colored = set(coloring.red + coloring.blue)
+    whites = sorted(lab for i, lab in enumerate(fig1.labels)
+                    if i not in colored)
     assert reds == ["r1", "r2"]
     assert blues == ["b1", "b2"]
     assert whites == ["w1", "w2", "w3"]
@@ -154,7 +152,7 @@ def test_case3_state_walkthrough(fig1):
     assert (pcs.node, pcs.condition) == (6, "c")
     coloring = make_coloring(part, pcs.node)
     part.refresh_annotations(coloring)
-    assert classify_case(part, coloring) == 3
+    assert classify_case(part) == 3
     dual = DualState(fig1)
     dual.star(1, pcs.node)
     assert make_rb_compatible(part, dual) == []
@@ -179,7 +177,7 @@ def test_case2_state_walkthrough(fig1):
     assert (pcs.node, pcs.condition) == (6, "b")
     coloring = make_coloring(part, pcs.node)
     part.refresh_annotations(coloring)
-    assert classify_case(part, coloring) == 2
+    assert classify_case(part) == 2
     dual = DualState(fig1)
     dual.star(1, pcs.node)
     assert make_rb_compatible(part, dual) == []
@@ -229,6 +227,23 @@ def test_full_split_then_merge_reaches_same_family(fig1):
     merge_components(part, pairs)
     assert part.label_sets() == (("b1", "r1"), ("b2",), ("r2",),
                                  ("w1", "w2"), ("w3",))
+
+
+def test_special_split_reads_colors_from_the_installed_coloring(fig1):
+    """A red leaf outside the meeting node of the colored leaves stops
+    the four-way split before any cut: the check reads the same red and
+    blue lists as the split's color classes."""
+    part = build_state(fig1, [["b1", "r1"],
+                              ["b2", "w1", "r2", "w2", "w3"]])
+    coloring = make_coloring(part, 6)
+    part.refresh_annotations(coloring)
+    part.coloring.red.append(fig1.index_of["w3"])
+    big = next(c.id for c in part.comps.values() if c.size == 5)
+    before = part.label_sets()
+    with pytest.raises(InvariantError,
+                       match="leaves outside the meeting node must be white"):
+        special_split(part, DualState(fig1), coloring, big, [])
+    assert part.label_sets() == before
 
 
 def test_special_split_rejects_non_tricolored(fig1):
@@ -390,25 +405,19 @@ def check_blocks_and_colors(partition):
 @contextmanager
 def full_sweep_checks():
     """Run the solver with every incremental stage checked, call by call,
-    against its full-sweep oracle in ``naive``: the annotations after
-    every refresh, and the blocks and color counts after every split.
-    Yields a call counter."""
+    against its full-sweep oracle in ``naive``: the annotations, blocks
+    and color counts after every refresh and after every split.  Yields
+    a call counter."""
     calls = Counter()
-    refresh = Partition.refresh_annotations
 
-    def checked_refresh(partition, *args):
-        refresh(partition, *args)
-        live, _, acomp = naive.full_structure(partition)
-        assert partition.live == live
-        assert naive.cover_blocks(partition) == acomp
-        check_blocks_and_colors(partition)
-        calls["refresh_annotations"] += 1
-
-    def checked_split(name):
+    def checked_update(name):
         fast = getattr(Partition, name)
 
         def wrapper(partition, *args, **kwargs):
             got = fast(partition, *args, **kwargs)
+            live, _, acomp = naive.full_structure(partition)
+            assert partition.live == live, name
+            assert naive.cover_blocks(partition) == acomp, name
             check_blocks_and_colors(partition)
             calls[name] += 1
             return got
@@ -425,9 +434,8 @@ def full_sweep_checks():
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Partition, "refresh_annotations", checked_refresh)
-        for name in ("split_below", "split_component"):
-            mp.setattr(Partition, name, checked_split(name))
+        for name in ("refresh_annotations", "split_below", "split_component"):
+            mp.setattr(Partition, name, checked_update(name))
         for name, oracle in (
                 ("find_lowest_pcs", naive.full_lowest_pcs),
                 ("find_merge_pair", naive.full_find_merge_pair),
@@ -482,8 +490,8 @@ def _split_family(part, block, nodes):
        st.randoms(use_true_random=False))
 def test_resumed_sweep_matches_full_sweep_outside_run(n, seed, rho, rnd):
     """Random split_below and split_component sequences, with the last
-    split now and then undone by merge_leaves and canonicalize_cuts; the
-    resumed sweep must agree with the full sweep after every step."""
+    split now and then undone by merge; the resumed sweep must agree
+    with the full sweep after every step."""
     base = random_pair(n, seed)
     pair = make_pair(base.t1, base.t2, add_rho=rho)
     part = Partition(pair)
@@ -492,7 +500,6 @@ def test_resumed_sweep_matches_full_sweep_outside_run(n, seed, rho, rnd):
         sweep(part)
         last = None
         for _ in range(2 * pair.n):
-            part.refresh_annotations()
             covered = [v for v in range(pair.t2.n_nodes)
                        if part.covering(v) >= 0
                        and part.live[v] < part.comps[part.covering(v)].size]
@@ -500,9 +507,7 @@ def test_resumed_sweep_matches_full_sweep_outside_run(n, seed, rho, rnd):
                 break
             step = rnd.random()
             if last is not None and step < 0.15:
-                for leaves in last[1:]:
-                    part.merge_leaves(last[0][0], leaves[0])
-                part.canonicalize_cuts()
+                part.merge([(last[0][0], leaves[0]) for leaves in last[1:]])
                 assert part.sweep is None
                 last = None
             elif step < 0.55:
@@ -547,15 +552,13 @@ def test_split_with_nested_anchors_updates_the_kept_tree_once(parts):
                             "(L1,(((L2,L5),L4),L3));")
     part = Partition(pair)
     with full_sweep_checks() as calls:
-        part.refresh_annotations(None)
         redblue_core.find_lowest_pcs(part)
         ids = part.split_component(0, parts)
         root = pair.t2.root
         assert part.comps[ids[1]].root2 == root
         assert part.live[root] == 1 and part.covering(root) == -1
-        part.refresh_annotations(None)
         redblue_core.find_lowest_pcs(part)
-    assert calls["refresh_annotations"] == 2
+    assert calls == Counter(find_lowest_pcs=2, split_component=1)
 
 
 def test_colors_are_current_after_each_split_without_a_refresh():
@@ -679,11 +682,9 @@ def test_color_pass_runs_once_per_iteration():
 
 
 def test_structure_refresh_after_three_cuts_on_one_lineage():
-    """Two split_component calls on one lineage each bring their stale
-    kept tree up to date without a full refresh and update it in place,
-    so only the last detached root is left for the refresh that
-    split_below needs; the cut of a right child then leaves its parent
-    uncovered."""
+    """Two split_component calls on one lineage and a split_below each
+    keep the annotations current; the cut of a right child then leaves
+    its parent uncovered."""
     tree = "(((a,b),(c,d)),((e,f),(g,h)));"
     pair = pair_from_newick(tree, tree)
     lab = pair.index_of
@@ -691,13 +692,10 @@ def test_structure_refresh_after_three_cuts_on_one_lineage():
     with full_sweep_checks() as calls:
         first = part.split_component(0, [[lab[x] for x in "abcd"],
                                          [lab[x] for x in "efgh"]])
-        ef, gh = part.split_component(first[1], [[lab["e"], lab["f"]],
-                                                 [lab["g"], lab["h"]]])
-        assert calls["refresh_annotations"] == 0
-        assert part.stale == [part.comps[gh].root2]
+        part.split_component(first[1], [[lab["e"], lab["f"]],
+                                        [lab["g"], lab["h"]]])
         part.split_below(pair.leaf_node2[lab["f"]])
-        part.refresh_annotations(None)
-        assert calls["refresh_annotations"] == 2
+    assert calls == Counter(split_component=2, split_below=1)
     fork = pair.t2.parent[pair.leaf_node2[lab["f"]]]
     assert part.covering(fork) == -1 and part.live[fork] == 1
     assert part.label_sets() == (("a", "b", "c", "d"), ("e",), ("f",),
@@ -715,13 +713,8 @@ def test_merge_pair_fork_below_a_scope_meeting_node_is_skipped():
     part.begin_iteration()
     part.split_component(0, [[lab[x] for x in block] for block in
                              (["x1", "x2"], ["w1", "w2"], ["y"], ["z"])])
-    color = [WHITE] * pair.n
     red = sorted(lab[x] for x in ("x1", "x2", "y"))
-    for i in red:
-        color[i] = RED
-    color[lab["z"]] = BLUE
-    part.refresh_annotations(Coloring(pair.t1.root, -1, -1, color, red,
-                                      [lab["z"]]))
+    part.refresh_annotations(Coloring(pair.t1.root, red, [lab["z"]]))
     dead = pair.t2.parent[pair.leaf_node2[lab["y"]]]
     assert part.covering(dead) == -1
     assert find_merge_pair(part) is None
