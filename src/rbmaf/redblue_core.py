@@ -27,7 +27,7 @@ from .dual_certificate import DualState, check_balance
 from .forest_partition import Partition
 from .tree_model import InvariantError
 
-RED, BLUE, WHITE = 0, 1, 2
+RED, BLUE = 0, 1
 
 _CASE_OF_CONDITION = {"a": 1, "b": 2, "c": 3}
 
@@ -192,7 +192,9 @@ def find_lowest_pcs(partition):
     An ascending pass keeping, per node, the forest-tree root of the
     block whose restriction below the node is incomplete, the size of
     that restriction and its meeting node in the second tree.  Returns
-    None exactly when the partition is an agreement forest.
+    None exactly when the partition is an agreement forest.  Where the
+    two children's meeting nodes are distinct siblings, their parent is
+    the join's meeting node, with no lca query.
 
     The pass resumes from the state the previous call left on the
     partition (see ``_resume``): it recomputes the entries that the
@@ -208,6 +210,7 @@ def find_lowest_pcs(partition):
     leaf_node2 = pair.leaf_node2
     leaf_root = partition.leaf_root
     live2 = partition.live
+    parent2 = t2.parent
     lca2 = t2.lca
 
     sweep = partition.sweep
@@ -247,8 +250,12 @@ def find_lowest_pcs(partition):
         if cl != cr:
             sweep.stop = v
             return Pcs(v, "b")
-        p = lca2(meet[lv], meet[rv])
-        if meet[lv] == p or meet[rv] == p:
+        a = meet[lv]
+        b = meet[rv]
+        p = parent2[a]
+        if p != parent2[b] or a == b:  # not two siblings
+            p = lca2(a, b)
+        if a == p or b == p:
             sweep.stop = v
             return Pcs(v, "a")
         size = sizes[cl]

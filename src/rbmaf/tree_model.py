@@ -5,10 +5,14 @@ left-to-right post-order walk, so every child id is smaller than its
 parent id, the root is the largest id, and the subtree of node ``v`` is
 exactly the contiguous id range ``[subtree_min[v], v]``.  Leaves carry
 string labels; internal labels and branch lengths in Newick input are
-parsed and discarded.  Lowest common ancestors are range-minimum
-queries on depth over the ids themselves (Bender and Farach-Colton,
-"The LCA problem revisited", 2000), with no Euler tour: a sparse table
-of at most n entries per level, built on the first query.
+parsed and discarded.  The reader splits the text once at its
+parentheses and commas and can graft the shared root leaf ``rho`` as
+it reads.  Lowest common ancestors climb parent links until the climbs
+of one tree have taken as many steps as it has nodes; after that they
+are range-minimum queries on depth over the ids themselves (Bender and
+Farach-Colton, "The LCA problem revisited", 2000), with no Euler tour:
+a sparse table of at most n entries per level, built by the first
+query past that budget.
 
 A :class:`TreePair` binds two trees over the same label set to a shared
 dense leaf indexing (labels sorted lexicographically, indices 0..n-1)
@@ -44,6 +48,10 @@ RHO_LABEL = "rho"
 _LABEL = r"[^(),;:'\[\]\s]"
 _TOKEN = re.compile(r"\s*(?:((?:\)|%s)%s*)(?::([\d.+\-eE]*))?|(.))"
                     % (_LABEL, _LABEL), re.S)
+_split = re.compile(r"([(),])").split
+# A character that makes a piece between parentheses and commas more
+# than one label.
+_special = re.compile(r"[\s:;'\[\]]").search
 # What the previous token was: an open parenthesis (or nothing), a
 # comma, or a whole node.
 _OPEN, _COMMA, _ITEM = "open", "comma", "item"
@@ -51,6 +59,10 @@ _OPEN, _COMMA, _ITEM = "open", "comma", "item"
 
 class NewickError(ValueError):
     """Malformed or unsupported Newick input."""
+
+
+class _LabelClash(NewickError):
+    """A text read with ``add_rho`` already holds the label ``rho``."""
 
 
 class InvariantError(RuntimeError):
@@ -86,7 +98,7 @@ class RootedBinaryTree:
     __slots__ = (
         "n_nodes", "n_leaves", "root", "parent", "left", "right",
         "labels", "depth", "subtree_min", "leaf_ids", "_min_label",
-        "_sparse",
+        "_sparse", "_walked",
     )
 
     def __init__(self, parent, left, right, labels):
@@ -101,14 +113,7 @@ class RootedBinaryTree:
         self.labels = labels
         self.leaf_ids = [v for v in range(n) if left[v] < 0]
         self.n_leaves = len(self.leaf_ids)
-        seen = set()
-        for v in self.leaf_ids:
-            lab = labels[v]
-            if not lab:
-                raise NewickError("leaf without a label")
-            if lab in seen:
-                raise NewickError("duplicate leaf label %r" % lab)
-            seen.add(lab)
+        _check_labels(labels, self.leaf_ids)
 
         depth = [0] * n
         for v in range(n - 2, -1, -1):
@@ -122,12 +127,12 @@ class RootedBinaryTree:
         self.subtree_min = smin
 
         self._min_label = None
+        self._sparse = None
+        self._walked = 0
 
     def _build_lca(self):
-        # Sparse table over the post-order ids, built on the first lca
-        # call: trees that are only parsed, grafted or walked never pay
-        # for it.  Row k holds, for each id i, a shallowest node among
-        # the ids [i, i + 2**k).
+        # Row k holds, for each id i, a shallowest node among the ids
+        # [i, i + 2**k).
         depth = self.depth
         row = list(range(self.n_nodes))
         sparse = [row]
@@ -138,23 +143,35 @@ class RootedBinaryTree:
             sparse.append(row)
             half *= 2
         self._sparse = sparse
+        return sparse
 
     def lca(self, u, v):
-        """Lowest common ancestor of nodes u and v in O(1).
+        """Lowest common ancestor of nodes u and v, amortised O(1).
 
-        For u < v, every id in [u, v) lies below lca(u, v), and the
-        range holds a child of it: the child whose subtree holds u.  So
-        the answer is the parent of a shallowest id in the range.
+        For u < v, the ancestors of u have growing ids, and the first
+        one whose id is at least v holds v in its subtree's id range:
+        that is the answer.  Queries climb from u this way until the
+        climbs have taken ``n_nodes`` steps in total, about what the
+        sparse table costs to build.  Then the table is built, and it
+        answers each query in O(1): every id in [u, v) lies below
+        lca(u, v), and the range holds the child of it whose subtree
+        holds u, so the answer is the parent of a shallowest id in the
+        range.
         """
         if u == v:
             return u
         if u > v:
             u, v = v, u
-        try:
-            sparse = self._sparse
-        except AttributeError:  # the table is not built yet
-            self._build_lca()
-            sparse = self._sparse
+        sparse = self._sparse
+        if sparse is None:
+            if self._walked < self.n_nodes:
+                parent = self.parent
+                w = u
+                while u < v:
+                    u = parent[u]
+                self._walked += self.depth[w] - self.depth[u]
+                return u
+            sparse = self._build_lca()
         k = (v - u).bit_length() - 1
         row = sparse[k]
         x = row[u]
@@ -220,7 +237,8 @@ class RootedBinaryTree:
 
         The ids are the ones ``parse_newick`` gives ``(label,<this
         tree>);``: the new leaf is 0, every old id moves up by one and
-        the new root comes last.
+        the new root comes last.  For ``rho`` these are also the arrays
+        ``parse_newick(text, add_rho=True)`` reads from this tree's text.
         """
         if label in self.labels:
             raise NewickError("label %r already present" % label)
@@ -233,7 +251,19 @@ class RootedBinaryTree:
             [label] + self.labels + [None])
 
 
-def parse_newick(text):
+def _check_labels(labels, leaves):
+    """Raise on the first leaf id without a label or with a repeated one."""
+    seen = set()
+    for v in leaves:
+        lab = labels[v]
+        if not lab:
+            raise NewickError("leaf without a label")
+        if lab in seen:
+            raise NewickError("duplicate leaf label %r" % lab)
+        seen.add(lab)
+
+
+def parse_newick(text, add_rho=False):
     """Parse a Newick string into a :class:`RootedBinaryTree`.
 
     Every internal node must have exactly two children, separated by a
@@ -245,88 +275,144 @@ def parse_newick(text):
     Quoted labels and ``[...]`` comments are not supported: a quote or
     bracket raises NewickError naming the character and its offset.
 
-    One regular-expression pass reads the text; a leaf gets its
-    post-order id when it appears, an internal node when its ``)``
-    closes.
+    The text is split once at its parentheses and commas.  A piece
+    between them that holds no whitespace, ``:``, ``;``, quote or
+    bracket is one label; any other piece is read token by token.  A
+    leaf gets its post-order id when it appears, an internal node when
+    its ``)`` closes.  With ``add_rho`` the tree is the one
+    :meth:`RootedBinaryTree.with_root_sibling` grafts for ``rho``: the
+    reader starts with that leaf as node 0 and closes the new root at
+    the end, and offsets in messages stay those of ``text``.
     """
     s = text.strip()
     if not s:
         raise NewickError("empty input")
     if s.endswith(";"):
         s = s[:-1].rstrip()
-    parent, left, right, labels = [], [], [], []
+    pieces = _split(s)  # text at even indices, "(", ")" or "," at odd
+    plain = _special(s) is None
+    if add_rho:
+        parent, left, right, labels = [-1], [-1], [-1], [RHO_LABEL]
+    else:
+        parent, left, right, labels = [], [], [], []
     stack = []  # the child lists of the enclosing open nodes
     kids = []  # child ids of the innermost open node, or the roots
     prev = _OPEN
-    for m in _TOKEN.finditer(s):
-        name, length, other = m.groups()
-        if other is None:
-            v = len(parent)
-            if name[0] == ")":
-                if not stack:
-                    raise NewickError("unbalanced ')'")
-                if len(kids) != 2:
-                    raise NewickError(
-                        "internal node with %d children, need exactly 2"
-                        % len(kids))
-                if prev is _COMMA:
-                    raise NewickError(
-                        "expected a leaf label at offset %d" % m.start(1))
-                l, r = kids
-                parent[l] = parent[r] = v
-                left.append(l)
-                right.append(r)
-                labels.append(None)
-                kids = stack.pop()
-            else:
-                if prev is _ITEM and stack:
-                    raise NewickError(
-                        "expected ',' at offset %d" % m.start(1))
-                left.append(-1)
-                right.append(-1)
-                labels.append(name)
-            if length is not None:
-                _check_length(s, m)
-            parent.append(-1)
-            kids.append(v)
-            prev = _ITEM
-        elif other == "(":
+    for i, p in enumerate(pieces):
+        if p == "(":
             if prev is _ITEM and stack:
-                raise NewickError("expected ',' at offset %d" % m.start(3))
+                raise NewickError(
+                    "expected ',' at offset %d" % _offset(pieces, i))
             stack.append(kids)
             kids = []
             prev = _OPEN
-        elif other == ",":
+        elif p == ",":
             if not stack:
-                raise NewickError("unexpected ',' at offset %d" % m.start(3))
+                raise NewickError(
+                    "unexpected ',' at offset %d" % _offset(pieces, i))
             if prev is not _ITEM:
                 raise NewickError(
-                    "expected a leaf label at offset %d" % m.start(3))
+                    "expected a leaf label at offset %d" % _offset(pieces, i))
             prev = _COMMA
-        elif other in ";:":
-            raise NewickError(
-                "unexpected %r at offset %d" % (other, m.start(3)))
+        elif p == ")":
+            if not stack:
+                raise NewickError("unbalanced ')'")
+            if len(kids) != 2:
+                raise NewickError(
+                    "internal node with %d children, need exactly 2"
+                    % len(kids))
+            if prev is _COMMA:
+                raise NewickError(
+                    "expected a leaf label at offset %d" % _offset(pieces, i))
+            v = len(parent)
+            l, r = kids
+            parent[l] = parent[r] = v
+            parent.append(-1)
+            left.append(l)
+            right.append(r)
+            labels.append(None)
+            kids = stack.pop()
+            kids.append(v)
+            prev = _ITEM
+        elif not p:
+            continue
+        elif plain or _special(p) is None:
+            # One label; right after ")" (pieces[-1] is never ")") it is
+            # that node's internal label.
+            if pieces[i - 1] == ")":
+                continue
+            if prev is _ITEM and stack:
+                raise NewickError(
+                    "expected ',' at offset %d" % _offset(pieces, i))
+            kids.append(len(parent))
+            parent.append(-1)
+            left.append(-1)
+            right.append(-1)
+            labels.append(p)
+            prev = _ITEM
         else:
-            raise NewickError(
-                "unsupported %r at offset %d: quoted labels and comments "
-                "are not read" % (other, m.start(3)))
+            # Token by token; after ")" the piece is read as the rest of
+            # the ")" token, so its internal label and length are skipped.
+            q = ")" + p if pieces[i - 1] == ")" else p
+            at = _offset(pieces, i) + len(p) - len(q)  # the offset of q
+            for m in _TOKEN.finditer(q, 0, len(q.rstrip())):
+                name, length, other = m.groups()
+                if other is not None:
+                    if other in ";:":
+                        raise NewickError("unexpected %r at offset %d"
+                                          % (other, at + m.start(3)))
+                    raise NewickError(
+                        "unsupported %r at offset %d: quoted labels and "
+                        "comments are not read" % (other, at + m.start(3)))
+                if name[0] != ")":
+                    if prev is _ITEM and stack:
+                        raise NewickError(
+                            "expected ',' at offset %d" % (at + m.start(1)))
+                    kids.append(len(parent))
+                    parent.append(-1)
+                    left.append(-1)
+                    right.append(-1)
+                    labels.append(name)
+                    prev = _ITEM
+                if length is not None:
+                    _check_length(q, m, at)
     if stack:
         raise NewickError("unbalanced '('")
     if len(kids) != 1:
         raise NewickError("expected a single root")
-    return RootedBinaryTree(parent, left, right, labels)
+    if not add_rho:
+        return RootedBinaryTree(parent, left, right, labels)
+    v = len(parent)
+    parent[0] = parent[kids[0]] = v
+    parent.append(-1)
+    left.append(0)
+    right.append(kids[0])
+    labels.append(None)
+    try:
+        return RootedBinaryTree(parent, left, right, labels)
+    except NewickError:
+        pass
+    # The text's own label errors come first, as when it is read alone.
+    _check_labels(labels, [u for u in range(1, v) if left[u] < 0])
+    raise _LabelClash("label %r already present" % RHO_LABEL)
 
 
-def _check_length(s, m):
-    """Reject a ``:length`` run that is not a number."""
+def _offset(pieces, i):
+    """Offset in the text of piece i."""
+    return sum(map(len, pieces[:i]))
+
+
+def _check_length(q, m, at):
+    """Reject a ``:length`` run that is not a number; ``at`` is the
+    offset of ``q`` in the text."""
     i = m.start(2)
     j = m.end(2)
     try:
-        float(s[i:j])
+        float(q[i:j])
     except ValueError:
-        raise NewickError("bad branch length at offset %d" % i) from None
-    if j < len(s) and s[j].isdigit():  # a digit that is not decimal
-        raise NewickError("bad branch length at offset %d" % i)
+        raise NewickError("bad branch length at offset %d" % (at + i)) from None
+    if j < len(q) and q[j].isdigit():  # a digit that is not decimal
+        raise NewickError("bad branch length at offset %d" % (at + i))
 
 
 class TreePair:
@@ -404,7 +490,17 @@ def make_pair(t1, t2, add_rho=False):
 
 
 def pair_from_newick(s1, s2, add_rho=False):
-    return make_pair(parse_newick(s1), parse_newick(s2), add_rho=add_rho)
+    """``make_pair(parse_newick(s1), parse_newick(s2), add_rho)``, with
+    each text read once: under ``add_rho`` the reader grafts ``rho``
+    itself.  As there, a read error in either text is reported before
+    a tree that already holds ``rho``.
+    """
+    try:
+        t1 = parse_newick(s1, add_rho)
+    except _LabelClash:
+        parse_newick(s2, add_rho)  # a read error in s2 comes first
+        raise
+    return TreePair(t1, parse_newick(s2, add_rho))
 
 
 def _cherry(dxy, dxz, dyz):

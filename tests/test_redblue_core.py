@@ -459,6 +459,17 @@ def test_incremental_stages_match_full_sweeps():
     assert min(calls.values()) > 0 and len(calls) == 8
 
 
+def test_near_run_builds_no_lca_table():
+    """On a near pair the sweeps' lca queries are mostly two siblings,
+    answered from ``parent``; the rest climb fewer than n_nodes steps
+    in total, so neither tree builds its sparse table."""
+    base = random_pair(20_000, 0, mode="k_rspr", k=20)
+    pair = make_pair(base.t1, base.t2, add_rho=True)
+    result = run(pair)
+    assert result.dual_objective <= 20 and result.value <= 2 * 20
+    assert pair.t1._sparse is None and pair.t2._sparse is None
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 40), st.integers(0, 10_000), st.booleans(),
        st.booleans())

@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -213,6 +214,114 @@ def test_reader_matches_naive_under_single_edits():
     assert 0 < diverged < edits // 4
 
 
+def _half_decorated(tree, rng):
+    """The tree's text with only the root's left subtree decorated, so
+    plain pieces follow decorated ones."""
+    text = tree.to_newick()
+    depth = 0
+    for i, c in enumerate(text):
+        depth += (c == "(") - (c == ")")
+        if c == "," and depth == 1:
+            break
+    return "(" + _decorate(text[1:i], rng) + text[i:]
+
+
+@pytest.mark.parametrize("mode", ["uniform", "k_rspr"])
+def test_reader_matches_naive_on_half_decorated_text(mode):
+    rng = random.Random(13)
+    for seed in range(3):
+        pair = random_pair(300, seed, mode=mode, k=20)
+        for tree in (pair.t1, pair.t2):
+            text = _half_decorated(tree, rng)
+            assert text != tree.to_newick()
+            assert _arrays(parse_newick(text)) == \
+                _arrays(naive.naive_parse_newick(text)) == _arrays(tree)
+            grafted = tree.with_root_sibling(RHO_LABEL)
+            assert _arrays(parse_newick(text, add_rho=True)) == _arrays(grafted)
+
+
+def _pair_outcome(read, s1, s2):
+    """Both trees' arrays and the leaf maps, or the NewickError message."""
+    try:
+        pair = read(s1, s2)
+    except NewickError as error:
+        return str(error)
+    return (_arrays(pair.t1), _arrays(pair.t2), pair.labels,
+            pair.leaf_node1, pair.leaf_node2)
+
+
+def _assert_rho_pair_matches_graft(s1, s2):
+    got = _pair_outcome(lambda a, b: pair_from_newick(a, b, add_rho=True),
+                        s1, s2)
+    want = _pair_outcome(lambda a, b: make_pair(
+        parse_newick(a), parse_newick(b), add_rho=True), s1, s2)
+    assert got == want, (s1, s2)
+    return got
+
+
+def test_rho_pair_reader_matches_graft_on_corpus_and_decorated_text():
+    """Reading with rho grafted gives what grafting the read trees gives."""
+    rng = random.Random(17)
+    texts = []
+    for n in range(3, 13):
+        for _, pair in corpus(n, 25):
+            s1, s2 = pair.t1.to_newick(), pair.t2.to_newick()
+            texts += [(s1, s2), (_decorate(s1, rng), _decorate(s2, rng))]
+    for mode in ("uniform", "k_rspr"):
+        pair = random_pair(300, 2, mode=mode, k=20)
+        texts.append((_decorate(pair.t1.to_newick(), rng),
+                      _half_decorated(pair.t2, rng)))
+    for s1, s2 in texts:
+        assert not isinstance(_assert_rho_pair_matches_graft(s1, s2), str)
+
+
+@pytest.mark.parametrize("s1, s2, message", [
+    ("(rho,b);", "(rho,b", "unbalanced '('"),
+    ("(rho,b);", "(b,rho);", "label 'rho' already present"),
+    ("(a,b);", "(b,rho);", "label 'rho' already present"),
+    ("(rho,(a,a));", "((a,b),c);", "duplicate leaf label 'a'"),
+    ("((a,b),c);", "((a,b),(rho,rho));", "duplicate leaf label 'rho'"),
+    ("(rho,b);", "(a,b)c d;", "expected a single root"),
+    ("(rho,b);", "(a,'b');", "unsupported \"'\" at offset 3: quoted labels "
+     "and comments are not read"),
+    ("(a,b);", "(a,c);", "trees carry different label sets"),
+])
+def test_rho_pair_reader_reports_read_errors_before_the_clash(s1, s2, message):
+    assert _assert_rho_pair_matches_graft(s1, s2) == message
+
+
+def test_rho_pair_reader_matches_graft_under_single_edits():
+    """Seeded single-character edits of one text of a pair, some of
+    whose texts hold rho: same arrays or same message."""
+    rng = random.Random(19)
+    bases = [("((a,b),c);", "(a,(b,c));"), ("((rho,b),c);", "(rho,(b,c));"),
+             (" ( (a:1 , b)y , c) ;", "(a,(b,c)x:2)")]
+    for n in range(3, 9):
+        pair = random_pair(n, n, mode="k_rspr", k=2)
+        bases.append((_decorate(pair.t1.to_newick(), rng), pair.t2.to_newick()))
+    outcomes = Counter()
+    for _ in range(2000):
+        texts = list(rng.choice(bases))
+        side = rng.randrange(2)
+        text = texts[side]
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice("(),;:'[] a1.e-")
+        kind = rng.randrange(3)
+        if kind == 0:
+            text = text[:i] + c + text[i:]
+        elif kind == 1:
+            text = text[:i] + c + text[i + 1:]
+        else:
+            text = text[:i] + text[i + 1:]
+        texts[side] = text
+        got = _assert_rho_pair_matches_graft(*texts)
+        if got == "label 'rho' already present":
+            outcomes["clash"] += 1
+        else:
+            outcomes["error" if isinstance(got, str) else "pair"] += 1
+    assert min(outcomes["clash"], outcomes["error"], outcomes["pair"]) > 0
+
+
 def test_lca_and_ancestor_against_naive(fig1, fig9):
     for pair in (fig1, fig9):
         for t in (1, 2):
@@ -265,6 +374,50 @@ def test_lca_on_deep_tables(mode, add_rho):
             for a in path[i:]:
                 assert tree.lca(u, a) == tree.lca(a, u) == a
         assert all(tree.lca(v, v) == v for v in range(n))
+
+
+def _caterpillar(n):
+    text = "a0"
+    for i in range(1, n):
+        text = "(%s,a%d)" % (text, i)
+    return text + ";"
+
+
+def _balanced(depth, prefix="a"):
+    if depth == 0:
+        return prefix
+    return "(%s,%s)" % (_balanced(depth - 1, prefix + "0"),
+                        _balanced(depth - 1, prefix + "1"))
+
+
+@pytest.mark.parametrize("text", [_caterpillar(40), _balanced(5) + ";"],
+                         ids=["caterpillar", "balanced"])
+def test_lca_walks_then_builds_the_table(text):
+    """Every node pair, answered by a climb on a fresh tree and by the
+    table on a tree whose climbs have taken n_nodes steps; one tree's
+    table appears at the first query after that budget is spent."""
+    tree = parse_newick(text)
+    n = tree.n_nodes
+    pairs = list(combinations(range(n), 2))
+    for u, v in pairs:
+        want = naive.naive_lca(tree, u, v)
+        fresh = parse_newick(text)
+        assert fresh.lca(v, u) == want
+        assert fresh._sparse is None
+    walked = 0
+    order = pairs[:]
+    random.Random(3).shuffle(order)
+    for u, v in order:
+        want = naive.naive_lca(tree, u, v)
+        built = walked >= n
+        assert tree.lca(u, v) == want
+        assert (tree._sparse is not None) == built, (u, v, walked)
+        if not built:
+            walked += tree.depth[u] - tree.depth[want]
+    assert walked >= n
+    for u, v in pairs:
+        assert tree.lca(u, v) == tree.lca(v, u) == naive.naive_lca(tree, u, v)
+    assert all(tree.lca(v, v) == v for v in range(n))
 
 
 def test_meet_matrix_against_naive():
@@ -330,7 +483,7 @@ def test_rho_sibling_matches_reparse(n, k):
 
 
 def test_rho_label_collision_rejected():
-    with pytest.raises(NewickError):
+    with pytest.raises(NewickError, match="label 'rho' already present"):
         pair_from_newick("(rho,b);", "(rho,b);", add_rho=True)
 
 
