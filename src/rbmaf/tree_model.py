@@ -290,7 +290,6 @@ def parse_newick(text, add_rho=False):
     if s.endswith(";"):
         s = s[:-1].rstrip()
     pieces = _split(s)  # text at even indices, "(", ")" or "," at odd
-    plain = _special(s) is None
     if add_rho:
         parent, left, right, labels = [-1], [-1], [-1], [RHO_LABEL]
     else:
@@ -334,48 +333,23 @@ def parse_newick(text, add_rho=False):
             kids = stack.pop()
             kids.append(v)
             prev = _ITEM
-        elif not p:
-            continue
-        elif plain or _special(p) is None:
-            # One label; right after ")" (pieces[-1] is never ")") it is
-            # that node's internal label.
-            if pieces[i - 1] == ")":
-                continue
-            if prev is _ITEM and stack:
-                raise NewickError(
-                    "expected ',' at offset %d" % _offset(pieces, i))
-            kids.append(len(parent))
-            parent.append(-1)
-            left.append(-1)
-            right.append(-1)
-            labels.append(p)
-            prev = _ITEM
-        else:
-            # Token by token; after ")" the piece is read as the rest of
-            # the ")" token, so its internal label and length are skipped.
-            q = ")" + p if pieces[i - 1] == ")" else p
-            at = _offset(pieces, i) + len(p) - len(q)  # the offset of q
-            for m in _TOKEN.finditer(q, 0, len(q.rstrip())):
-                name, length, other = m.groups()
-                if other is not None:
-                    if other in ";:":
-                        raise NewickError("unexpected %r at offset %d"
-                                          % (other, at + m.start(3)))
-                    raise NewickError(
-                        "unsupported %r at offset %d: quoted labels and "
-                        "comments are not read" % (other, at + m.start(3)))
-                if name[0] != ")":
-                    if prev is _ITEM and stack:
-                        raise NewickError(
-                            "expected ',' at offset %d" % (at + m.start(1)))
-                    kids.append(len(parent))
-                    parent.append(-1)
-                    left.append(-1)
-                    right.append(-1)
-                    labels.append(name)
-                    prev = _ITEM
-                if length is not None:
-                    _check_length(q, m, at)
+        elif p:
+            # The delimiter before a piece set prev (pieces[-1] is never
+            # ")"), so a label here follows a node only after ")", where
+            # a plain piece is that node's internal label.
+            if _special(p) is None:
+                if pieces[i - 1] == ")":
+                    continue
+                names = (p,)
+            else:
+                names = _piece_labels(pieces, i, bool(stack))
+            for name in names:
+                kids.append(len(parent))
+                parent.append(-1)
+                left.append(-1)
+                right.append(-1)
+                labels.append(name)
+                prev = _ITEM
     if stack:
         raise NewickError("unbalanced '('")
     if len(kids) != 1:
@@ -402,17 +376,47 @@ def _offset(pieces, i):
     return sum(map(len, pieces[:i]))
 
 
-def _check_length(q, m, at):
-    """Reject a ``:length`` run that is not a number; ``at`` is the
-    offset of ``q`` in the text."""
-    i = m.start(2)
-    j = m.end(2)
+def _piece_labels(pieces, i, nested):
+    """Leaf labels in piece i, read token by token.
+
+    After ``)`` the piece is read as the rest of the ``)`` token, so its
+    internal label and length are skipped.  A label that follows a node
+    inside the piece raises when ``nested`` (the piece lies inside
+    parentheses); at the top level it is returned, and the reader
+    rejects the extra root at the end.  Offsets are computed only when
+    raising.
+    """
+    p = pieces[i]
+    q = ")" + p if pieces[i - 1] == ")" else p
+    shift = len(p) - len(q)  # from offsets in q to offsets in p
+    names = []
+    for m in _TOKEN.finditer(q, 0, len(q.rstrip())):
+        name, length, other = m.groups()
+        if other is not None:
+            at = _offset(pieces, i) + shift + m.start(3)
+            if other in ";:":
+                raise NewickError("unexpected %r at offset %d" % (other, at))
+            raise NewickError("unsupported %r at offset %d: quoted labels "
+                              "and comments are not read" % (other, at))
+        if name[0] != ")":
+            if nested and (names or shift):
+                raise NewickError("expected ',' at offset %d"
+                                  % (_offset(pieces, i) + shift + m.start(1)))
+            names.append(name)
+        if length is not None and not _is_length(q, m):
+            raise NewickError("bad branch length at offset %d"
+                              % (_offset(pieces, i) + shift + m.start(2)))
+    return names
+
+
+def _is_length(q, m):
+    """True when the ``:length`` run of match m in q is a number."""
+    i, j = m.span(2)
     try:
         float(q[i:j])
     except ValueError:
-        raise NewickError("bad branch length at offset %d" % (at + i)) from None
-    if j < len(q) and q[j].isdigit():  # a digit that is not decimal
-        raise NewickError("bad branch length at offset %d" % (at + i))
+        return False
+    return j == len(q) or not q[j].isdigit()  # a digit that is not decimal
 
 
 class TreePair:

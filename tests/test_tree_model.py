@@ -27,6 +27,7 @@ from rbmaf import (
     spanned_nodes,
     triple_compatible,
 )
+from rbmaf import tree_model
 from rbmaf.cli_runner import main
 
 import naive
@@ -238,6 +239,28 @@ def test_reader_matches_naive_on_half_decorated_text(mode):
                 _arrays(naive.naive_parse_newick(text)) == _arrays(tree)
             grafted = tree.with_root_sibling(RHO_LABEL)
             assert _arrays(parse_newick(text, add_rho=True)) == _arrays(grafted)
+
+
+def test_reader_computes_offsets_only_when_raising(monkeypatch):
+    """A 20,000-leaf decorated text, nearly every piece of which is read
+    token by token, needs no offset until a quote near its end."""
+    tree = random_pair(20_000, 3).t1
+    text = _decorate(tree.to_newick(), random.Random(23)).strip()
+    calls = []
+
+    def offset(pieces, i):
+        calls.append(i)
+        return sum(map(len, pieces[:i]))
+
+    monkeypatch.setattr(tree_model, "_offset", offset)
+    assert _arrays(parse_newick(text)) == _arrays(tree)
+    assert _arrays(parse_newick(text, add_rho=True)) == \
+        _arrays(tree.with_root_sibling(RHO_LABEL))
+    assert calls == []
+    at = text.rindex(",") + 1
+    with pytest.raises(NewickError, match="offset %d:" % at):
+        parse_newick(text[:at] + "'" + text[at:])
+    assert len(calls) == 1
 
 
 def _pair_outcome(read, s1, s2):
