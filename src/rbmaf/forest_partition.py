@@ -28,16 +28,19 @@ chain from its root down to its new meeting node, the only nodes whose
 live count or coverage can change there, and runs the structural pass
 on the trees it detaches, so it costs the size of the new trees, not n.
 The pass also checks that every leaf it meets maps to its tree's root.
-The color pass runs when a coloring is installed and visits only the
-tinted nodes, the forest-tree ancestors of the red and blue leaves,
-found by walking up from each colored leaf until a cut edge or an
-already tinted node: per tinted node it counts the red and blue live
-leaves below it, and per painted block (one holding a red or blue leaf)
-its red and blue leaves and its number of colors.  Splits keep those
-counts current: each cut takes its subtree's red and blue counts off
-the nodes above it, up to the first cut node.  Every other node has no
-red or blue leaf below it, and white counts are live counts minus red
-and blue.
+The color pass runs when a coloring is installed.  It groups the red
+and blue leaves by block and counts, per painted block (one holding a
+red or blue leaf), its red and blue leaves and its number of colors.
+Only a block of two or more leaves can be split by a cut below its
+root, and only at or below its colored meet, the node where its red and
+blue leaves meet, which the block keeps: the pass tints the nodes from
+each such block's colored leaves up to that meet and counts the red and
+blue live leaves below each.  Splits keep those counts current: each
+cut takes its subtree's red and blue counts off the nodes above it, up
+to the first cut node or the meet, and each new block's meet is found
+by a walk down from the old one or from its own root, the nodes passed
+being zeroed.  Every other node reads 0, whatever lies below it, and
+white counts are live counts minus red and blue.
 """
 
 from __future__ import annotations
@@ -57,11 +60,14 @@ class Component:
     while that iteration runs).  ``leaves`` is sorted and ``size`` is
     its length: a block's leaves never change, a split hands its list on
     to the new block that keeps its root.  Red and blue counts follow
-    the installed coloring (all white without one).
+    the installed coloring (all white without one).  ``colored_meet``
+    is the node of the second tree where the block's red and blue
+    leaves meet, kept for a block of two or more leaves that holds
+    some, and -1 otherwise.
     """
 
     __slots__ = ("id", "leaves", "size", "root2", "origin0", "n_red",
-                 "n_blue")
+                 "n_blue", "colored_meet")
 
     def __init__(self, cid, leaves, root2, origin0):
         self.id = cid
@@ -71,6 +77,7 @@ class Component:
         self.origin0 = origin0
         self.n_red = 0
         self.n_blue = 0
+        self.colored_meet = -1
 
     @property
     def n_white(self):
@@ -289,35 +296,72 @@ class Partition:
         return path
 
     def _refresh_colors(self):
-        """Count the installed coloring's red and blue leaves on the
-        tinted nodes and painted blocks, and classify the painted blocks
-        by color count.
+        """Count the installed coloring's red and blue leaves per block
+        and on the tinted nodes, and classify the painted blocks by
+        color count.
 
-        The previous coloring's entries are zeroed first, so every node
-        and block outside the new tinted and painted sets reads zero.
+        The colored leaves are grouped by forest tree.  A block of one
+        leaf (its root holds one live leaf) only gets its counts: no
+        violation can fire inside it.  In any other block the colored
+        leaves meet at the lca of the smallest and largest of their
+        node ids, the first ancestor of the smallest whose id reaches
+        the largest; the block keeps it as its colored meet, and the
+        walks up from its colored leaves stop there, since above it
+        every node holds all of the block's colors and no violation can
+        fire either.  The previous coloring's entries are zeroed first,
+        so every node and block outside the new tinted and painted sets
+        reads zero.
         """
         live_r, live_b, comps = self.live_r, self.live_b, self.comps
         for v in self.tinted:
             live_r[v] = live_b[v] = 0
         for cid in self.painted & comps.keys():
-            comps[cid].n_red = comps[cid].n_blue = 0
+            c = comps[cid]
+            c.n_red = c.n_blue = 0
+            c.colored_meet = -1
         self.tinted, self.painted, self.mixed = [], set(), {}
         coloring = self.coloring
         if coloring is None:
             return
         pair = self.pair
         t2 = pair.t2
-        left, right, parent, root = t2.left, t2.right, t2.parent, t2.root
+        left, right, parent = t2.left, t2.right, t2.parent
         cut = self.cut
-        leaf_node2 = pair.leaf_node2
+        leaf_node2, leaf_root, root_comp = pair.leaf_node2, self.leaf_root, self.root_comp
+        live, painted = self.live, self.painted
+        groups = {}  # forest-tree root -> red and blue leaf nodes
+        for k, leaves in enumerate((coloring.red, coloring.blue)):
+            for i in leaves:
+                r = leaf_root[i]
+                if live[r] == 1:  # a block of one leaf
+                    c = comps[root_comp[r]]
+                    if k:
+                        c.n_blue = 1
+                    else:
+                        c.n_red = 1
+                    painted.add(c.id)
+                elif r in groups:
+                    groups[r][k].append(leaf_node2[i])
+                else:
+                    group = groups[r] = ([], [])
+                    group[k].append(leaf_node2[i])
         seen = set()
-        for leaves, counts in ((coloring.red, live_r), (coloring.blue, live_b)):
-            for v in map(leaf_node2.__getitem__, leaves):
-                counts[v] = 1
+        for r, (reds, blues) in groups.items():
+            c = comps[root_comp[r]]
+            self._paint(c, len(reds), len(blues))
+            for v in reds:
+                live_r[v] = 1
+            for v in blues:
+                live_b[v] = 1
+            nodes = reds + blues
+            lo, hi = min(nodes), max(nodes)
+            while lo < hi:
+                lo = parent[lo]
+            c.colored_meet = lo
+            seen.add(lo)
+            for v in nodes:
                 while v not in seen:
                     seen.add(v)
-                    if cut[v] or v == root:
-                        break
                     v = parent[v]
         tinted = sorted(seen)
         for v in tinted:
@@ -334,16 +378,14 @@ class Partition:
             live_r[v] = tr
             live_b[v] = tb
         self.tinted = tinted
-        root_comp, leaf_root = self.root_comp, self.leaf_root
-        for r in {leaf_root[i] for i in chain(coloring.red, coloring.blue)}:
-            self._paint(comps[root_comp[r]])
 
-    def _paint(self, c):
-        """Record block ``c``, which holds a red or blue leaf, as painted,
-        with the red and blue counts of its root, and as mixed when it
-        carries two or three colors."""
-        r = c.n_red = self.live_r[c.root2]
-        b = c.n_blue = self.live_b[c.root2]
+    def _paint(self, c, r, b):
+        """Record block ``c`` as painted with ``r`` red and ``b`` blue
+        leaves, not both 0, as the color pass grouped them or a split
+        carried them over, and as mixed when it carries two or three
+        colors."""
+        c.n_red = r
+        c.n_blue = b
         self.painted.add(c.id)
         k = (r > 0) + (b > 0) + (r + b < c.size)
         if k > 1:
@@ -437,7 +479,9 @@ class Partition:
         the root keeps ``comp``'s leaf list object, which loses the
         other blocks' leaves.  A detached rest is read off that list,
         which costs the kept block's leaves too, but the caller listed
-        those.  The detached trees get the structural pass.
+        those.  The detached trees get the structural pass.  Each new
+        block gets the red and blue counts ``_cut`` carries over and,
+        when it holds some, its colored meet from ``_lower_meet``.
         """
         root = comp.root2
         keep = roots.index(root)
@@ -445,7 +489,7 @@ class Partition:
         if len(parts) < len(roots):
             sizes.append(comp.size - sum(sizes))
         anchors = [v for v in roots if v != root]
-        self._cut(root, anchors, sizes[keep])
+        colors = self._cut(comp, anchors, sizes[keep])
         leaf_root = self.leaf_root
         blocks = []
         for k, v in enumerate(roots):
@@ -467,69 +511,124 @@ class Partition:
 
         origin0 = comp.origin0 if comp.id >= self.first_new else comp.id
         comps, root_comp = self.comps, self.root_comp
-        live_r, live_b = self.live_r, self.live_b
         del comps[comp.id]
         self.painted.discard(comp.id)
         self.mixed.pop(comp.id, None)
         ids = range(self.next_id, self.next_id + len(roots))
         self.next_id = ids.stop
+        meet = comp.colored_meet
+        untinted = []
         for cid, p, v in zip(ids, blocks, roots):
             c = comps[cid] = Component(cid, p, v, origin0)
             root_comp[v] = cid
-            if live_r[v] or live_b[v]:
-                self._paint(c)
+            r, b = colors[v]
+            if r or b:
+                self._paint(c, r, b)
+                # the block's tree holds the old meet, with all of its
+                # colors below it, or its root lies below the old meet
+                untinted += self._lower_meet(c, min(v, meet))
+        if untinted:
+            _drop_sorted(self.tinted, sorted(untinted))
         self._refresh_structure(anchors)
         return list(ids)
 
-    def _cut(self, root, anchors, size):
-        """Cut the edges above ``anchors``, nodes of the forest tree
-        rooted at ``root``, which keeps ``size`` leaves.
+    def _lower_meet(self, c, top):
+        """Set the colored meet of block ``c`` from a walk down from
+        ``top``, a node of its tree with all of its red and blue leaves
+        below, and zero the colors of the nodes passed on the way, which
+        it returns.  A block of one leaf keeps no meet: its leaf is
+        zeroed too.  The walk is ``meeting_path``'s on the color counts,
+        written out because it runs for every new colored block, most of
+        them single leaves, where the callback would cost more than the
+        walk.
+        """
+        left, right, cut = self.pair.t2.left, self.pair.t2.right, self.cut
+        live_r, live_b = self.live_r, self.live_b
+        total = c.n_red + c.n_blue
+        path = []
+        v = top
+        while left[v] >= 0:
+            l, r = left[v], right[v]
+            if not cut[l] and live_r[l] + live_b[l] == total:
+                path.append(v)
+                v = l
+            elif not cut[r] and live_r[r] + live_b[r] == total:
+                path.append(v)
+                v = r
+            else:
+                break
+        if c.size == 1:
+            path.append(v)
+        else:
+            c.colored_meet = v
+        for v in path:
+            live_r[v] = live_b[v] = 0
+        return path
 
-        Each anchor's live, red and blue counts, read before any update,
-        come off the nodes above it up to the first cut node: the root,
-        or an anchor it nests in, whose count then excludes it.  Tinted
-        nodes left without red and blue leaves leave ``tinted``.  In the
-        kept tree, coverage changes only on the paths that reach the
-        root, and on the chain from the root down to the block's new
-        meeting node: a node there holds every leaf of the block, so it
-        is covered only if both its children hold some.  The detached
-        trees are left to the structural pass.
+    def _cut(self, comp, anchors, size):
+        """Cut the edges above ``anchors``, nodes of the forest tree of
+        block ``comp``, whose root keeps ``size`` leaves; returns the
+        red and blue counts of each new block, keyed by its root.
+
+        Each anchor's live count, read before any update, comes off the
+        nodes above it up to the first cut node: the root, or an anchor
+        it nests in, whose count then excludes it.  Its colors are all
+        of the block's when it lies above the block's colored meet, and
+        otherwise its own red and blue counts, nonzero only at or below
+        the meet; those come off the same nodes, but not above the meet,
+        and off the block of that first cut node.  Tinted nodes left
+        without red and blue leaves leave ``tinted``.  In the kept tree,
+        coverage changes only on the paths that reach the root, where a
+        node holding some but not all of the block's leaves is covered,
+        and on the chain from the root down to the block's new meeting
+        node: a node there holds every leaf of the block, so only the
+        meeting node is covered.  The detached trees are left to the
+        structural pass.
         """
         t2 = self.pair.t2
-        left, right, parent = t2.left, t2.right, t2.parent
+        parent, smin = t2.parent, t2.subtree_min
         cut, live, cover = self.cut, self.live, self.cover
         live_r, live_b = self.live_r, self.live_b
-        counts = [(live[a], live_r[a], live_b[a]) for a in anchors]
+        root, meet = comp.root2, comp.colored_meet
+        colors = {root: [comp.n_red, comp.n_blue]}
+        counts = []
         for a in anchors:
+            col = colors[a] = ([comp.n_red, comp.n_blue] if smin[a] <= meet < a
+                               else [live_r[a], live_b[a]])
+            counts.append((a, live[a], *col))
             cut[a] = True
         path, emptied = [], []
-        for a, (d, dr, db) in zip(anchors, counts):
+        for a, d, dr, db in counts:
             start = len(path)
+            tint = a < meet and (dr or db)
             v = parent[a]
             while True:
                 live[v] -= d
-                if dr or db:
+                if tint:
                     live_r[v] -= dr
                     live_b[v] -= db
                     if not (live_r[v] or live_b[v]):
                         emptied.append(v)
+                    tint = v != meet
                 path.append(v)
                 if v == root or cut[v]:
                     break
                 v = parent[v]
+            up = colors[v]
+            up[0] -= dr
+            up[1] -= db
             if v != root:
                 del path[start:]
         for v in path:
-            l, r = left[v], right[v]
-            ll = 0 if cut[l] else live[l]
-            rr = 0 if cut[r] else live[r]
-            lv = ll + rr
-            cover[v] = root if lv and (lv < size or (ll and rr)) else -1
-        for v in self.meeting_path(root, size)[:-1]:
+            cover[v] = root if 0 < live[v] < size else -1
+        down = self.meeting_path(root, size)
+        for v in down:
             cover[v] = -1
+        cover[down[-1]] = root
         tinted = self.tinted
         for v in emptied:
             del tinted[bisect_left(tinted, v)]
+        return colors
 
     # ------------------------------------------------------------------
     # merging

@@ -273,11 +273,9 @@ def find_lowest_pcs(partition):
 
 def _colored_meet(partition, comp):
     """Second-tree node where the red and blue leaves of a tricolored
-    block meet, found by a walk down from the block's root on the red
-    and blue counts; raises unless the block covers it."""
-    live_r, live_b = partition.live_r, partition.live_b
-    ua = partition.meeting_path(comp.root2, comp.n_red + comp.n_blue,
-                                lambda v: live_r[v] + live_b[v])[-1]
+    block meet, which the partition keeps current on the block; raises
+    unless the block covers it."""
+    ua = comp.colored_meet
     if partition.covering(ua) != comp.id:
         raise InvariantError("colored meeting node is not covered by its block")
     return ua

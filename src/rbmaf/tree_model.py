@@ -284,7 +284,9 @@ def parse_newick(text, add_rho=False):
     reader starts with that leaf as node 0 and closes the new root at
     the end, and offsets in messages stay those of ``text``.
     """
-    s = text.strip()
+    # Leading whitespace stays, as a piece that reads as no label, so
+    # that offsets count from the start of ``text``.
+    s = text.rstrip()
     if not s:
         raise NewickError("empty input")
     if s.endswith(";"):

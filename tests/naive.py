@@ -331,6 +331,36 @@ def full_color_counts(partition):
     return counts[RED], counts[BLUE], counts[WHITE], blocks
 
 
+def tinted_color_counts(partition):
+    """The red and blue counts of ``full_color_counts`` on the nodes at
+    or below the colored meet of each block of two or more leaves that
+    holds a red or blue leaf, inside that block's forest tree, and 0 on
+    every other node; the nodes where one is nonzero, ascending; and
+    ``{block id: colored meet}``, each meet the lca of the block's red
+    and blue leaves folded pairwise."""
+    pair = partition.pair
+    t2 = pair.t2
+    n = t2.n_nodes
+    live_r, live_b = full_color_counts(partition)[:2]
+    coloring = partition.coloring
+    colored = {}
+    if coloring is not None:
+        leaf_comp = leaf_blocks(partition)
+        for i in coloring.red + coloring.blue:
+            colored.setdefault(leaf_comp[i], []).append(i)
+    meets = {cid: fold_lca(pair, 2, leaves) for cid, leaves in colored.items()
+             if len(partition.comps[cid].leaves) > 1}
+    inside = [False] * n
+    marked = set(meets.values())
+    for v in range(n - 1, -1, -1):
+        inside[v] = v in marked or (
+            v != t2.root and not partition.cut[v] and inside[t2.parent[v]])
+    live_r = [x if ok else 0 for x, ok in zip(live_r, inside)]
+    live_b = [x if ok else 0 for x, ok in zip(live_b, inside)]
+    tinted = [v for v in range(n) if live_r[v] or live_b[v]]
+    return live_r, live_b, tinted, meets
+
+
 def full_rb_violation(partition):
     """Lowest node whose covering block has red and blue below it and
     one of them above it too."""
@@ -546,7 +576,7 @@ def naive_parse_newick(text):
     ``(a b)`` and ``(a,,b)`` read as ``(a,b)``; :func:`parse_newick`
     rejects both.
     """
-    s = text.strip()
+    s = text.rstrip()  # the loop skips leading whitespace
     if not s:
         raise NewickError("empty input")
     if s.endswith(";"):

@@ -382,17 +382,20 @@ def test_solver_golden():
 def check_blocks_and_colors(partition):
     """Each leaf's block, from ``leaf_root``, from the blocks' leaf lists
     and from the cut forest, and every color count, against the full
-    recounts in ``naive``."""
+    recounts in ``naive``: node counts are kept only at or below the
+    colored meet of each block of two or more leaves."""
     treecomp = naive.full_structure(partition)[1]
     n = partition.pair.n
     leaf_node2 = partition.pair.leaf_node2
     blocks_of = [partition.component_of_leaf(i).id for i in range(n)]
     assert blocks_of == naive.leaf_blocks(partition)
     assert blocks_of == [treecomp[leaf_node2[i]] for i in range(n)]
-    live_r, live_b, _, blocks = naive.full_color_counts(partition)
+    live_r, live_b, tinted, meets = naive.tinted_color_counts(partition)
     assert partition.live_r == live_r and partition.live_b == live_b
-    assert partition.tinted == [v for v in range(len(live_r))
-                                if live_r[v] or live_b[v]]
+    assert partition.tinted == tinted
+    assert {cid: c.colored_meet for cid, c in partition.comps.items()
+            if c.colored_meet >= 0} == meets
+    blocks = naive.full_color_counts(partition)[3]
     assert partition.painted == {cid for cid, b in blocks.items()
                                  if b[0] or b[1]}
     assert {cid: [c.n_red, c.n_blue, c.n_white]
@@ -690,6 +693,32 @@ def test_color_pass_runs_once_per_iteration():
             calls.clear()
             res = run(pair)
             assert calls["colors"] == len(res.iterations) + 1
+
+
+def test_color_pass_tints_only_below_colored_meets():
+    """Summed over every color pass while solving the uniform pairs at
+    n = 1000 and 1200 (generator seeds 0 and 1), the tinted nodes number
+    6,003 when only blocks of two or more leaves are tinted, each up to
+    its colored meet; tinting every colored leaf's ancestors up to its
+    forest root gives 63,505.  The bound leaves 25% headroom on the
+    first count and measures no time.  Iterations and cuts do not
+    change."""
+    colors = Partition._refresh_colors
+    tinted = []
+
+    def counted(partition):
+        colors(partition)
+        tinted.append(len(partition.tinted))
+
+    iterations = cuts = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Partition, "_refresh_colors", counted)
+        for n, seed in ((1000, 0), (1200, 1)):
+            res = run(random_pair(n, seed))
+            iterations += len(res.iterations)
+            cuts += sum(rec.n_stars for rec in res.iterations)
+    assert (iterations, cuts) == (970, 1096)
+    assert sum(tinted) <= 6003 * 5 // 4
 
 
 def test_structure_refresh_after_three_cuts_on_one_lineage():

@@ -108,6 +108,25 @@ def test_bad_newick_rejected(text):
     assert str(info.value) == BAD_NEWICK[text]
 
 
+def _shifted(message, by):
+    return re.sub(r"offset (\d+)",
+                  lambda m: "offset %d" % (int(m.group(1)) + by), message)
+
+
+@pytest.mark.parametrize(
+    "text", [text for text, message in BAD_NEWICK.items() if "offset" in message])
+def test_bad_newick_offsets_count_leading_whitespace(text):
+    """Offsets count from the start of the text, so four characters of
+    leading whitespace move every offset by 4.  The naive reader, which
+    skips the separators the one-pass reader rejects, gives its own
+    outcome moved the same way."""
+    assert _outcome(parse_newick, "  \n " + text) == _shifted(BAD_NEWICK[text], 4)
+    plain = _outcome(naive.naive_parse_newick, text)
+    if isinstance(plain, str):
+        plain = _shifted(plain, 4)
+    assert _outcome(naive.naive_parse_newick, "  \n " + text) == plain
+
+
 def test_whitespace_between_tokens_allowed():
     text = " ( ( a:1.5 ,\n\tb )x:2e-1 , c ) ;\n"
     assert parse_newick(text).to_newick() == "((a,b),c);"
