@@ -29,18 +29,19 @@ live count or coverage can change there, and runs the structural pass
 on the trees it detaches, so it costs the size of the new trees, not n.
 The pass also checks that every leaf it meets maps to its tree's root.
 The color pass runs when a coloring is installed.  It groups the red
-and blue leaves by block and counts, per painted block (one holding a
-red or blue leaf), its red and blue leaves and its number of colors.
-Only a block of two or more leaves can be split by a cut below its
-root, and only at or below its colored meet, the node where its red and
-blue leaves meet, which the block keeps: the pass tints the nodes from
-each such block's colored leaves up to that meet and counts the red and
-blue live leaves below each.  Splits keep those counts current: each
-cut takes its subtree's red and blue counts off the nodes above it, up
-to the first cut node or the meet, and each new block's meet is found
-by a walk down from the old one or from its own root, the nodes passed
-being zeroed.  Every other node reads 0, whatever lies below it, and
-white counts are live counts minus red and blue.
+and blue leaves by block and skips blocks of one leaf, which no cut
+can split.  A block of two or more leaves can be split only at or
+below its colored meet, the node where its red and blue leaves meet,
+which the block keeps: the pass tints the nodes from each such block's
+colored leaves up to that meet and counts the red and blue live leaves
+below each.  The counts at the meet are the block's own, and nothing
+else records them.  Splits keep those counts current: each cut takes
+its subtree's red and blue counts off the nodes above it, up to the
+first cut node or the meet, and each new block's meet is found by a
+walk down from the old meet, when its tree holds it, or from its own
+root, the nodes passed being zeroed; a new block of one leaf keeps its
+leaf as its meet.  Every other node reads 0, whatever lies below it,
+and white counts are live counts minus red and blue.
 """
 
 from __future__ import annotations
@@ -59,15 +60,14 @@ class Component:
     when the iteration that created this one started (it is read only
     while that iteration runs).  ``leaves`` is sorted and ``size`` is
     its length: a block's leaves never change, a split hands its list on
-    to the new block that keeps its root.  Red and blue counts follow
-    the installed coloring (all white without one).  ``colored_meet``
-    is the node of the second tree where the block's red and blue
-    leaves meet, kept for a block of two or more leaves that holds
-    some, and -1 otherwise.
+    to the new block that keeps its root.  ``colored_meet`` is the node
+    of the second tree where the block's red and blue leaves meet, whose
+    counts are the block's (``Partition.color_counts``).  It is -1 when
+    the block holds none, or when it is a block of one leaf that the
+    color pass found: such a block reads white.
     """
 
-    __slots__ = ("id", "leaves", "size", "root2", "origin0", "n_red",
-                 "n_blue", "colored_meet")
+    __slots__ = ("id", "leaves", "size", "root2", "origin0", "colored_meet")
 
     def __init__(self, cid, leaves, root2, origin0):
         self.id = cid
@@ -75,13 +75,7 @@ class Component:
         self.size = len(leaves)
         self.root2 = root2
         self.origin0 = origin0
-        self.n_red = 0
-        self.n_blue = 0
         self.colored_meet = -1
-
-    @property
-    def n_white(self):
-        return self.size - self.n_red - self.n_blue
 
     def __repr__(self):
         return "Component(%d, %r)" % (self.id, self.leaves)
@@ -119,10 +113,11 @@ class Partition:
     ``root_comp[leaf_root[i]]`` is the block of leaf ``i``.  The
     annotations are current after every public call: a split updates
     the tree that keeps the block's root in place and rewrites the
-    annotation arrays on the trees it detaches only.  ``mixed`` maps
-    each block the coloring paints with two or three colors to that
-    count.  ``sweep`` holds ``find_lowest_pcs``'s saved state, which
-    ``merge`` drops because it re-derives the roots.
+    annotation arrays on the trees it detaches only.  ``painted`` holds
+    the ids of the blocks with a colored meet, and ``mixed`` maps each
+    of them with two or three colors to that count; the next color
+    pass resets from both.  ``sweep`` holds ``find_lowest_pcs``'s saved
+    state, which ``merge`` drops because it re-derives the roots.
     """
 
     __slots__ = ("pair", "comps", "leaf_root", "cut", "root_comp",
@@ -205,6 +200,14 @@ class Partition:
         """Start an iteration: ids from here on mark what it creates."""
         self.first_new = self.next_id
 
+    def color_counts(self, c):
+        """Red and blue leaves of block ``c``: the counts at its colored
+        meet, or (0, 0) without one."""
+        m = c.colored_meet
+        if m < 0:
+            return 0, 0
+        return self.live_r[m], self.live_b[m]
+
     # ------------------------------------------------------------------
     # annotations
 
@@ -212,7 +215,9 @@ class Partition:
         """Install ``coloring`` (None clears it) and count its colors.
 
         The color counts need no refresh otherwise: every split carries
-        them through its cuts.
+        them through its cuts.  A block of one leaf that is already
+        there reads white, so the coloring goes in before the
+        iteration's splits.
         """
         self.coloring = coloring
         self._refresh_colors()
@@ -296,29 +301,26 @@ class Partition:
         return path
 
     def _refresh_colors(self):
-        """Count the installed coloring's red and blue leaves per block
-        and on the tinted nodes, and classify the painted blocks by
-        color count.
+        """Count the installed coloring's red and blue leaves on the
+        tinted nodes, and classify the painted blocks by color count.
 
-        The colored leaves are grouped by forest tree.  A block of one
-        leaf (its root holds one live leaf) only gets its counts: no
-        violation can fire inside it.  In any other block the colored
-        leaves meet at the lca of the smallest and largest of their
-        node ids, the first ancestor of the smallest whose id reaches
-        the largest; the block keeps it as its colored meet, and the
-        walks up from its colored leaves stop there, since above it
-        every node holds all of the block's colors and no violation can
-        fire either.  The previous coloring's entries are zeroed first,
-        so every node and block outside the new tinted and painted sets
-        reads zero.
+        The colored leaves are grouped by forest tree, and a block of
+        one leaf (its root holds one live leaf) is skipped: no violation
+        can fire inside it.  In any other block the colored leaves meet
+        at the lca of the smallest and largest of their node ids, the
+        first ancestor of the smallest whose id reaches the largest; the
+        block keeps it as its colored meet, and the walks up from its
+        colored leaves stop there, since above it every node holds all
+        of the block's colors and no violation can fire either.  The
+        previous coloring's entries are zeroed first, so every node
+        outside the new tinted set reads zero and every block outside
+        the new painted set has no meet.
         """
         live_r, live_b, comps = self.live_r, self.live_b, self.comps
         for v in self.tinted:
             live_r[v] = live_b[v] = 0
         for cid in self.painted & comps.keys():
-            c = comps[cid]
-            c.n_red = c.n_blue = 0
-            c.colored_meet = -1
+            comps[cid].colored_meet = -1
         self.tinted, self.painted, self.mixed = [], set(), {}
         coloring = self.coloring
         if coloring is None:
@@ -326,29 +328,22 @@ class Partition:
         pair = self.pair
         t2 = pair.t2
         left, right, parent = t2.left, t2.right, t2.parent
-        cut = self.cut
-        leaf_node2, leaf_root, root_comp = pair.leaf_node2, self.leaf_root, self.root_comp
-        live, painted = self.live, self.painted
+        cut, live = self.cut, self.live
+        leaf_node2, leaf_root = pair.leaf_node2, self.leaf_root
         groups = {}  # forest-tree root -> red and blue leaf nodes
         for k, leaves in enumerate((coloring.red, coloring.blue)):
             for i in leaves:
                 r = leaf_root[i]
                 if live[r] == 1:  # a block of one leaf
-                    c = comps[root_comp[r]]
-                    if k:
-                        c.n_blue = 1
-                    else:
-                        c.n_red = 1
-                    painted.add(c.id)
-                elif r in groups:
+                    continue
+                if r in groups:
                     groups[r][k].append(leaf_node2[i])
                 else:
                     group = groups[r] = ([], [])
                     group[k].append(leaf_node2[i])
+        blocks = [comps[self.root_comp[r]] for r in groups]
         seen = set()
-        for r, (reds, blues) in groups.items():
-            c = comps[root_comp[r]]
-            self._paint(c, len(reds), len(blues))
+        for c, (reds, blues) in zip(blocks, groups.values()):
             for v in reds:
                 live_r[v] = 1
             for v in blues:
@@ -378,14 +373,14 @@ class Partition:
             live_r[v] = tr
             live_b[v] = tb
         self.tinted = tinted
+        for c in blocks:
+            self._paint(c)
 
-    def _paint(self, c, r, b):
-        """Record block ``c`` as painted with ``r`` red and ``b`` blue
-        leaves, not both 0, as the color pass grouped them or a split
-        carried them over, and as mixed when it carries two or three
+    def _paint(self, c):
+        """Record block ``c``, whose colored meet is set, as painted,
+        and as mixed when the counts at its meet give it two or three
         colors."""
-        c.n_red = r
-        c.n_blue = b
+        r, b = self.color_counts(c)
         self.painted.add(c.id)
         k = (r > 0) + (b > 0) + (r + b < c.size)
         if k > 1:
@@ -479,9 +474,13 @@ class Partition:
         the root keeps ``comp``'s leaf list object, which loses the
         other blocks' leaves.  A detached rest is read off that list,
         which costs the kept block's leaves too, but the caller listed
-        those.  The detached trees get the structural pass.  Each new
-        block gets the red and blue counts ``_cut`` carries over and,
-        when it holds some, its colored meet from ``_lower_meet``.
+        those.  The detached trees get the structural pass.  A new block
+        is colored when the first node of its walk counts a red or blue
+        leaf, and ``_lower_meet`` then finds its colored meet.  The walk
+        starts at the old meet for the block whose tree holds it: the
+        root with the lowest id whose subtree, the id range
+        ``[subtree_min[v], v]``, contains the meet.  Every other block
+        starts at its own root, which then has all of its colors below.
         """
         root = comp.root2
         keep = roots.index(root)
@@ -489,7 +488,7 @@ class Partition:
         if len(parts) < len(roots):
             sizes.append(comp.size - sum(sizes))
         anchors = [v for v in roots if v != root]
-        colors = self._cut(comp, anchors, sizes[keep])
+        self._cut(comp, anchors, sizes[keep])
         leaf_root = self.leaf_root
         blocks = []
         for k, v in enumerate(roots):
@@ -516,86 +515,60 @@ class Partition:
         self.mixed.pop(comp.id, None)
         ids = range(self.next_id, self.next_id + len(roots))
         self.next_id = ids.stop
-        meet = comp.colored_meet
+        meet, smin = comp.colored_meet, self.pair.t2.subtree_min
+        holder = min((v for v in roots if smin[v] <= meet <= v), default=-1)
+        live_r, live_b = self.live_r, self.live_b
         untinted = []
         for cid, p, v in zip(ids, blocks, roots):
             c = comps[cid] = Component(cid, p, v, origin0)
             root_comp[v] = cid
-            r, b = colors[v]
-            if r or b:
-                self._paint(c, r, b)
-                # the block's tree holds the old meet, with all of its
-                # colors below it, or its root lies below the old meet
-                untinted += self._lower_meet(c, min(v, meet))
+            top = meet if v == holder else v
+            if live_r[top] or live_b[top]:
+                untinted += self._lower_meet(c, top)
+                self._paint(c)
         if untinted:
             _drop_sorted(self.tinted, sorted(untinted))
         self._refresh_structure(anchors)
         return list(ids)
 
     def _lower_meet(self, c, top):
-        """Set the colored meet of block ``c`` from a walk down from
-        ``top``, a node of its tree with all of its red and blue leaves
-        below, and zero the colors of the nodes passed on the way, which
-        it returns.  A block of one leaf keeps no meet: its leaf is
-        zeroed too.  The walk is ``meeting_path``'s on the color counts,
-        written out because it runs for every new colored block, most of
-        them single leaves, where the callback would cost more than the
-        walk.
+        """Set the colored meet of block ``c`` at the end of the walk
+        down from ``top``, a node of its tree with all of its red and
+        blue leaves below, and zero the colors of the nodes passed on
+        the way, which it returns.  A block of one leaf gets its leaf.
         """
-        left, right, cut = self.pair.t2.left, self.pair.t2.right, self.cut
         live_r, live_b = self.live_r, self.live_b
-        total = c.n_red + c.n_blue
-        path = []
-        v = top
-        while left[v] >= 0:
-            l, r = left[v], right[v]
-            if not cut[l] and live_r[l] + live_b[l] == total:
-                path.append(v)
-                v = l
-            elif not cut[r] and live_r[r] + live_b[r] == total:
-                path.append(v)
-                v = r
-            else:
-                break
-        if c.size == 1:
-            path.append(v)
-        else:
-            c.colored_meet = v
+        path = self.meeting_path(top, live_r[top] + live_b[top],
+                                 lambda v: live_r[v] + live_b[v])
+        c.colored_meet = path.pop()
         for v in path:
             live_r[v] = live_b[v] = 0
         return path
 
     def _cut(self, comp, anchors, size):
         """Cut the edges above ``anchors``, nodes of the forest tree of
-        block ``comp``, whose root keeps ``size`` leaves; returns the
-        red and blue counts of each new block, keyed by its root.
+        block ``comp``, whose root keeps ``size`` leaves.
 
-        Each anchor's live count, read before any update, comes off the
-        nodes above it up to the first cut node: the root, or an anchor
-        it nests in, whose count then excludes it.  Its colors are all
-        of the block's when it lies above the block's colored meet, and
-        otherwise its own red and blue counts, nonzero only at or below
-        the meet; those come off the same nodes, but not above the meet,
-        and off the block of that first cut node.  Tinted nodes left
-        without red and blue leaves leave ``tinted``.  In the kept tree,
-        coverage changes only on the paths that reach the root, where a
-        node holding some but not all of the block's leaves is covered,
-        and on the chain from the root down to the block's new meeting
+        Each anchor's live, red and blue counts, read before any update,
+        come off the nodes above it up to the first cut node: the root,
+        or an anchor it nests in, whose counts then exclude it.  The
+        colors, nonzero only at or below the block's colored meet, come
+        off no node above the meet.  Tinted nodes left without red and
+        blue leaves leave ``tinted``.  In the kept tree, coverage
+        changes only on the paths that reach the root, where a node
+        holding some but not all of the block's leaves is covered, and
+        on the chain from the root down to the block's new meeting
         node: a node there holds every leaf of the block, so only the
         meeting node is covered.  The detached trees are left to the
         structural pass.
         """
-        t2 = self.pair.t2
-        parent, smin = t2.parent, t2.subtree_min
+        parent = self.pair.t2.parent
         cut, live, cover = self.cut, self.live, self.cover
         live_r, live_b = self.live_r, self.live_b
         root, meet = comp.root2, comp.colored_meet
-        colors = {root: [comp.n_red, comp.n_blue]}
         counts = []
         for a in anchors:
-            col = colors[a] = ([comp.n_red, comp.n_blue] if smin[a] <= meet < a
-                               else [live_r[a], live_b[a]])
-            counts.append((a, live[a], *col))
+            counts.append((a, live[a], live_r[a], live_b[a]))
             cut[a] = True
         path, emptied = [], []
         for a, d, dr, db in counts:
@@ -614,9 +587,6 @@ class Partition:
                 if v == root or cut[v]:
                     break
                 v = parent[v]
-            up = colors[v]
-            up[0] -= dr
-            up[1] -= db
             if v != root:
                 del path[start:]
         for v in path:
@@ -628,7 +598,6 @@ class Partition:
         tinted = self.tinted
         for v in emptied:
             del tinted[bisect_left(tinted, v)]
-        return colors
 
     # ------------------------------------------------------------------
     # merging

@@ -281,6 +281,12 @@ def _colored_meet(partition, comp):
     return ua
 
 
+def _block_colors(partition, c):
+    """Red, blue and white leaves of block ``c``."""
+    r, b = partition.color_counts(c)
+    return r, b, c.size - r - b
+
+
 def classify_case(partition):
     """Case of the colored start-of-iteration partition: 1, 2 or 3.
 
@@ -295,9 +301,10 @@ def classify_case(partition):
     comps, mixed = partition.comps, partition.mixed
     multi = [comps[cid] for cid in mixed]
     if len(multi) == 2:
-        a, b = sorted(multi, key=lambda c: c.n_red, reverse=True)
-        if not (a.n_red and a.n_white and not a.n_blue
-                and b.n_blue and b.n_white and not b.n_red):
+        (ar, ab, aw), (br, bb, bw) = sorted(
+            (_block_colors(partition, c) for c in multi),
+            key=lambda k: k[0], reverse=True)
+        if not (ar and aw and not ab and bb and bw and not br):
             raise InvariantError("two multicolored blocks must be red+white and blue+white")
         return 2
     if len(multi) != 1:
@@ -338,8 +345,8 @@ def _rb_violation(partition):
         lr = live_r[v]
         lb = live_b[v]
         if lr and lb:
-            c = comps[root_comp[r]]
-            if lr < c.n_red or lb < c.n_blue:
+            cr, cb = partition.color_counts(comps[root_comp[r]])
+            if lr < cr or lb < cb:
                 return v
     return None
 
@@ -366,12 +373,12 @@ def _splittable_violation(partition):
         lw = live[v] - lr - lb
         if (lr > 0) + (lb > 0) + (lw > 0) != 2:
             continue
-        c = comps[root_comp[r]]
-        if c.n_red and lr >= c.n_red:
+        cr, cb, cw = _block_colors(partition, comps[root_comp[r]])
+        if cr and lr >= cr:
             continue
-        if c.n_blue and lb >= c.n_blue:
+        if cb and lb >= cb:
             continue
-        if c.n_white and lw >= c.n_white:
+        if cw and lw >= cw:
             continue
         return v
     return None
@@ -431,14 +438,12 @@ def _top_components(partition):
     return [cid for cid in created if cid not in below]
 
 
-_ANY_TOP = object()
-
-
-def _color_classes(partition, coloring):
+def _color_classes(partition):
     """Red and blue leaves of every multicolored block, sorted, keyed by
-    block id: one pass over the colored leaves."""
+    block id: one pass over the installed coloring's colored leaves."""
     classes = {cid: ([], []) for cid in partition.mixed}
     root_comp, leaf_root = partition.root_comp, partition.leaf_root
+    coloring = partition.coloring
     for k, leaves in enumerate((coloring.red, coloring.blue)):
         for i in leaves:
             cls = classes.get(root_comp[leaf_root[i]])
@@ -447,7 +452,7 @@ def _color_classes(partition, coloring):
     return classes
 
 
-def special_split(partition, dual, coloring, cid, pairslist):
+def special_split(partition, dual, cid, pairslist):
     """Replace one tricolored block by the two-branch special rule.
 
     When none of the block's white leaves sit below the meeting node of
@@ -455,15 +460,16 @@ def special_split(partition, dual, coloring, cid, pairslist):
     rest and the undo pair (lowest red leaf, lowest blue leaf) is
     remembered.  Otherwise it splits four ways: the leaves outside the
     meeting node plus the three color classes below it, at the cost of
-    one more certificate decrement at that node.  Returns
-    (chi, pair_added, node, branch).
+    one more certificate decrement at that node.  The red and blue
+    classes come from the installed coloring.  Returns (chi,
+    pair_added, node, branch).
     """
     pair = partition.pair
     c = partition.comps[cid]
     if partition.mixed.get(cid) != 3:
         raise InvariantError("special split needs a tricolored block")
     ua = _colored_meet(partition, c)
-    reds, blues = _color_classes(partition, coloring)[cid]
+    reds, blues = _color_classes(partition)[cid]
     if partition.live[ua] == partition.live_r[ua] + partition.live_b[ua]:
         partition.split_component(cid, [reds], rest=True)
         pairslist.append((reds[0], blues[0]))
@@ -482,18 +488,17 @@ def special_split(partition, dual, coloring, cid, pairslist):
     return 1, False, ua, 2
 
 
-def split(partition, dual, coloring, pairslist, top_cid=_ANY_TOP):
+def split(partition, dual, pairslist, top_cid):
     """Split every multicolored block apart by color.
 
     A block carrying all three colors with a leaf outside the meeting
     node of its colored part goes through ``special_split`` instead of
-    the plain three-way refinement.  When ``top_cid`` is given, a
-    special split on any other block raises InvariantError; the solver
-    passes the top block of the iteration here (or None when no special
-    split is legal).  Returns (chi, pair_added, special) where chi
-    flags the four-way split and special carries (block id, node,
-    branch).  The red and blue classes come from the coloring; the
-    white class is each block's rest.
+    the plain three-way refinement.  A special split on any block but
+    ``top_cid``, the top block of the iteration (or None when no
+    special split is legal), raises InvariantError.  Returns (chi,
+    pair_added, special) where chi flags the four-way split and special
+    carries (block id, node, branch).  The red and blue classes come
+    from the installed coloring; the white class is each block's rest.
     """
     comps = partition.comps
     decisions = []
@@ -505,7 +510,7 @@ def split(partition, dual, coloring, pairslist, top_cid=_ANY_TOP):
                 decisions.append((cid, True))
                 continue
         decisions.append((cid, False))
-    classes = _color_classes(partition, coloring)
+    classes = _color_classes(partition)
 
     chi = 0
     pair_added = False
@@ -513,12 +518,13 @@ def split(partition, dual, coloring, pairslist, top_cid=_ANY_TOP):
     for cid, needs_special in decisions:
         if not needs_special:
             parts = [p for p in classes[cid] if p]
-            partition.split_component(cid, parts, rest=comps[cid].n_white > 0)
+            white = _block_colors(partition, comps[cid])[2]
+            partition.split_component(cid, parts, rest=white > 0)
             continue
-        if top_cid is not _ANY_TOP and cid != top_cid:
+        if cid != top_cid:
             raise InvariantError("special split outside the top block")
         added_chi, added_pair, ua, branch = special_split(
-            partition, dual, coloring, cid, pairslist)
+            partition, dual, cid, pairslist)
         chi += added_chi
         pair_added = pair_added or added_pair
         special = (cid, ua, branch)
@@ -548,9 +554,10 @@ def find_merge_pair(partition):
         c = comps.get(cid)
         if c is None:
             continue
-        if c.n_red == c.size:
+        r, b = partition.color_counts(c)
+        if r == c.size:
             scope[cid] = RED
-        elif c.n_blue == c.size:
+        elif b == c.size:
             scope[cid] = BLUE
     if len(scope) < 2:
         return None
@@ -714,8 +721,7 @@ def run(pair, record_snapshots=False, on_iteration=None):
         t = sum(1 for cid, ncol in partition.mixed.items()
                 if ncol == 3 and cid not in tops)
 
-        chi, pair_added, special = split(
-            partition, dual, coloring, pairslist, top_cid)
+        chi, pair_added, special = split(partition, dual, pairslist, top_cid)
         p3 = len(partition)
         trace.append({
             "event": "stage",

@@ -333,11 +333,14 @@ def full_color_counts(partition):
 
 def tinted_color_counts(partition):
     """The red and blue counts of ``full_color_counts`` on the nodes at
-    or below the colored meet of each block of two or more leaves that
-    holds a red or blue leaf, inside that block's forest tree, and 0 on
-    every other node; the nodes where one is nonzero, ascending; and
-    ``{block id: colored meet}``, each meet the lca of the block's red
-    and blue leaves folded pairwise."""
+    or below the colored meet of each colored block, inside that block's
+    forest tree, and 0 on every other node; the nodes where one is
+    nonzero, ascending; and ``{block id: colored meet}``, each meet the
+    lca of the block's red and blue leaves folded pairwise.  A colored
+    block is one of two or more leaves that holds a red or blue leaf, or
+    a block of one colored leaf created since the coloring was
+    installed, which is right after ``begin_iteration`` as in ``run``:
+    its id is at least ``first_new``."""
     pair = partition.pair
     t2 = pair.t2
     n = t2.n_nodes
@@ -349,7 +352,8 @@ def tinted_color_counts(partition):
         for i in coloring.red + coloring.blue:
             colored.setdefault(leaf_comp[i], []).append(i)
     meets = {cid: fold_lca(pair, 2, leaves) for cid, leaves in colored.items()
-             if len(partition.comps[cid].leaves) > 1}
+             if len(partition.comps[cid].leaves) > 1
+             or cid >= partition.first_new}
     inside = [False] * n
     marked = set(meets.values())
     for v in range(n - 1, -1, -1):

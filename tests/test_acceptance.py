@@ -150,7 +150,7 @@ def test_criterion_06_worked_trace_goldens(fig1):
 
     big = next(c.id for c in part.comps.values() if c.size == 5)
     chi, pair_added, node, branch = special_split(
-        part, DualState(fig1), coloring, big, [])
+        part, DualState(fig1), big, [])
     assert part.label_sets() == (("b1", "r1"), ("b2",), ("r2",),
                                  ("w1", "w2"), ("w3",))
     assert res.components == (("b1", "r1"), ("b2",), ("r2",),
