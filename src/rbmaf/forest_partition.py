@@ -118,11 +118,14 @@ class Partition:
     of them with two or three colors to that count; the next color
     pass resets from both.  ``sweep`` holds ``find_lowest_pcs``'s saved
     state, which ``merge`` drops because it re-derives the roots.
+    ``order1`` lists the leaf indices in first-tree leaf order, so the
+    leaves below a first-tree node are one slice of it.
     """
 
     __slots__ = ("pair", "comps", "leaf_root", "cut", "root_comp",
                  "next_id", "first_new", "coloring", "live", "live_r",
-                 "live_b", "tinted", "painted", "mixed", "cover", "sweep")
+                 "live_b", "tinted", "painted", "mixed", "cover", "sweep",
+                 "order1")
 
     def __init__(self, pair):
         self.pair = pair
@@ -144,6 +147,7 @@ class Partition:
         self.painted = set()
         self.mixed = {}
         self.sweep = None
+        self.order1 = list(map(pair.leaf_index1.__getitem__, pair.t1.leaf_ids))
         self._refresh_structure([root])
 
     def __len__(self):
@@ -425,43 +429,69 @@ class Partition:
         only when the blocks' spans are pairwise disjoint in the second
         tree; under that condition each detached subtree, after the
         deeper cuts, holds exactly its block.  New ids follow ``parts``
-        order.  The last block's lca comes from a walk down from the
-        root that counts the other blocks' leaves by bisection, so the
-        call costs the leaves of ``parts`` and of the detached blocks.
+        order.
+
+        One pass over the parts' leaves checks that each lies in the
+        component and anchors each part: a part of one leaf at its leaf,
+        any other at the lca of its smallest and largest node ids.  The
+        rest's lca comes from a walk down from the root that subtracts
+        the parts' leaves, one range test for a lone leaf and bisection
+        otherwise, so the call costs the leaves of ``parts`` and of the
+        detached blocks.  Every check raises before any state changes.
         """
         comp = self.comps[comp_id]
         root = comp.root2
         if len(parts) + rest < 2:
             raise InvariantError("split needs at least two blocks")
-        seen = set()
+        t2 = self.pair.t2
+        leaf_node2, leaf_root = self.pair.leaf_node2, self.leaf_root
+        nodes, roots = [], []
         for p in parts:
             if not p:
                 raise InvariantError("empty block in split")
-            seen.update(p)
-        total = sum(map(len, parts))
-        leaf_root = self.leaf_root
-        if (len(seen) != total or set(map(leaf_root.__getitem__, seen)) != {root}
+            start = len(nodes)
+            for x in p:
+                if leaf_root[x] != root:
+                    raise InvariantError(
+                        "split blocks do not partition the component")
+                nodes.append(leaf_node2[x])
+            if len(p) == 1:
+                roots.append(nodes[start])
+            else:
+                ids = nodes[start:]
+                roots.append(t2.lca(min(ids), max(ids)))
+        total = len(nodes)
+        if (len(set(nodes)) != total
                 or (total >= comp.size if rest else total != comp.size)):
             raise InvariantError("split blocks do not partition the component")
 
-        pair = self.pair
-        t2 = pair.t2
         depth, smin = t2.depth, t2.subtree_min
-        roots = [pair.lca_of_leaves(2, p) for p in parts]
         if rest:
-            nodes = sorted(map(pair.leaf_node2.__getitem__, seen))
             live = self.live
+            if total == 1:
+                x = nodes[0]
 
-            def rest_below(v):
-                return live[v] - bisect_right(nodes, v) + bisect_left(nodes, smin[v])
+                def rest_below(v):
+                    return live[v] - (smin[v] <= x <= v)
+            else:
+                nodes.sort()
+
+                def rest_below(v):
+                    return (live[v] - bisect_right(nodes, v)
+                            + bisect_left(nodes, smin[v]))
 
             roots.append(
                 self.meeting_path(root, comp.size - total, rest_below)[-1])
-        keep = min(range(len(roots)), key=lambda k: (depth[roots[k]], roots[k]))
+        keep = 0
+        for k in range(1, len(roots)):
+            v, w = roots[k], roots[keep]
+            if depth[v] < depth[w] or (depth[v] == depth[w] and v < w):
+                keep = k
         roots[keep] = root
-        if (len(set(roots)) < len(roots)
-                or any(self.cut[v] for v in roots if v != root)):
-            raise InvariantError("block anchor is not cuttable")
+        cut = self.cut
+        for k, v in enumerate(roots):
+            if k != keep and (v == root or cut[v] or v in roots[:k]):
+                raise InvariantError("block anchor is not cuttable")
         return self._replace(comp, [sorted(p) for p in parts], roots)
 
     def _replace(self, comp, parts, roots):
@@ -472,11 +502,12 @@ class Partition:
         last, which is then the rest of ``comp``'s leaves.  Only
         detached leaves get a new ``leaf_root``.  The block that keeps
         the root keeps ``comp``'s leaf list object, which loses the
-        other blocks' leaves.  A detached rest is read off that list,
-        which costs the kept block's leaves too, but the caller listed
-        those.  The detached trees get the structural pass.  A new block
-        is colored when the first node of its walk counts a red or blue
-        leaf, and ``_lower_meet`` then finds its colored meet.  The walk
+        other blocks' leaves, a lone part's by bisection straight from
+        its list.  A detached rest is read off that list, which costs
+        the kept block's leaves too, but the caller listed those.  The
+        detached trees get the structural pass.  A new block is colored
+        when the first node of its walk counts a red or blue leaf, and
+        ``_lower_meet`` then finds its colored meet.  The walk
         starts at the old meet for the block whose tree holds it: the
         root with the lowest id whose subtree, the id range
         ``[subtree_min[v], v]``, contains the meet.  Every other block
@@ -484,11 +515,12 @@ class Partition:
         """
         root = comp.root2
         keep = roots.index(root)
-        sizes = [len(p) for p in parts]
-        if len(parts) < len(roots):
-            sizes.append(comp.size - sum(sizes))
+        if keep < len(parts):
+            size = len(parts[keep])
+        else:
+            size = comp.size - sum(map(len, parts))
         anchors = [v for v in roots if v != root]
-        self._cut(comp, anchors, sizes[keep])
+        self._cut(comp, anchors, size)
         leaf_root = self.leaf_root
         blocks = []
         for k, v in enumerate(roots):
@@ -505,6 +537,8 @@ class Partition:
             blocks.append(p)
         if keep < len(parts):
             comp.leaves[:] = parts[keep]
+        elif len(parts) == 1:
+            _drop_sorted(comp.leaves, parts[0])
         else:
             _drop_sorted(comp.leaves, sorted(chain.from_iterable(parts)))
 
@@ -516,7 +550,10 @@ class Partition:
         ids = range(self.next_id, self.next_id + len(roots))
         self.next_id = ids.stop
         meet, smin = comp.colored_meet, self.pair.t2.subtree_min
-        holder = min((v for v in roots if smin[v] <= meet <= v), default=-1)
+        holder = -1
+        for v in roots:
+            if smin[v] <= meet <= v and (holder < 0 or v < holder):
+                holder = v
         live_r, live_b = self.live_r, self.live_b
         untinted = []
         for cid, p, v in zip(ids, blocks, roots):
@@ -535,8 +572,12 @@ class Partition:
         """Set the colored meet of block ``c`` at the end of the walk
         down from ``top``, a node of its tree with all of its red and
         blue leaves below, and zero the colors of the nodes passed on
-        the way, which it returns.  A block of one leaf gets its leaf.
+        the way, which it returns.  A block of one leaf gets its leaf at
+        once.
         """
+        if self.pair.t2.left[top] < 0:
+            c.colored_meet = top
+            return []
         live_r, live_b = self.live_r, self.live_b
         path = self.meeting_path(top, live_r[top] + live_b[top],
                                  lambda v: live_r[v] + live_b[v])

@@ -19,6 +19,7 @@ degrading the guarantee.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -104,15 +105,21 @@ class RedBlueResult:
 
 
 def make_coloring(partition, node1):
-    """Color the leaf set by the two child subtrees of ``node1``."""
-    pair = partition.pair
-    t1 = pair.t1
-    if t1.left[node1] < 0:
+    """Color the leaf set by the two child subtrees of ``node1``.
+
+    Post-order ids put the left child's leaves, then the right child's,
+    in one run of ``t1.leaf_ids``, found by bisection; the same slices of
+    the partition's ``order1`` hold their leaf indices, which are sorted.
+    """
+    t1 = partition.pair.t1
+    l, r = t1.left[node1], t1.right[node1]
+    if l < 0:
         raise InvariantError("coloring node must be internal")
-    idx = pair.leaf_index1
-    red = sorted(idx[x] for x in t1.leaves_below(t1.right[node1]))
-    blue = sorted(idx[x] for x in t1.leaves_below(t1.left[node1]))
-    return Coloring(node1, red, blue)
+    ids, order1 = t1.leaf_ids, partition.order1
+    lo = bisect_left(ids, t1.subtree_min[node1])
+    mid = bisect_right(ids, l, lo)
+    hi = bisect_right(ids, r, mid)
+    return Coloring(node1, sorted(order1[mid:hi]), sorted(order1[lo:mid]))
 
 
 class _Sweep:
@@ -440,15 +447,38 @@ def _top_components(partition):
 
 def _color_classes(partition):
     """Red and blue leaves of every multicolored block, sorted, keyed by
-    block id: one pass over the installed coloring's colored leaves."""
-    classes = {cid: ([], []) for cid in partition.mixed}
-    root_comp, leaf_root = partition.root_comp, partition.leaf_root
-    coloring = partition.coloring
-    for k, leaves in enumerate((coloring.red, coloring.blue)):
-        for i in leaves:
-            cls = classes.get(root_comp[leaf_root[i]])
-            if cls is not None:
-                cls[k].append(i)
+    block id.
+
+    A walk down from each block's colored meet enters the children that
+    are not cut and count a red or blue leaf, so it visits the block's
+    tinted nodes only.  It raises unless it finds the counts at the meet.
+    """
+    comps, cut = partition.comps, partition.cut
+    live_r, live_b = partition.live_r, partition.live_b
+    t2 = partition.pair.t2
+    left, right = t2.left, t2.right
+    leaf_index2 = partition.pair.leaf_index2
+    classes = {}
+    for cid in partition.mixed:
+        c = comps[cid]
+        reds, blues = [], []
+        stack = [c.colored_meet]
+        while stack:
+            v = stack.pop()
+            l = left[v]
+            if l < 0:
+                (reds if live_r[v] else blues).append(leaf_index2[v])
+                continue
+            r = right[v]
+            if not cut[l] and (live_r[l] or live_b[l]):
+                stack.append(l)
+            if not cut[r] and (live_r[r] or live_b[r]):
+                stack.append(r)
+        if (len(reds), len(blues)) != partition.color_counts(c):
+            raise InvariantError("color classes disagree with the block's color counts")
+        reds.sort()
+        blues.sort()
+        classes[cid] = reds, blues
     return classes
 
 
@@ -461,8 +491,8 @@ def special_split(partition, dual, cid, pairslist):
     remembered.  Otherwise it splits four ways: the leaves outside the
     meeting node plus the three color classes below it, at the cost of
     one more certificate decrement at that node.  The red and blue
-    classes come from the installed coloring.  Returns (chi,
-    pair_added, node, branch).
+    classes are read off the installed coloring's counts.  Returns
+    (chi, pair_added, node, branch).
     """
     pair = partition.pair
     c = partition.comps[cid]
@@ -497,8 +527,9 @@ def split(partition, dual, pairslist, top_cid):
     ``top_cid``, the top block of the iteration (or None when no
     special split is legal), raises InvariantError.  Returns (chi,
     pair_added, special) where chi flags the four-way split and special
-    carries (block id, node, branch).  The red and blue classes come
-    from the installed coloring; the white class is each block's rest.
+    carries (block id, node, branch).  The red and blue classes are
+    read off the installed coloring's counts; the white class is each
+    block's rest.
     """
     comps = partition.comps
     decisions = []
@@ -543,10 +574,12 @@ def find_merge_pair(partition):
     be remerged, provided no node from there up to the root is covered
     by a colored block created this iteration.
 
-    Only the nodes some block reaches are visited: a walk up from the
-    meeting nodes in ascending id order, so that each node has heard
-    from both children before it passes anything on, and then the
-    uncovered nodes reached by exactly two blocks, in pre-order.
+    A scope block's leaves all carry its color, so its colored meet is
+    its meeting node, read with no lca query.  Only the nodes some
+    block reaches are visited: a walk up from the meeting nodes in
+    ascending id order, so that each node has heard from both children
+    before it passes anything on, and then the uncovered nodes reached
+    by exactly two blocks, in pre-order.
     """
     comps = partition.comps
     scope = {}
@@ -568,8 +601,7 @@ def find_merge_pair(partition):
     covering = partition.covering
     bucket = {}
     for cid in scope:
-        a = pair.lca_of_leaves(2, comps[cid].leaves)
-        bucket.setdefault(a, []).append(cid)
+        bucket.setdefault(comps[cid].colored_meet, []).append(cid)
 
     def emit(c1, c2):
         if c1 > c2:

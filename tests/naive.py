@@ -365,6 +365,19 @@ def tinted_color_counts(partition):
     return live_r, live_b, tinted, meets
 
 
+def color_classes(partition):
+    """Red and blue leaves of every multicolored block, sorted, keyed by
+    block id: the installed coloring's lists grouped by current block."""
+    classes = {cid: ([], []) for cid in partition.mixed}
+    blocks = leaf_blocks(partition)
+    coloring = partition.coloring
+    for k, leaves in enumerate((coloring.red, coloring.blue)):
+        for i in leaves:
+            if blocks[i] in classes:
+                classes[blocks[i]][k].append(i)
+    return classes
+
+
 def full_rb_violation(partition):
     """Lowest node whose covering block has red and blue below it and
     one of them above it too."""

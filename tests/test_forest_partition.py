@@ -60,6 +60,16 @@ def test_split_component_parts_must_partition(fig1):
         part.split_component(cid, [idx(fig1, "b1"), idx(fig1, "r1")])
     with pytest.raises(InvariantError):
         part.split_component(cid, [idx(fig1, "b1", "b1"), []])
+    _, rest = part.split_below(2)
+    before = (part.label_sets(), list(part.cut), list(part.leaf_root))
+    for parts in ([idx(fig1, "b1")],                      # from {b1, r1}
+                  [idx(fig1, "b2"), idx(fig1, "b2")],     # a leaf twice
+                  [idx(fig1, "b2", "w1"),                 # no rest left
+                   idx(fig1, "r2", "w2", "w3")],
+                  [idx(fig1, "b2"), []]):                 # an empty part
+        with pytest.raises(InvariantError):
+            part.split_component(rest, parts, rest=True)
+        assert (part.label_sets(), part.cut, part.leaf_root) == before
 
 
 def test_split_component_cut_placement(fig1):

@@ -15,6 +15,7 @@ from rbmaf import (
     DualState,
     InvariantError,
     Partition,
+    RootedBinaryTree,
     classify_case,
     corpus,
     exact_maf,
@@ -230,20 +231,23 @@ def test_full_split_then_merge_reaches_same_family(fig1):
 
 
 def test_special_split_reads_colors_from_the_installed_coloring(fig1):
-    """A red leaf outside the meeting node of the colored leaves stops
-    the four-way split before any cut: the check reads the same red and
-    blue lists as the split's color classes."""
+    """The color classes are walked from the counts that installing the
+    coloring tinted, so when those disagree with the block's counts at
+    its colored meet, here a red leaf zeroed after the pass,
+    special_split refuses before any cut or decrement."""
     part = build_state(fig1, [["b1", "r1"],
                               ["b2", "w1", "r2", "w2", "w3"]])
     coloring = make_coloring(part, 6)
     part.refresh_annotations(coloring)
-    part.coloring.red.append(fig1.index_of["w3"])
+    part.live_r[fig1.leaf_node2[fig1.index_of["r2"]]] = 0
     big = next(c.id for c in part.comps.values() if c.size == 5)
     before = part.label_sets()
+    dual = DualState(fig1)
     with pytest.raises(InvariantError,
-                       match="leaves outside the meeting node must be white"):
-        special_split(part, DualState(fig1), big, [])
+                       match="color classes disagree with the block's color counts"):
+        special_split(part, dual, big, [])
     assert part.label_sets() == before
+    assert dual.as_dict() == {}
 
 
 def test_special_split_rejects_non_tricolored(fig1):
@@ -399,6 +403,10 @@ def check_blocks_and_colors(partition):
     blocks = naive.full_color_counts(partition)[3]
     painted = set(meets)
     assert partition.painted == painted
+    pair = partition.pair
+    for cid in painted - partition.mixed.keys():
+        c = partition.comps[cid]
+        assert c.colored_meet == pair.lca_of_leaves(2, c.leaves)
     assert {cid: partition.color_counts(partition.comps[cid])
             for cid in painted} == {cid: tuple(blocks[cid][:2])
                                     for cid in painted}
@@ -446,7 +454,8 @@ def full_sweep_checks():
                 ("find_merge_pair", naive.full_find_merge_pair),
                 ("_top_components", naive.full_top_components),
                 ("_rb_violation", naive.full_rb_violation),
-                ("_splittable_violation", naive.full_splittable_violation)):
+                ("_splittable_violation", naive.full_splittable_violation),
+                ("_color_classes", naive.color_classes)):
             mp.setattr(redblue_core, name, checked(name, oracle))
         yield calls
 
@@ -461,7 +470,7 @@ def test_incremental_stages_match_full_sweeps():
             run(pair)
     assert calls["find_merge_pair"] > 500
     assert calls["split_below"] > 200 and calls["split_component"] > 200
-    assert min(calls.values()) > 0 and len(calls) == 8
+    assert min(calls.values()) > 0 and len(calls) == 9
 
 
 def test_near_run_builds_no_lca_table():
@@ -746,6 +755,32 @@ def test_color_pass_paints_only_blocks_of_two_or_more_leaves():
             cuts += sum(rec.n_stars for rec in res.iterations)
     assert (iterations, cuts) == (970, 1096)
     assert sum(painted) <= 1937 * 5 // 4
+
+
+def test_split_path_anchors_blocks_without_lca_queries():
+    """Counted over solving the uniform pairs at n = 1000 and 1200
+    (generator seeds 0 and 1), the trees answer 2,374 lca queries when
+    a split anchors a part of one leaf at its leaf and the merge pair
+    search reads each block's colored meet; one query per part and per
+    scope block gives 6,504.  The bound leaves 25% headroom on the first
+    count and measures no time.  Iterations and cuts do not change."""
+    pairs = [random_pair(1000, 0), random_pair(1200, 1)]
+    lca = RootedBinaryTree.lca
+    queries = []
+
+    def counted(tree, u, v):
+        queries.append(1)
+        return lca(tree, u, v)
+
+    iterations = cuts = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RootedBinaryTree, "lca", counted)
+        for pair in pairs:
+            res = run(pair)
+            iterations += len(res.iterations)
+            cuts += sum(rec.n_stars for rec in res.iterations)
+    assert (iterations, cuts) == (970, 1096)
+    assert len(queries) <= 2374 * 5 // 4
 
 
 def test_singletons_read_their_color_only_when_a_split_creates_them(fig1):
