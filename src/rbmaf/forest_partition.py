@@ -41,7 +41,9 @@ first cut node or the meet, and each new block's meet is found by a
 walk down from the old meet, when its tree holds it, or from its own
 root, the nodes passed being zeroed; a new block of one leaf keeps its
 leaf as its meet.  Every other node reads 0, whatever lies below it,
-and white counts are live counts minus red and blue.
+and white counts are live counts minus red and blue.  Only the color
+pass writes ``tinted``, the nodes it tinted in ascending order: a node
+a split empties stays there, reading 0, until the next pass.
 """
 
 from __future__ import annotations
@@ -82,8 +84,8 @@ class Component:
 
 
 def _drop_sorted(leaves, drop):
-    """Delete the sorted list ``drop`` from the sorted list ``leaves``,
-    which holds all of it, in place, finding each element by bisection.
+    """Delete the sorted list ``drop`` from a block's sorted leaf list
+    ``leaves``, which holds all of it, in place, by bisection.
 
     A deletion moves the tail of the list in one block copy, and a
     rebuild copies every element with its reference count, so a few
@@ -507,11 +509,11 @@ class Partition:
         the kept block's leaves too, but the caller listed those.  The
         detached trees get the structural pass.  A new block is colored
         when the first node of its walk counts a red or blue leaf, and
-        ``_lower_meet`` then finds its colored meet.  The walk
-        starts at the old meet for the block whose tree holds it: the
-        root with the lowest id whose subtree, the id range
-        ``[subtree_min[v], v]``, contains the meet.  Every other block
-        starts at its own root, which then has all of its colors below.
+        ``_lower_meet`` then finds its colored meet.  The walk starts at
+        the old meet for the block whose tree holds it: the root with
+        the lowest id whose subtree, the id range ``[subtree_min[v],
+        v]``, contains the meet.  Every other block starts at its own
+        root, which then has all of its colors below.
         """
         root = comp.root2
         keep = roots.index(root)
@@ -555,16 +557,13 @@ class Partition:
             if smin[v] <= meet <= v and (holder < 0 or v < holder):
                 holder = v
         live_r, live_b = self.live_r, self.live_b
-        untinted = []
         for cid, p, v in zip(ids, blocks, roots):
             c = comps[cid] = Component(cid, p, v, origin0)
             root_comp[v] = cid
             top = meet if v == holder else v
             if live_r[top] or live_b[top]:
-                untinted += self._lower_meet(c, top)
+                self._lower_meet(c, top)
                 self._paint(c)
-        if untinted:
-            _drop_sorted(self.tinted, sorted(untinted))
         self._refresh_structure(anchors)
         return list(ids)
 
@@ -572,19 +571,18 @@ class Partition:
         """Set the colored meet of block ``c`` at the end of the walk
         down from ``top``, a node of its tree with all of its red and
         blue leaves below, and zero the colors of the nodes passed on
-        the way, which it returns.  A block of one leaf gets its leaf at
-        once.
+        the way, which stay in ``tinted``.  A block of one leaf gets its
+        leaf at once.
         """
         if self.pair.t2.left[top] < 0:
             c.colored_meet = top
-            return []
+            return
         live_r, live_b = self.live_r, self.live_b
         path = self.meeting_path(top, live_r[top] + live_b[top],
                                  lambda v: live_r[v] + live_b[v])
         c.colored_meet = path.pop()
         for v in path:
             live_r[v] = live_b[v] = 0
-        return path
 
     def _cut(self, comp, anchors, size):
         """Cut the edges above ``anchors``, nodes of the forest tree of
@@ -594,14 +592,13 @@ class Partition:
         come off the nodes above it up to the first cut node: the root,
         or an anchor it nests in, whose counts then exclude it.  The
         colors, nonzero only at or below the block's colored meet, come
-        off no node above the meet.  Tinted nodes left without red and
-        blue leaves leave ``tinted``.  In the kept tree, coverage
-        changes only on the paths that reach the root, where a node
-        holding some but not all of the block's leaves is covered, and
-        on the chain from the root down to the block's new meeting
-        node: a node there holds every leaf of the block, so only the
-        meeting node is covered.  The detached trees are left to the
-        structural pass.
+        off no node above the meet; ``tinted`` keeps the nodes this
+        empties.  In the kept tree, coverage changes only on the paths
+        that reach the root, where a node holding some but not all of
+        the block's leaves is covered, and on the chain from the root
+        down to the block's new meeting node: a node there holds every
+        leaf of the block, so only the meeting node is covered.  The
+        detached trees are left to the structural pass.
         """
         parent = self.pair.t2.parent
         cut, live, cover = self.cut, self.live, self.cover
@@ -611,7 +608,7 @@ class Partition:
         for a in anchors:
             counts.append((a, live[a], live_r[a], live_b[a]))
             cut[a] = True
-        path, emptied = [], []
+        path = []
         for a, d, dr, db in counts:
             start = len(path)
             tint = a < meet and (dr or db)
@@ -621,8 +618,6 @@ class Partition:
                 if tint:
                     live_r[v] -= dr
                     live_b[v] -= db
-                    if not (live_r[v] or live_b[v]):
-                        emptied.append(v)
                     tint = v != meet
                 path.append(v)
                 if v == root or cut[v]:
@@ -636,9 +631,6 @@ class Partition:
         for v in down:
             cover[v] = -1
         cover[down[-1]] = root
-        tinted = self.tinted
-        for v in emptied:
-            del tinted[bisect_left(tinted, v)]
 
     # ------------------------------------------------------------------
     # merging
@@ -718,11 +710,11 @@ def as_blocks(components):
 
 
 def _spans_disjoint(spans):
-    """True when no two ``(span1, span2)`` pairs share a node in either tree."""
-    for i, (s1i, s2i) in enumerate(spans):
-        for s1j, s2j in spans[i + 1:]:
-            if s1i & s1j or s2i & s2j:
-                return False
+    """True when no two ``(span1, span2)`` pairs share a node in either
+    tree, that is when in each tree the sizes add up to the union's."""
+    for tree in zip(*spans):
+        if sum(map(len, tree)) != len(set().union(*tree)):
+            return False
     return True
 
 

@@ -445,41 +445,36 @@ def _top_components(partition):
     return [cid for cid in created if cid not in below]
 
 
-def _color_classes(partition):
-    """Red and blue leaves of every multicolored block, sorted, keyed by
-    block id.
+def _color_classes(partition, c):
+    """Red and blue leaves of block ``c``, each sorted.
 
-    A walk down from each block's colored meet enters the children that
-    are not cut and count a red or blue leaf, so it visits the block's
-    tinted nodes only.  It raises unless it finds the counts at the meet.
+    A walk down from the block's colored meet enters the children that
+    are not cut and count a red or blue leaf.  It raises unless it finds
+    the counts at the meet.
     """
-    comps, cut = partition.comps, partition.cut
+    cut = partition.cut
     live_r, live_b = partition.live_r, partition.live_b
     t2 = partition.pair.t2
     left, right = t2.left, t2.right
     leaf_index2 = partition.pair.leaf_index2
-    classes = {}
-    for cid in partition.mixed:
-        c = comps[cid]
-        reds, blues = [], []
-        stack = [c.colored_meet]
-        while stack:
-            v = stack.pop()
-            l = left[v]
-            if l < 0:
-                (reds if live_r[v] else blues).append(leaf_index2[v])
-                continue
-            r = right[v]
-            if not cut[l] and (live_r[l] or live_b[l]):
-                stack.append(l)
-            if not cut[r] and (live_r[r] or live_b[r]):
-                stack.append(r)
-        if (len(reds), len(blues)) != partition.color_counts(c):
-            raise InvariantError("color classes disagree with the block's color counts")
-        reds.sort()
-        blues.sort()
-        classes[cid] = reds, blues
-    return classes
+    reds, blues = [], []
+    stack = [c.colored_meet]
+    while stack:
+        v = stack.pop()
+        l = left[v]
+        if l < 0:
+            (reds if live_r[v] else blues).append(leaf_index2[v])
+            continue
+        r = right[v]
+        if not cut[l] and (live_r[l] or live_b[l]):
+            stack.append(l)
+        if not cut[r] and (live_r[r] or live_b[r]):
+            stack.append(r)
+    if (len(reds), len(blues)) != partition.color_counts(c):
+        raise InvariantError("color classes disagree with the block's color counts")
+    reds.sort()
+    blues.sort()
+    return reds, blues
 
 
 def special_split(partition, dual, cid, pairslist):
@@ -491,15 +486,15 @@ def special_split(partition, dual, cid, pairslist):
     remembered.  Otherwise it splits four ways: the leaves outside the
     meeting node plus the three color classes below it, at the cost of
     one more certificate decrement at that node.  The red and blue
-    classes are read off the installed coloring's counts.  Returns
-    (chi, pair_added, node, branch).
+    classes are read off the installed coloring's counts by a walk of
+    this block alone.  Returns (chi, pair_added, node, branch).
     """
     pair = partition.pair
     c = partition.comps[cid]
     if partition.mixed.get(cid) != 3:
         raise InvariantError("special split needs a tricolored block")
     ua = _colored_meet(partition, c)
-    reds, blues = _color_classes(partition)[cid]
+    reds, blues = _color_classes(partition, c)
     if partition.live[ua] == partition.live_r[ua] + partition.live_b[ua]:
         partition.split_component(cid, [reds], rest=True)
         pairslist.append((reds[0], blues[0]))
@@ -527,38 +522,28 @@ def split(partition, dual, pairslist, top_cid):
     ``top_cid``, the top block of the iteration (or None when no
     special split is legal), raises InvariantError.  Returns (chi,
     pair_added, special) where chi flags the four-way split and special
-    carries (block id, node, branch).  The red and blue classes are
-    read off the installed coloring's counts; the white class is each
-    block's rest.
+    carries (block id, node, branch).  Each block's red and blue
+    classes are read off the installed coloring's counts just before
+    its split, which leaves the other blocks' counts as they were; the
+    white class is its rest.
     """
-    comps = partition.comps
-    decisions = []
-    for cid, ncol in sorted(partition.mixed.items()):
-        c = comps[cid]
-        if ncol == 3:
-            ua = _colored_meet(partition, c)
-            if partition.live[ua] < c.size:
-                decisions.append((cid, True))
-                continue
-        decisions.append((cid, False))
-    classes = _color_classes(partition)
-
     chi = 0
     pair_added = False
     special = None
-    for cid, needs_special in decisions:
-        if not needs_special:
-            parts = [p for p in classes[cid] if p]
-            white = _block_colors(partition, comps[cid])[2]
-            partition.split_component(cid, parts, rest=white > 0)
+    for cid, ncol in sorted(partition.mixed.items()):
+        c = partition.comps[cid]
+        if ncol == 3 and partition.live[_colored_meet(partition, c)] < c.size:
+            if cid != top_cid:
+                raise InvariantError("special split outside the top block")
+            added_chi, added_pair, ua, branch = special_split(
+                partition, dual, cid, pairslist)
+            chi += added_chi
+            pair_added = pair_added or added_pair
+            special = (cid, ua, branch)
             continue
-        if cid != top_cid:
-            raise InvariantError("special split outside the top block")
-        added_chi, added_pair, ua, branch = special_split(
-            partition, dual, cid, pairslist)
-        chi += added_chi
-        pair_added = pair_added or added_pair
-        special = (cid, ua, branch)
+        parts = [p for p in _color_classes(partition, c) if p]
+        white = _block_colors(partition, c)[2]
+        partition.split_component(cid, parts, rest=white > 0)
     return chi, pair_added, special
 
 
