@@ -31,19 +31,21 @@ The pass also checks that every leaf it meets maps to its tree's root.
 The color pass runs when a coloring is installed.  It groups the red
 and blue leaves by block and skips blocks of one leaf, which no cut
 can split.  A block of two or more leaves can be split only at or
-below its colored meet, the node where its red and blue leaves meet,
-which the block keeps: the pass tints the nodes from each such block's
-colored leaves up to that meet and counts the red and blue live leaves
-below each.  The counts at the meet are the block's own, and nothing
-else records them.  Splits keep those counts current: each cut takes
-its subtree's red and blue counts off the nodes above it, up to the
-first cut node or the meet, and each new block's meet is found by a
-walk down from the old meet, when its tree holds it, or from its own
-root, the nodes passed being zeroed; a new block of one leaf keeps its
-leaf as its meet.  Every other node reads 0, whatever lies below it,
-and white counts are live counts minus red and blue.  Only the color
-pass writes ``tinted``, the nodes it tinted in ascending order: a node
-a split empties stays there, reading 0, until the next pass.
+below its colored meet, the node where its red and blue leaves meet:
+the pass starts ``meets``, the only record of colored blocks, empty,
+maps each such block's id to that node, and tints the nodes from the
+block's colored leaves up to it, counting the red and blue live
+leaves below each.  The counts at the meet are the block's own, and
+nothing else records them: ``mixed`` derives its color counts from
+them.  Splits keep those counts current: each cut takes its subtree's
+red and blue counts off the nodes above it, up to the first cut node
+or the meet, and each new block's meet is found by a walk down from
+the old meet, when its tree holds it, or from its own root, the nodes
+passed being zeroed; a new block of one leaf keeps its leaf as its
+meet.  Every other node reads 0, whatever lies below it, and white
+counts are live counts minus red and blue.  Only the color pass
+writes ``tinted``, the nodes it tinted in ascending order: a node a
+split empties stays there, reading 0, until the next pass.
 """
 
 from __future__ import annotations
@@ -62,14 +64,11 @@ class Component:
     when the iteration that created this one started (it is read only
     while that iteration runs).  ``leaves`` is sorted and ``size`` is
     its length: a block's leaves never change, a split hands its list on
-    to the new block that keeps its root.  ``colored_meet`` is the node
-    of the second tree where the block's red and blue leaves meet, whose
-    counts are the block's (``Partition.color_counts``).  It is -1 when
-    the block holds none, or when it is a block of one leaf that the
-    color pass found: such a block reads white.
+    to the new block that keeps its root.  A block carries no color:
+    ``Partition.meets`` records the colored ones.
     """
 
-    __slots__ = ("id", "leaves", "size", "root2", "origin0", "colored_meet")
+    __slots__ = ("id", "leaves", "size", "root2", "origin0")
 
     def __init__(self, cid, leaves, root2, origin0):
         self.id = cid
@@ -77,7 +76,6 @@ class Component:
         self.size = len(leaves)
         self.root2 = root2
         self.origin0 = origin0
-        self.colored_meet = -1
 
     def __repr__(self):
         return "Component(%d, %r)" % (self.id, self.leaves)
@@ -115,19 +113,18 @@ class Partition:
     ``root_comp[leaf_root[i]]`` is the block of leaf ``i``.  The
     annotations are current after every public call: a split updates
     the tree that keeps the block's root in place and rewrites the
-    annotation arrays on the trees it detaches only.  ``painted`` holds
-    the ids of the blocks with a colored meet, and ``mixed`` maps each
-    of them with two or three colors to that count; the next color
-    pass resets from both.  ``sweep`` holds ``find_lowest_pcs``'s saved
-    state, which ``merge`` drops because it re-derives the roots.
+    annotation arrays on the trees it detaches only.  ``meets`` maps
+    each colored block's id to its colored meet and is the only record
+    of colored blocks; a block outside it reads white.  ``sweep`` holds
+    ``find_lowest_pcs``'s saved state, which ``merge`` drops because it
+    re-derives the roots.
     ``order1`` lists the leaf indices in first-tree leaf order, so the
     leaves below a first-tree node are one slice of it.
     """
 
     __slots__ = ("pair", "comps", "leaf_root", "cut", "root_comp",
                  "next_id", "first_new", "coloring", "live", "live_r",
-                 "live_b", "tinted", "painted", "mixed", "cover", "sweep",
-                 "order1")
+                 "live_b", "tinted", "meets", "cover", "sweep", "order1")
 
     def __init__(self, pair):
         self.pair = pair
@@ -146,8 +143,7 @@ class Partition:
         self.live_r = [0] * n2
         self.live_b = [0] * n2
         self.tinted = []
-        self.painted = set()
-        self.mixed = {}
+        self.meets = {}
         self.sweep = None
         self.order1 = list(map(pair.leaf_index1.__getitem__, pair.t1.leaf_ids))
         self._refresh_structure([root])
@@ -209,10 +205,22 @@ class Partition:
     def color_counts(self, c):
         """Red and blue leaves of block ``c``: the counts at its colored
         meet, or (0, 0) without one."""
-        m = c.colored_meet
-        if m < 0:
+        m = self.meets.get(c.id)
+        if m is None:
             return 0, 0
         return self.live_r[m], self.live_b[m]
+
+    def mixed(self):
+        """Each colored block with two or three colors, mapped to that
+        count, read off the counts at its colored meet."""
+        live_r, live_b, comps = self.live_r, self.live_b, self.comps
+        out = {}
+        for cid, m in self.meets.items():
+            r, b = live_r[m], live_b[m]
+            k = (r > 0) + (b > 0) + (r + b < comps[cid].size)
+            if k > 1:
+                out[cid] = k
+        return out
 
     # ------------------------------------------------------------------
     # annotations
@@ -308,26 +316,24 @@ class Partition:
 
     def _refresh_colors(self):
         """Count the installed coloring's red and blue leaves on the
-        tinted nodes, and classify the painted blocks by color count.
+        tinted nodes, and record each colored block's colored meet.
 
         The colored leaves are grouped by forest tree, and a block of
         one leaf (its root holds one live leaf) is skipped: no violation
         can fire inside it.  In any other block the colored leaves meet
         at the lca of the smallest and largest of their node ids, the
         first ancestor of the smallest whose id reaches the largest; the
-        block keeps it as its colored meet, and the walks up from its
+        block's id maps to it in ``meets``, and the walks up from its
         colored leaves stop there, since above it every node holds all
         of the block's colors and no violation can fire either.  The
-        previous coloring's entries are zeroed first, so every node
-        outside the new tinted set reads zero and every block outside
-        the new painted set has no meet.
+        previous coloring's entries are zeroed first and ``meets``
+        starts empty, so every node outside the new tinted set reads
+        zero and every block the pass skips reads white.
         """
-        live_r, live_b, comps = self.live_r, self.live_b, self.comps
+        live_r, live_b = self.live_r, self.live_b
         for v in self.tinted:
             live_r[v] = live_b[v] = 0
-        for cid in self.painted & comps.keys():
-            comps[cid].colored_meet = -1
-        self.tinted, self.painted, self.mixed = [], set(), {}
+        self.tinted, self.meets = [], {}
         coloring = self.coloring
         if coloring is None:
             return
@@ -347,9 +353,8 @@ class Partition:
                 else:
                     group = groups[r] = ([], [])
                     group[k].append(leaf_node2[i])
-        blocks = [comps[self.root_comp[r]] for r in groups]
         seen = set()
-        for c, (reds, blues) in zip(blocks, groups.values()):
+        for r, (reds, blues) in groups.items():
             for v in reds:
                 live_r[v] = 1
             for v in blues:
@@ -358,7 +363,7 @@ class Partition:
             lo, hi = min(nodes), max(nodes)
             while lo < hi:
                 lo = parent[lo]
-            c.colored_meet = lo
+            self.meets[self.root_comp[r]] = lo
             seen.add(lo)
             for v in nodes:
                 while v not in seen:
@@ -379,18 +384,6 @@ class Partition:
             live_r[v] = tr
             live_b[v] = tb
         self.tinted = tinted
-        for c in blocks:
-            self._paint(c)
-
-    def _paint(self, c):
-        """Record block ``c``, whose colored meet is set, as painted,
-        and as mixed when the counts at its meet give it two or three
-        colors."""
-        r, b = self.color_counts(c)
-        self.painted.add(c.id)
-        k = (r > 0) + (b > 0) + (r + b < c.size)
-        if k > 1:
-            self.mixed[c.id] = k
 
     # ------------------------------------------------------------------
     # refinement
@@ -507,12 +500,13 @@ class Partition:
         other blocks' leaves, a lone part's by bisection straight from
         its list.  A detached rest is read off that list, which costs
         the kept block's leaves too, but the caller listed those.  The
-        detached trees get the structural pass.  A new block is colored
-        when the first node of its walk counts a red or blue leaf, and
-        ``_lower_meet`` then finds its colored meet.  The walk starts at
-        the old meet for the block whose tree holds it: the root with
-        the lowest id whose subtree, the id range ``[subtree_min[v],
-        v]``, contains the meet.  Every other block starts at its own
+        detached trees get the structural pass.  ``comp``'s colored meet
+        leaves ``meets``.  A new block is colored when the first node of
+        its walk counts a red or blue leaf, and ``_lower_meet`` then
+        records its colored meet.  The walk starts at the old meet for
+        the block whose tree holds it: the root with the lowest id whose
+        subtree, the id range ``[subtree_min[v], v]``, contains the
+        meet.  Every other block starts at its own
         root, which then has all of its colors below.
         """
         root = comp.root2
@@ -522,7 +516,8 @@ class Partition:
         else:
             size = comp.size - sum(map(len, parts))
         anchors = [v for v in roots if v != root]
-        self._cut(comp, anchors, size)
+        meet = self.meets.pop(comp.id, -1)
+        self._cut(root, meet, anchors, size)
         leaf_root = self.leaf_root
         blocks = []
         for k, v in enumerate(roots):
@@ -547,63 +542,60 @@ class Partition:
         origin0 = comp.origin0 if comp.id >= self.first_new else comp.id
         comps, root_comp = self.comps, self.root_comp
         del comps[comp.id]
-        self.painted.discard(comp.id)
-        self.mixed.pop(comp.id, None)
         ids = range(self.next_id, self.next_id + len(roots))
         self.next_id = ids.stop
-        meet, smin = comp.colored_meet, self.pair.t2.subtree_min
+        smin = self.pair.t2.subtree_min
         holder = -1
         for v in roots:
             if smin[v] <= meet <= v and (holder < 0 or v < holder):
                 holder = v
         live_r, live_b = self.live_r, self.live_b
         for cid, p, v in zip(ids, blocks, roots):
-            c = comps[cid] = Component(cid, p, v, origin0)
+            comps[cid] = Component(cid, p, v, origin0)
             root_comp[v] = cid
             top = meet if v == holder else v
             if live_r[top] or live_b[top]:
-                self._lower_meet(c, top)
-                self._paint(c)
+                self._lower_meet(cid, top)
         self._refresh_structure(anchors)
         return list(ids)
 
-    def _lower_meet(self, c, top):
-        """Set the colored meet of block ``c`` at the end of the walk
-        down from ``top``, a node of its tree with all of its red and
-        blue leaves below, and zero the colors of the nodes passed on
-        the way, which stay in ``tinted``.  A block of one leaf gets its
-        leaf at once.
+    def _lower_meet(self, cid, top):
+        """Record the colored meet of block ``cid`` at the end of the
+        walk down from ``top``, a node of its tree with all of its red
+        and blue leaves below, and zero the colors of the nodes passed
+        on the way, which stay in ``tinted``.  A block of one leaf gets
+        its leaf at once.
         """
         if self.pair.t2.left[top] < 0:
-            c.colored_meet = top
+            self.meets[cid] = top
             return
         live_r, live_b = self.live_r, self.live_b
         path = self.meeting_path(top, live_r[top] + live_b[top],
                                  lambda v: live_r[v] + live_b[v])
-        c.colored_meet = path.pop()
+        self.meets[cid] = path.pop()
         for v in path:
             live_r[v] = live_b[v] = 0
 
-    def _cut(self, comp, anchors, size):
-        """Cut the edges above ``anchors``, nodes of the forest tree of
-        block ``comp``, whose root keeps ``size`` leaves.
+    def _cut(self, root, meet, anchors, size):
+        """Cut the edges above ``anchors``, nodes of the forest tree with
+        root ``root``, which keeps ``size`` leaves; ``meet`` is its
+        block's colored meet, or -1.
 
         Each anchor's live, red and blue counts, read before any update,
         come off the nodes above it up to the first cut node: the root,
         or an anchor it nests in, whose counts then exclude it.  The
-        colors, nonzero only at or below the block's colored meet, come
-        off no node above the meet; ``tinted`` keeps the nodes this
-        empties.  In the kept tree, coverage changes only on the paths
-        that reach the root, where a node holding some but not all of
-        the block's leaves is covered, and on the chain from the root
-        down to the block's new meeting node: a node there holds every
-        leaf of the block, so only the meeting node is covered.  The
-        detached trees are left to the structural pass.
+        colors, nonzero only at or below ``meet``, come off no node
+        above it; ``tinted`` keeps the nodes this empties.  In the kept
+        tree, coverage changes only on the paths that reach the root,
+        where a node holding some but not all of the block's leaves is
+        covered, and on the chain from the root down to the block's new
+        meeting node: a node there holds every leaf of the block, so
+        only the meeting node is covered.  The detached trees are left
+        to the structural pass.
         """
         parent = self.pair.t2.parent
         cut, live, cover = self.cut, self.live, self.cover
         live_r, live_b = self.live_r, self.live_b
-        root, meet = comp.root2, comp.colored_meet
         counts = []
         for a in anchors:
             counts.append((a, live[a], live_r[a], live_b[a]))

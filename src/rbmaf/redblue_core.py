@@ -280,9 +280,9 @@ def find_lowest_pcs(partition):
 
 def _colored_meet(partition, comp):
     """Second-tree node where the red and blue leaves of a tricolored
-    block meet, which the partition keeps current on the block; raises
+    block meet, which the partition keeps current in ``meets``; raises
     unless the block covers it."""
-    ua = comp.colored_meet
+    ua = partition.meets[comp.id]
     if partition.covering(ua) != comp.id:
         raise InvariantError("colored meeting node is not covered by its block")
     return ua
@@ -305,7 +305,7 @@ def classify_case(partition):
     below the colored part's meeting node.  Any other shape raises
     InvariantError.
     """
-    comps, mixed = partition.comps, partition.mixed
+    comps, mixed = partition.comps, partition.mixed()
     multi = [comps[cid] for cid in mixed]
     if len(multi) == 2:
         (ar, ab, aw), (br, bb, bw) = sorted(
@@ -320,7 +320,7 @@ def classify_case(partition):
     if mixed[a0.id] != 3:
         raise InvariantError("a lone multicolored block must carry all three colors")
     ua = _colored_meet(partition, a0)
-    rb_bad = _rb_violation(partition) is not None
+    rb_bad = next(_rb_violations(partition), None) is not None
     outside = partition.live[ua] < a0.size
     if rb_bad:
         if not outside:
@@ -331,13 +331,15 @@ def classify_case(partition):
     return 3
 
 
-def _rb_violation(partition):
-    """Lowest second-tree node splitting off a color-incompatible piece.
+def _rb_violations(partition):
+    """Second-tree nodes splitting off a color-incompatible piece, in
+    one ascending scan of ``tinted``.
 
-    Fires at the lowest node whose covering block has both red and blue
-    below it while at least one of those colors also occurs above it;
-    such a node exists if and only if some block's colored part is not
-    shaped alike in both trees.
+    Fires at a node whose covering block has both red and blue below it
+    while at least one of those colors also occurs above it; such a node
+    exists if and only if some block's colored part is not shaped alike
+    in both trees.  Each node is yielded when the scan reaches it, the
+    lowest one firing then (see ``_cut_violations``).
     """
     comps, root_comp = partition.comps, partition.root_comp
     cover = partition.cover
@@ -354,16 +356,15 @@ def _rb_violation(partition):
         if lr and lb:
             cr, cb = partition.color_counts(comps[root_comp[r]])
             if lr < cr or lb < cb:
-                return v
-    return None
+                yield v
 
 
-def _splittable_violation(partition):
-    """Lowest second-tree node blocking a clean split by color.
+def _splittable_violations(partition):
+    """Second-tree nodes blocking a clean split by color, in one
+    ascending scan of ``tinted``, as ``_rb_violations``.
 
-    Fires at the lowest node whose covering block restricts below it to
-    exactly two colors while every color the block carries also occurs
-    above it.
+    Fires at a node whose covering block restricts below it to exactly
+    two colors while every color the block carries also occurs above it.
     """
     comps, root_comp = partition.comps, partition.root_comp
     cover = partition.cover
@@ -387,32 +388,34 @@ def _splittable_violation(partition):
             continue
         if cw and lw >= cw:
             continue
-        return v
-    return None
+        yield v
 
 
 def make_rb_compatible(partition, dual):
     """Cut until every block's colored part is shaped alike in both trees."""
-    return _cut_violations(partition, dual, rb=True)
+    return _cut_violations(partition, dual, _rb_violations(partition))
 
 
 def make_splittable(partition, dual):
     """Cut until every block's color classes are span-disjoint."""
-    return _cut_violations(partition, dual, rb=False)
+    return _cut_violations(partition, dual, _splittable_violations(partition))
 
 
-def _cut_violations(partition, dual, rb):
-    """Star and cut below the lowest violation, from ``_rb_violation``
-    or ``_splittable_violation``, until there is none; returns the cut
-    nodes in order."""
+def _cut_violations(partition, dual, violations):
+    """Star and cut below each node the scan ``violations`` yields;
+    returns the cut nodes in order.
+
+    One scan suffices: a cut below ``v`` changes node counts only on
+    ancestors of ``v``, whose ids are larger, lowers block totals to no
+    less than any count passed, or zeroes nodes, so no node passed can
+    start to fire; and splits never edit the ``tinted`` list it reads.
+    """
     nodes = []
-    while True:
-        v = _rb_violation(partition) if rb else _splittable_violation(partition)
-        if v is None:
-            return nodes
+    for v in violations:
         dual.star(2, v)
         partition.split_below(v)
         nodes.append(v)
+    return nodes
 
 
 def _top_components(partition):
@@ -458,7 +461,7 @@ def _color_classes(partition, c):
     left, right = t2.left, t2.right
     leaf_index2 = partition.pair.leaf_index2
     reds, blues = [], []
-    stack = [c.colored_meet]
+    stack = [partition.meets[c.id]]
     while stack:
         v = stack.pop()
         l = left[v]
@@ -491,7 +494,7 @@ def special_split(partition, dual, cid, pairslist):
     """
     pair = partition.pair
     c = partition.comps[cid]
-    if partition.mixed.get(cid) != 3:
+    if partition.mixed().get(cid) != 3:
         raise InvariantError("special split needs a tricolored block")
     ua = _colored_meet(partition, c)
     reds, blues = _color_classes(partition, c)
@@ -530,7 +533,7 @@ def split(partition, dual, pairslist, top_cid):
     chi = 0
     pair_added = False
     special = None
-    for cid, ncol in sorted(partition.mixed.items()):
+    for cid, ncol in sorted(partition.mixed().items()):
         c = partition.comps[cid]
         if ncol == 3 and partition.live[_colored_meet(partition, c)] < c.size:
             if cid != top_cid:
@@ -586,7 +589,7 @@ def find_merge_pair(partition):
     covering = partition.covering
     bucket = {}
     for cid in scope:
-        bucket.setdefault(comps[cid].colored_meet, []).append(cid)
+        bucket.setdefault(partition.meets[cid], []).append(cid)
 
     def emit(c1, c2):
         if c1 > c2:
@@ -735,7 +738,7 @@ def run(pair, record_snapshots=False, on_iteration=None):
             top_cid = tops[0]
         else:
             top_cid = None
-        t = sum(1 for cid, ncol in partition.mixed.items()
+        t = sum(1 for cid, ncol in partition.mixed().items()
                 if ncol == 3 and cid not in tops)
 
         chi, pair_added, special = split(partition, dual, pairslist, top_cid)

@@ -368,7 +368,7 @@ def tinted_color_counts(partition):
 def color_classes(partition):
     """Red and blue leaves of every multicolored block, sorted, keyed by
     block id: the installed coloring's lists grouped by current block."""
-    classes = {cid: ([], []) for cid in partition.mixed}
+    classes = {cid: ([], []) for cid in partition.mixed()}
     blocks = leaf_blocks(partition)
     coloring = partition.coloring
     for k, leaves in enumerate((coloring.red, coloring.blue)):

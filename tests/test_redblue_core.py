@@ -389,9 +389,11 @@ def check_blocks_and_colors(partition):
     """Each leaf's block, from ``leaf_root``, from the blocks' leaf lists
     and from the cut forest, and every color count, against the full
     recounts in ``naive``: node counts are kept only at or below the
-    colored meets, and block counts and classes only on the painted
-    blocks, those with a meet.  ``tinted`` is ascending and holds every
-    node with a count; nodes a split emptied may stay in it."""
+    colored meets, and block counts only on the blocks in ``meets``,
+    which must be exactly the colored blocks, each with its meet;
+    ``mixed()`` must name every block of two or three colors.
+    ``tinted`` is ascending and holds every node with a count; nodes a
+    split emptied may stay in it."""
     treecomp = naive.full_structure(partition)[1]
     n = partition.pair.n
     leaf_node2 = partition.pair.leaf_node2
@@ -403,29 +405,29 @@ def check_blocks_and_colors(partition):
     assert partition.tinted == sorted(partition.tinted)
     assert len(set(partition.tinted)) == len(partition.tinted)
     assert set(tinted) <= set(partition.tinted)
-    assert {cid: c.colored_meet for cid, c in partition.comps.items()
-            if c.colored_meet >= 0} == meets
+    assert partition.meets == meets
     blocks = naive.full_color_counts(partition)[3]
-    painted = set(meets)
-    assert partition.painted == painted
+    mixed = partition.mixed()
     pair = partition.pair
-    for cid in painted - partition.mixed.keys():
+    for cid in meets.keys() - mixed.keys():
         c = partition.comps[cid]
-        assert c.colored_meet == pair.lca_of_leaves(2, c.leaves)
+        assert meets[cid] == pair.lca_of_leaves(2, c.leaves)
     assert {cid: partition.color_counts(partition.comps[cid])
-            for cid in painted} == {cid: tuple(blocks[cid][:2])
-                                    for cid in painted}
-    assert partition.mixed == {cid: sum(1 for x in blocks[cid] if x)
-                               for cid in painted
-                               if sum(1 for x in blocks[cid] if x) >= 2}
+            for cid in meets} == {cid: tuple(blocks[cid][:2])
+                                  for cid in meets}
+    colors = {cid: sum(1 for x in counts if x)
+              for cid, counts in blocks.items()}
+    assert mixed == {cid: k for cid, k in colors.items() if k >= 2}
 
 
 @contextmanager
 def full_sweep_checks():
     """Run the solver with every incremental stage checked, call by call,
     against its full-sweep oracle in ``naive``: the annotations, blocks
-    and color counts after every refresh and after every split.  Yields
-    a call counter."""
+    and color counts after every refresh and after every split, and
+    each node a violation scan yields, when it yields it; a scan must
+    end exactly when its oracle finds no violation.  Yields a call
+    counter."""
     calls = Counter()
 
     def checked_update(name):
@@ -454,6 +456,18 @@ def full_sweep_checks():
             return got
         return wrapper
 
+    def checked_scan(name, oracle):
+        fast = getattr(redblue_core, name)
+
+        def wrapper(partition):
+            for v in fast(partition):
+                assert v == oracle(partition), name
+                calls[name] += 1
+                yield v
+            assert oracle(partition) is None, name
+            calls[name] += 1
+        return wrapper
+
     with pytest.MonkeyPatch.context() as mp:
         for name in ("refresh_annotations", "split_below", "split_component"):
             mp.setattr(Partition, name, checked_update(name))
@@ -461,10 +475,12 @@ def full_sweep_checks():
                 ("find_lowest_pcs", naive.full_lowest_pcs),
                 ("find_merge_pair", naive.full_find_merge_pair),
                 ("_top_components", naive.full_top_components),
-                ("_rb_violation", naive.full_rb_violation),
-                ("_splittable_violation", naive.full_splittable_violation),
                 ("_color_classes", naive.color_classes)):
             mp.setattr(redblue_core, name, checked(name, oracle))
+        for name, oracle in (
+                ("_rb_violations", naive.full_rb_violation),
+                ("_splittable_violations", naive.full_splittable_violation)):
+            mp.setattr(redblue_core, name, checked_scan(name, oracle))
         yield calls
 
 
@@ -622,7 +638,7 @@ def test_colors_are_current_after_each_split_without_a_refresh():
             pqr, leaf2[lab["q"]], x_node]
         assert part.live_b[pq] == 1 and part.live_b[pqr] == 2
         assert part.live_r[pqrw] == part.live_b[pqrw] == 0
-        assert part.mixed == {ids[2]: 2}
+        assert part.mixed() == {ids[2]: 2}
         assert calls == Counter(refresh_annotations=1, split_below=1,
                                 split_component=1)
 
@@ -745,6 +761,67 @@ def test_splits_never_edit_tinted():
     assert calls["split_below"] > 50 and calls["split_component"] > 50
 
 
+def test_each_cut_stage_starts_one_scan():
+    """Every call of make_rb_compatible and make_splittable starts
+    exactly one violation scan and cuts at the nodes it yields.  While
+    solving the uniform pairs at n = 1000 and 1200 (generator seeds 0
+    and 1) that is 970 scans per stage; starting a scan again after
+    every cut gives 1,084 for make_splittable alone.  Iterations and
+    cuts do not change, and no time is measured."""
+    scans, stages = Counter(), Counter()
+
+    def counted(name):
+        scan = getattr(redblue_core, name)
+
+        def wrapper(partition):
+            scans[name] += 1
+            return scan(partition)
+        return wrapper
+
+    def one_scan(name):
+        stage = getattr(redblue_core, name)
+
+        def wrapper(partition, dual):
+            before = scans.total()
+            nodes = stage(partition, dual)
+            assert scans.total() == before + 1, name
+            stages[name] += 1
+            return nodes
+        return wrapper
+
+    iterations = cuts = 0
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_rb_violations", "_splittable_violations"):
+            mp.setattr(redblue_core, name, counted(name))
+        for name in ("make_rb_compatible", "make_splittable"):
+            mp.setattr(redblue_core, name, one_scan(name))
+        for n, seed in ((1000, 0), (1200, 1)):
+            res = run(random_pair(n, seed))
+            iterations += len(res.iterations)
+            cuts += sum(rec.n_stars for rec in res.iterations)
+    assert (iterations, cuts) == (970, 1096)
+    assert stages == Counter(make_rb_compatible=970, make_splittable=970)
+    assert scans["_splittable_violations"] == 970
+
+
+def test_no_color_state_after_run():
+    """The merge phase clears the coloring through canonicalize_cuts:
+    after ``run`` no block has a colored meet, none is mixed, nothing is
+    tinted and every red and blue count reads 0."""
+    instances = [pair for _, pair in corpus(9, 20)]
+    for seed in range(2):
+        pair = random_pair(300, seed, mode="k_rspr", k=20)
+        instances += [random_pair(300, seed), pair,
+                      make_pair(pair.t1, pair.t2, add_rho=True)]
+    for pair in instances:
+        res = run(pair)
+        partition = res.partition
+        assert res.iterations and partition.coloring is None
+        assert partition.meets == {} and partition.mixed() == {}
+        assert partition.tinted == []
+        assert not any(partition.live_r) and not any(partition.live_b)
+
+
 def test_color_pass_runs_once_per_iteration():
     """While solving, the color pass runs only when a coloring is
     installed: once per iteration, and once more when canonicalize_cuts
@@ -797,17 +874,17 @@ def test_color_pass_tints_only_below_colored_meets():
 
 def test_color_pass_paints_only_blocks_of_two_or_more_leaves():
     """Summed over every color pass while solving the uniform pairs at
-    n = 1000 and 1200 (generator seeds 0 and 1), the painted blocks
-    number 1,937 when blocks of one leaf are skipped; painting every
-    block that holds a colored leaf gives 29,377.  The bound leaves 25%
-    headroom on the first count and measures no time.  Iterations and
-    cuts do not change."""
+    n = 1000 and 1200 (generator seeds 0 and 1), the blocks the pass
+    puts in ``meets`` number 1,937 when blocks of one leaf are skipped;
+    taking every block that holds a colored leaf gives 29,377.  The
+    bound leaves 25% headroom on the first count and measures no time.
+    Iterations and cuts do not change."""
     colors = Partition._refresh_colors
-    painted = []
+    colored = []
 
     def counted(partition):
         colors(partition)
-        painted.append(len(partition.painted))
+        colored.append(len(partition.meets))
 
     iterations = cuts = 0
     with pytest.MonkeyPatch.context() as mp:
@@ -817,7 +894,7 @@ def test_color_pass_paints_only_blocks_of_two_or_more_leaves():
             iterations += len(res.iterations)
             cuts += sum(rec.n_stars for rec in res.iterations)
     assert (iterations, cuts) == (970, 1096)
-    assert sum(painted) <= 1937 * 5 // 4
+    assert sum(colored) <= 1937 * 5 // 4
 
 
 def test_split_path_anchors_blocks_without_lca_queries():
@@ -848,17 +925,17 @@ def test_split_path_anchors_blocks_without_lca_queries():
 
 def test_singletons_read_their_color_only_when_a_split_creates_them(fig1):
     """A block of one colored leaf that is there when the coloring goes
-    in is not painted and reads white; one that a later split creates
-    reads its color, with its leaf as its colored meet."""
+    in has no colored meet and reads white; one that a later split
+    creates reads its color, with its leaf as its colored meet."""
     part = build_state(fig1, [["r1"], ["b1", "b2", "w1", "r2", "w2"], ["w3"]])
     lab = fig1.index_of
     part.refresh_annotations(make_coloring(part, 6))
     old = part.component_of_leaf(lab["r1"])
-    assert old.id not in part.painted and old.colored_meet == -1
+    assert old.id not in part.meets
     assert part.color_counts(old) == (0, 0)
     leaf = fig1.leaf_node2[lab["b2"]]
     new = part.comps[part.split_below(leaf)[0]]
-    assert new.id in part.painted and new.colored_meet == leaf
+    assert part.meets[new.id] == leaf
     assert part.color_counts(new) == (0, 1)
     check_blocks_and_colors(part)
 
