@@ -163,9 +163,11 @@ class Partition:
         return tuple(sorted(tuple(c.leaves) for c in self.comps.values()))
 
     def label_sets(self):
+        # Leaf indices follow sorted label order and ``c.leaves`` is
+        # sorted, so each block's labels come out sorted.
         labs = self.pair.labels
         return tuple(sorted(
-            tuple(sorted(labs[i] for i in c.leaves))
+            tuple(map(labs.__getitem__, c.leaves))
             for c in self.comps.values()))
 
     def deleted_edge_nodes(self):

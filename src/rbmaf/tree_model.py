@@ -5,14 +5,16 @@ left-to-right post-order walk, so every child id is smaller than its
 parent id, the root is the largest id, and the subtree of node ``v`` is
 exactly the contiguous id range ``[subtree_min[v], v]``.  Leaves carry
 string labels; internal labels and branch lengths in Newick input are
-parsed and discarded.  The reader splits the text once at its
-parentheses and commas and can graft the shared root leaf ``rho`` as
-it reads.  Lowest common ancestors climb parent links until the climbs
-of one tree have taken as many steps as it has nodes; after that they
-are range-minimum queries on depth over the ids themselves (Bender and
-Farach-Colton, "The LCA problem revisited", 2000), with no Euler tour:
-a sparse table of at most n entries per level, built by the first
-query past that budget.
+parsed and discarded.  One reader loop takes the text's parentheses,
+commas and labels in one pass and can graft the shared root leaf
+``rho`` as it reads; plain text, with no whitespace, branch length or
+other decoration, is cut into those pieces by ``str.split``, any other
+text once at its parentheses and commas.  Lowest common ancestors
+climb parent links until the climbs of one tree have taken as many
+steps as it has nodes; after that they are range-minimum queries on
+depth over the ids themselves (Bender and Farach-Colton, "The LCA
+problem revisited", 2000), with no Euler tour: a sparse table of at
+most n entries per level, built by the first query past that budget.
 
 A :class:`TreePair` binds two trees over the same label set to a shared
 dense leaf indexing (labels sorted lexicographically, indices 0..n-1)
@@ -50,7 +52,7 @@ _TOKEN = re.compile(r"\s*(?:((?:\)|%s)%s*)(?::([\d.+\-eE]*))?|(.))"
                     % (_LABEL, _LABEL), re.S)
 _split = re.compile(r"([(),])").split
 # A character that makes a piece between parentheses and commas more
-# than one label.
+# than one label, and text without one plain.
 _special = re.compile(r"[\s:;'\[\]]").search
 # What the previous token was: an open parenthesis (or nothing), a
 # comma, or a whole node.
@@ -111,9 +113,13 @@ class RootedBinaryTree:
         self.left = left
         self.right = right
         self.labels = labels
-        self.leaf_ids = [v for v in range(n) if left[v] < 0]
-        self.n_leaves = len(self.leaf_ids)
-        _check_labels(labels, self.leaf_ids)
+        self.leaf_ids = leaves = [v for v in range(n) if left[v] < 0]
+        self.n_leaves = len(leaves)
+        # One set tells whether any label is missing or repeated; only
+        # then does the walk in id order name the first offender.
+        names = set(map(labels.__getitem__, leaves))
+        if len(names) != len(leaves) or "" in names or None in names:
+            _check_labels(labels, leaves)
 
         depth = [0] * n
         for v in range(n - 2, -1, -1):
@@ -275,14 +281,19 @@ def parse_newick(text, add_rho=False):
     Quoted labels and ``[...]`` comments are not supported: a quote or
     bracket raises NewickError naming the character and its offset.
 
-    The text is split once at its parentheses and commas.  A piece
-    between them that holds no whitespace, ``:``, ``;``, quote or
-    bracket is one label; any other piece is read token by token.  A
-    leaf gets its post-order id when it appears, an internal node when
-    its ``)`` closes.  With ``add_rho`` the tree is the one
-    :meth:`RootedBinaryTree.with_root_sibling` grafts for ``rho``: the
-    reader starts with that leaf as node 0 and closes the new root at
-    the end, and offsets in messages stay those of ``text``.
+    One loop reads the text as pieces: ``(``, ``,``, ``)`` and the text
+    between them.  One search tells how the pieces are cut.  Plain
+    text, holding no whitespace, ``:``, ``;``, quote or bracket, is
+    cut by ``str.split`` once its parentheses and commas are spaced
+    out, and each other piece is one label.  Any other text is split
+    at its parentheses and commas; a piece between them that holds
+    none of those characters is one label, and any other piece is read
+    token by token.  A leaf gets its post-order id when it appears, an
+    internal node when its ``)`` closes.  With ``add_rho`` the tree is
+    the one :meth:`RootedBinaryTree.with_root_sibling` grafts for
+    ``rho``: the reader starts with that leaf as node 0 and closes the
+    new root at the end, and offsets in messages stay those of
+    ``text``.
     """
     # Leading whitespace stays, as a piece that reads as no label, so
     # that offsets count from the start of ``text``.
@@ -291,24 +302,29 @@ def parse_newick(text, add_rho=False):
         raise NewickError("empty input")
     if s.endswith(";"):
         s = s[:-1].rstrip()
-    pieces = _split(s)  # text at even indices, "(", ")" or "," at odd
+    plain = _special(s) is None
+    if plain:
+        # s holds no whitespace, so the pieces still join up to s.
+        pieces = s.replace("(", " ( ").replace(",", " , ").replace(
+            ")", " ) ").split()
+    else:
+        pieces = _split(s)  # text at even indices, "(", ")" or "," at odd
     if add_rho:
         parent, left, right, labels = [-1], [-1], [-1], [RHO_LABEL]
     else:
         parent, left, right, labels = [], [], [], []
-    stack = []  # the child lists of the enclosing open nodes
-    kids = []  # child ids of the innermost open node, or the roots
+    kids = []  # the open nodes' finished children in turn, then the roots
+    starts = []  # where each open node's children start in kids
     prev = _OPEN
     for i, p in enumerate(pieces):
         if p == "(":
-            if prev is _ITEM and stack:
+            if prev is _ITEM and starts:
                 raise NewickError(
                     "expected ',' at offset %d" % _offset(pieces, i))
-            stack.append(kids)
-            kids = []
+            starts.append(len(kids))
             prev = _OPEN
         elif p == ",":
-            if not stack:
+            if not starts:
                 raise NewickError(
                     "unexpected ',' at offset %d" % _offset(pieces, i))
             if prev is not _ITEM:
@@ -316,43 +332,45 @@ def parse_newick(text, add_rho=False):
                     "expected a leaf label at offset %d" % _offset(pieces, i))
             prev = _COMMA
         elif p == ")":
-            if not stack:
+            if not starts:
                 raise NewickError("unbalanced ')'")
-            if len(kids) != 2:
+            k = len(kids) - starts.pop()
+            if k != 2:
                 raise NewickError(
-                    "internal node with %d children, need exactly 2"
-                    % len(kids))
+                    "internal node with %d children, need exactly 2" % k)
             if prev is _COMMA:
                 raise NewickError(
                     "expected a leaf label at offset %d" % _offset(pieces, i))
             v = len(parent)
-            l, r = kids
+            r = kids.pop()
+            l = kids[-1]
+            kids[-1] = v
             parent[l] = parent[r] = v
             parent.append(-1)
             left.append(l)
             right.append(r)
             labels.append(None)
-            kids = stack.pop()
-            kids.append(v)
             prev = _ITEM
-        elif p:
-            # The delimiter before a piece set prev (pieces[-1] is never
-            # ")"), so a label here follows a node only after ")", where
-            # a plain piece is that node's internal label.
-            if _special(p) is None:
-                if pieces[i - 1] == ")":
-                    continue
-                names = (p,)
-            else:
-                names = _piece_labels(pieces, i, bool(stack))
-            for name in names:
+        elif plain or not p or _special(p) is None:
+            # A delimiter stands before each piece, and of them only ")"
+            # leaves prev at a node: a piece after it is that node's
+            # internal label.
+            if p and prev is not _ITEM:
+                kids.append(len(parent))
+                parent.append(-1)
+                left.append(-1)
+                right.append(-1)
+                labels.append(p)
+                prev = _ITEM
+        else:
+            for name in _piece_labels(pieces, i, bool(starts)):
                 kids.append(len(parent))
                 parent.append(-1)
                 left.append(-1)
                 right.append(-1)
                 labels.append(name)
                 prev = _ITEM
-    if stack:
+    if starts:
         raise NewickError("unbalanced '('")
     if len(kids) != 1:
         raise NewickError("expected a single root")

@@ -93,6 +93,15 @@ BAD_NEWICK = {
     "((a,b)(c,d));": "expected ',' at offset 6",
     "((a,b)x y,c);": "expected ',' at offset 8",
     "(a,b),;": "unexpected ',' at offset 5",
+    # plain text, cut by str.split: one case per raise in the reader loop
+    "((ab,cd)x(e,f));": "expected ',' at offset 9",
+    "(ab,cd)ef,gh;": "unexpected ',' at offset 9",
+    "(ab,,cd);": "expected a leaf label at offset 4",
+    "(ab,cd)ef);": "unbalanced ')'",
+    "((ab,cd)ef);": "internal node with 1 children, need exactly 2",
+    "(ab,cd,);": "expected a leaf label at offset 7",
+    "((ab,cd),ef;": "unbalanced '('",
+    "ab(cd,ef);": "expected a single root",
 }
 
 # What only the one-pass reader rejects: the naive reader counts
@@ -282,6 +291,30 @@ def test_reader_computes_offsets_only_when_raising(monkeypatch):
     assert len(calls) == 1
 
 
+def test_reader_computes_offsets_only_when_raising_on_plain_text(monkeypatch):
+    """A 20,000-leaf undecorated text needs no offset until an empty
+    child near its end."""
+    tree = random_pair(20_000, 3).t1
+    text = tree.to_newick()
+    assert tree_model._special(text[:-1]) is None
+    calls = []
+
+    def offset(pieces, i):
+        calls.append(i)
+        return sum(map(len, pieces[:i]))
+
+    monkeypatch.setattr(tree_model, "_offset", offset)
+    assert _arrays(parse_newick(text)) == _arrays(tree)
+    assert _arrays(parse_newick(text, add_rho=True)) == \
+        _arrays(tree.with_root_sibling(RHO_LABEL))
+    assert calls == []
+    at = text.rindex(",") + 1
+    with pytest.raises(NewickError) as info:
+        parse_newick(text[:at] + "," + text[at:])
+    assert str(info.value) == "expected a leaf label at offset %d" % at
+    assert len(calls) == 1
+
+
 def _pair_outcome(read, s1, s2):
     """Both trees' arrays and the leaf maps, or the NewickError message."""
     try:
@@ -362,6 +395,69 @@ def test_rho_pair_reader_matches_graft_under_single_edits():
         else:
             outcomes["error" if isinstance(got, str) else "pair"] += 1
     assert min(outcomes["clash"], outcomes["error"], outcomes["pair"]) > 0
+
+
+def test_reader_matches_naive_under_single_edits_of_plain_text():
+    """Seeded single-character edits of undecorated texts, drawn from
+    characters that keep them plain, so every text is cut by
+    ``str.split``: both readers give the same arrays or the same
+    message, except where the one-pass reader rejects a separator the
+    naive one skipped; reading one text of the pair with rho grafted
+    gives what grafting the read trees gives."""
+    rng = random.Random(29)
+    bases = []
+    for n in range(2, 13):
+        for mode in ("uniform", "k_rspr"):
+            pair = random_pair(n, n, mode=mode, k=min(2, n - 1))
+            # Without the ';', after which an edit would leave text.
+            bases.append((pair.t1.to_newick()[:-1], pair.t2.to_newick()[:-1]))
+    edits = 4000
+    diverged = 0
+    outcomes = Counter()
+    for _ in range(edits):
+        texts = list(rng.choice(bases))
+        side = rng.randrange(2)
+        text = texts[side]
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice("(),a1")
+        kind = rng.randrange(3)
+        if kind == 0:
+            text = text[:i] + c + text[i:]
+        elif kind == 1:
+            text = text[:i] + c + text[i + 1:]
+        else:
+            text = text[:i] + text[i + 1:]
+        assert tree_model._special(text) is None, text
+        new = _outcome(parse_newick, text)
+        old = _outcome(naive.naive_parse_newick, text)
+        if new != old:
+            assert isinstance(new, str) and new.startswith(SEPARATOR_ERRORS), \
+                (text, new, old)
+            diverged += 1
+        outcomes["error" if isinstance(new, str) else "tree"] += 1
+        texts[side] = text
+        _assert_rho_pair_matches_graft(*texts)
+    assert 0 < diverged < edits // 2
+    assert min(outcomes["error"], outcomes["tree"]) > edits // 10
+
+
+# Arrays of ((a,b),(c,d)) with leaves 0, 1, 3 and 4.
+_FOUR_LEAVES = ([2, 2, 6, 5, 5, 6, -1], [-1, -1, 0, -1, -1, 3, 2],
+                [-1, -1, 1, -1, -1, 4, 5])
+
+
+@pytest.mark.parametrize("leaf_labels, message", [
+    (["a", "", "c", "d"], "leaf without a label"),
+    (["a", "b", None, "d"], "leaf without a label"),
+    (["a", "b", "b", "a"], "duplicate leaf label 'b'"),
+    (["a", "a", "", "d"], "duplicate leaf label 'a'"),
+    (["a", "", "a", "d"], "leaf without a label"),
+])
+def test_constructor_names_the_first_bad_label_in_id_order(leaf_labels, message):
+    a, b, c, d = leaf_labels
+    with pytest.raises(NewickError) as info:
+        RootedBinaryTree(*_FOUR_LEAVES, [a, b, None, c, d, None, None])
+    assert str(info.value) == message
 
 
 def test_lca_and_ancestor_against_naive(fig1, fig9):
