@@ -5,6 +5,9 @@ the current partition is not yet an agreement forest, colors the leaves
 red and blue by that node's two child subtrees (white elsewhere), and
 refines the partition by cutting the second tree until the colored part
 of the partition can no longer be forced apart by later iterations.
+The shape of the colored blocks puts each iteration in one of three
+cases; cases 1 and 3 are read off the colored meet of the lone
+tricolored block and confirmed by the cuts of the red-blue stage.
 Refinements that are not strictly necessary are remembered as undo
 pairs and reversed after the loop; they exist to pay for the
 certificate decrements.
@@ -303,7 +306,9 @@ def classify_case(partition):
     red+white and one blue+white.  Case 3: one multicolored block,
     three colors, colored part shaped alike, every leaf of the block
     below the colored part's meeting node.  Any other shape raises
-    InvariantError.
+    InvariantError.  Cases 1 and 3 are read off the colored meet alone;
+    ``run`` confirms the shape by the cuts of ``make_rb_compatible``,
+    the next stage to change the partition: some in case 1, none in 3.
     """
     comps, mixed = partition.comps, partition.mixed()
     multi = [comps[cid] for cid in mixed]
@@ -319,16 +324,7 @@ def classify_case(partition):
     a0 = multi[0]
     if mixed[a0.id] != 3:
         raise InvariantError("a lone multicolored block must carry all three colors")
-    ua = _colored_meet(partition, a0)
-    rb_bad = next(_rb_violations(partition), None) is not None
-    outside = partition.live[ua] < a0.size
-    if rb_bad:
-        if not outside:
-            raise InvariantError("color-incompatible block needs a white leaf outside the meeting node")
-        return 1
-    if outside:
-        raise InvariantError("color-compatible block must sit below the meeting node")
-    return 3
+    return 1 if partition.live[_colored_meet(partition, a0)] < a0.size else 3
 
 
 def _rb_violations(partition):
@@ -418,34 +414,44 @@ def _cut_violations(partition, dual, violations):
     return nodes
 
 
+def _outside(smin, tops, nodes):
+    """The ``nodes`` not strictly inside the subtree of one of ``tops``,
+    in pre-order.
+
+    Subtrees are the id ranges ``[smin[a], a]``, which nest or are
+    disjoint, so in pre-order (ascending ``smin``, ancestors first) a
+    node lies inside an earlier top's subtree exactly when it is at most
+    the largest top before it.  A node goes before a top at the same
+    place, so it is not inside its own subtree.
+    """
+    order = sorted([(smin[v], -v, False) for v in nodes]
+                   + [(smin[a], -a, True) for a in tops])
+    out = []
+    hi = -1
+    for _, neg, is_top in order:
+        if is_top:
+            hi = max(hi, -neg)
+        elif -neg > hi:
+            out.append(-neg)
+    return out
+
+
 def _top_components(partition):
     """Blocks created this iteration with a maximal meeting node.
 
     A created block is top when its meeting node in the second tree is
     not a strict descendant of another created block's meeting node.
-    Meeting nodes come from walks down from the blocks' roots.  Subtrees
-    are the id ranges ``[subtree_min[a], a]``, which nest or are
-    disjoint, so in pre-order (ascending ``subtree_min``, ancestors
-    first) a meeting node lies below an earlier one exactly when it is
-    at most the largest earlier meeting node.
+    Meeting nodes come from walks down from the blocks' roots.
     """
     comps = partition.comps
     created = [cid for cid in partition.created if cid in comps]
-    smin = partition.pair.t2.subtree_min
     anchors = {cid: partition.meeting_path(comps[cid].root2, comps[cid].size)[-1]
                for cid in created}
-    below = set()
-    hi = prev = -1
-    for cid in sorted(created, key=lambda cid: (smin[anchors[cid]], -anchors[cid])):
-        a = anchors[cid]
-        if a == prev:
-            raise InvariantError("two created blocks share a meeting node")
-        prev = a
-        if a <= hi:
-            below.add(cid)
-        else:
-            hi = a
-    return [cid for cid in created if cid not in below]
+    if len(set(anchors.values())) != len(anchors):
+        raise InvariantError("two created blocks share a meeting node")
+    tops = set(_outside(partition.pair.t2.subtree_min, anchors.values(),
+                        anchors.values()))
+    return [cid for cid in created if anchors[cid] in tops]
 
 
 def _color_classes(partition, c):
@@ -494,7 +500,7 @@ def special_split(partition, dual, cid, pairslist):
     """
     pair = partition.pair
     c = partition.comps[cid]
-    if partition.mixed().get(cid) != 3:
+    if not all(_block_colors(partition, c)):
         raise InvariantError("special split needs a tricolored block")
     ua = _colored_meet(partition, c)
     reds, blues = _color_classes(partition, c)
@@ -632,19 +638,8 @@ def find_merge_pair(partition):
                 reach[p] = list(up)
                 heappush(heap, p)
 
-    # Pre-order puts every ancestor first, so a fork lies inside the
-    # subtree of a scope block's meeting node exactly when it is at most
-    # the largest meeting node before it.
-    order = sorted([(smin[a], -a, True) for a in bucket]
-                   + [(smin[v], -v, False) for v in forks])
-    hi = -1
-    for _, neg, is_anchor in order:
-        v = -neg
-        if is_anchor:
-            hi = max(hi, v)
-            continue
-        if v <= hi:
-            continue
+    # Forks in pre-order, but none inside a scope meeting node's subtree.
+    for v in _outside(smin, bucket, forks):
         c1, c2 = reach[v]
         if scope[c1] == scope[c2]:
             raise InvariantError("same-color pair escaped the upward scan")
@@ -712,6 +707,10 @@ def run(pair, record_snapshots=False, on_iteration=None):
         dual.star(1, pcs.node)
 
         rb_nodes = make_rb_compatible(partition, dual)
+        if case == 1 and not rb_nodes:
+            raise InvariantError("color-compatible block must sit below the meeting node")
+        if case == 3 and rb_nodes:
+            raise InvariantError("color-incompatible block needs a white leaf outside the meeting node")
         p1 = len(partition)
         trace.append({
             "event": "stage",

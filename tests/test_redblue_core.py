@@ -305,6 +305,110 @@ def test_case_matches_condition_everywhere():
     assert seen == {1, 2, 3}
 
 
+def _cut_white_leaf(partition):
+    """Cut off one white leaf of a block of two or more leaves."""
+    colored = set(partition.coloring.red + partition.coloring.blue)
+    i = next(i for c in partition.comps.values() if c.size > 1
+             for i in c.leaves if i not in colored)
+    partition.split_below(partition.pair.leaf_node2[i])
+
+
+def _then(fault):
+    """The stage as it is, then ``fault(args, out)`` on its arguments
+    and result; the stage reports what the fault returns."""
+    def patch(stage):
+        return lambda *args: fault(args, stage(*args))
+    return patch
+
+
+def _report_root(args, nodes):
+    return nodes or [args[0].pair.t2.root]
+
+
+def _cut_if_none(args, nodes):
+    if not nodes:
+        _cut_white_leaf(args[0])
+    return nodes
+
+
+def _one_more_chi(args, out):
+    return (out[0] + 1,) + out[1:]
+
+
+def _one_more_star(args, out):
+    dual = args[1]
+    dual.star(1, dual.pair.t1.root)
+    return out
+
+
+def _one_more_cut(args, out):
+    _cut_white_leaf(args[0])
+    return out
+
+
+def _merge_into_one(args, out):
+    firsts = [c.leaves[0] for c in args[0].comps.values()]
+    args[0].merge([(firsts[0], x) for x in firsts[1:]])
+
+
+def _constant(value):
+    return lambda stage: lambda *args: value
+
+
+# (stage, fault, instance, message): fig1 solves in one case-1
+# iteration that remembers a pair found by find_merge_pair, fig9 starts
+# with a case-3 iteration.
+RUN_FAULTS = [
+    ("classify_case", _then(lambda args, case: 4 - case), "fig1",
+     "partition shape disagrees with the detected condition"),
+    ("make_rb_compatible", _constant([]), "fig1",
+     "color-compatible block must sit below the meeting node"),
+    ("make_rb_compatible", _then(_report_root), "fig9",
+     "color-incompatible block needs a white leaf outside the meeting node"),
+    ("make_rb_compatible", _then(_cut_if_none), "fig9",
+     "cases 2 and 3 must not cut before splittability"),
+    ("_top_components", _constant([]), "fig1",
+     "case 1 expects a unique top block"),
+    ("split", _then(_one_more_chi), "fig1",
+     "block count identity failed in case 1"),
+    ("split", _then(_one_more_star), "fig1",
+     "certificate identity failed in case 1"),
+    ("find_merge_pair", _constant(None), "fig1",
+     "case 1 with no stray three-color blocks must remember a pair"),
+    ("split", _then(_one_more_chi), "fig9", "special split outside case 1"),
+    ("split", _then(_one_more_cut), "fig9",
+     "block count identity failed in case 2/3"),
+    ("split", _then(_one_more_star), "fig9",
+     "certificate identity failed in case 2/3"),
+    ("merge_components", _constant(None), "fig1",
+     "merge phase lost or gained blocks"),
+    ("merge_components", _then(_merge_into_one), "fig1",
+     "final partition is not an agreement forest"),
+    ("merge_components", lambda stage: lambda part, pairs: pairs.clear(),
+     "fig1", "final certificate cannot pay for the forest"),
+]
+
+
+@pytest.mark.parametrize("stage, fault, fig, message", RUN_FAULTS,
+                         ids=[message for *_, message in RUN_FAULTS])
+def test_run_catches_a_faulty_stage(request, stage, fault, fig, message):
+    """Each check in ``run`` that a faulty stage can reach fires, with
+    its exact message, when that one stage is replaced.  No stage can
+    reach the check that an iteration's cuts are paid for: twice the
+    certificate gain less the cuts is t - 1, plus one for a remembered
+    pair, in case 1 and the pair flag in cases 2 and 3, once the
+    identities before it hold.  fig1 ends with twice D equal to its
+    value, so a merge phase that forgets the pair leaves a forest D
+    cannot pay for."""
+    pair = request.getfixturevalue(fig)
+    run(pair)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(redblue_core, stage, fault(getattr(redblue_core, stage)))
+        with pytest.raises(InvariantError) as err:
+            run(pair)
+    assert str(err.value) == message
+
+
 def test_k_feasible_after_every_iteration():
     for name, pair in corpus(8, 25, base_seed=321):
         t1 = pair.t1
@@ -802,6 +906,7 @@ def test_each_cut_stage_starts_one_scan():
     assert (iterations, cuts) == (970, 1096)
     assert stages == Counter(make_rb_compatible=970, make_splittable=970)
     assert scans["_splittable_violations"] == 970
+    assert scans["_rb_violations"] == 970
 
 
 def test_no_color_state_after_run():
