@@ -14,8 +14,8 @@ Every leaf maps to the root of its forest tree (``leaf_root``) and
 ``root_comp`` names the block of each root, so a split writes
 ``leaf_root`` only for the leaves it detaches: the part that keeps the
 root keeps its entries, gets its new id through ``root_comp`` and
-inherits the block's sorted leaf list, from which the detached leaves
-are deleted by bisection.
+inherits the block's leaf set, from which the detached leaves are
+deleted.  Only the output sorts leaves.
 
 Annotations come from two passes over the second tree.  The structural
 pass gives, per node, the number of live leaves below it inside its
@@ -51,7 +51,6 @@ split empties stays there, reading 0, until the next pass.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain
 
 from .tree_model import InvariantError, set_compatible, spanned_nodes
 
@@ -62,10 +61,11 @@ class Component:
     ``root2`` is the root node of the component's tree in the cut
     forest, and ``origin0`` points to the ancestor block that existed
     when the iteration that created this one started (it is read only
-    while that iteration runs).  ``leaves`` is sorted and ``size`` is
-    its length: a block's leaves never change, a split hands its list on
-    to the new block that keeps its root.  A block carries no color:
-    ``Partition.meets`` records the colored ones.
+    while that iteration runs).  ``leaves`` is a set and ``size`` is
+    its length: a block's leaves never change, a split hands its set on
+    to the new block that keeps its root, and a merge the larger block's
+    set.  A block carries no color: ``Partition.meets`` records the
+    colored ones.
     """
 
     __slots__ = ("id", "leaves", "size", "root2", "origin0")
@@ -78,29 +78,7 @@ class Component:
         self.origin0 = origin0
 
     def __repr__(self):
-        return "Component(%d, %r)" % (self.id, self.leaves)
-
-
-def _drop_sorted(leaves, drop):
-    """Delete the sorted list ``drop`` from a block's sorted leaf list
-    ``leaves``, which holds all of it, in place, by bisection.
-
-    A deletion moves the tail of the list in one block copy, and a
-    rebuild copies every element with its reference count, so a few
-    deletions cost less than a rebuild (by about 100 times for one leaf
-    of 100k) and many deletions more (6 times at 5,000).
-    """
-    if len(drop) < 128:
-        for x in reversed(drop):
-            del leaves[bisect_left(leaves, x)]
-        return
-    kept, i = [], 0
-    for x in drop:
-        j = bisect_left(leaves, x, i)
-        kept += leaves[i:j]
-        i = j + 1
-    kept += leaves[i:]
-    leaves[:] = kept
+        return "Component(%d, %r)" % (self.id, sorted(self.leaves))
 
 
 class Partition:
@@ -129,7 +107,7 @@ class Partition:
     def __init__(self, pair):
         self.pair = pair
         root = pair.t2.root
-        comp = Component(0, list(range(pair.n)), root, 0)
+        comp = Component(0, set(range(pair.n)), root, 0)
         self.comps = {0: comp}
         self.leaf_root = [root] * pair.n
         self.cut = [False] * pair.t2.n_nodes
@@ -160,18 +138,16 @@ class Partition:
         return self.root_comp[r] if r >= 0 else -1
 
     def leaf_sets(self):
-        return tuple(sorted(tuple(c.leaves) for c in self.comps.values()))
+        return tuple(sorted(tuple(sorted(c.leaves))
+                            for c in self.comps.values()))
 
     def label_sets(self):
-        # Leaf indices follow sorted label order and ``c.leaves`` is
-        # sorted, so each block's labels come out sorted.
+        # Leaf indices follow sorted label order, so each block's sorted
+        # indices give its labels sorted.
         labs = self.pair.labels
         return tuple(sorted(
-            tuple(map(labs.__getitem__, c.leaves))
+            tuple(map(labs.__getitem__, sorted(c.leaves)))
             for c in self.comps.values()))
-
-    def deleted_edge_nodes(self):
-        return [v for v in range(self.pair.t2.n_nodes) if self.cut[v]]
 
     def deleted_edges_labels(self):
         """Each deleted edge as the sorted labels below its child endpoint.
@@ -180,13 +156,8 @@ class Partition:
         report nested label sets; entries are sorted lexicographically.
         """
         t2 = self.pair.t2
-        out = []
-        for v in self.deleted_edge_nodes():
-            out.append([t2.labels[u] for u in t2.leaves_below(v)])
-        for e in out:
-            e.sort()
-        out.sort()
-        return out
+        return sorted(sorted(t2.labels[u] for u in t2.leaves_below(v))
+                      for v in range(t2.n_nodes) if self.cut[v])
 
     def to_json_dict(self):
         return {
@@ -408,8 +379,8 @@ class Partition:
         if lv >= comp.size:
             raise InvariantError("refinement would leave an empty upper block")
         left, leaf_index2 = self.pair.t2.left, self.pair.leaf_index2
-        below = sorted(leaf_index2[v] for v in self._forest_nodes(node2)
-                       if left[v] < 0)
+        below = {leaf_index2[v] for v in self._forest_nodes(node2)
+                 if left[v] < 0}
         if len(below) != lv:
             raise InvariantError("live count disagrees with collected leaves")
         return self._replace(comp, [below], [node2, comp.root2])
@@ -417,10 +388,10 @@ class Partition:
     def split_component(self, comp_id, parts, rest=False):
         """Replace one component by the given blocks, cutting canonically.
 
-        ``parts`` is a list of disjoint nonempty leaf-index lists inside
-        the component.  Their union is the component, or with ``rest``
-        it leaves a nonempty rest of the component's leaves, which forms
-        one more block, the last.  The block whose lca in the second
+        ``parts`` is a list of disjoint nonempty collections of leaf
+        indices inside the component.  Their union is the component, or
+        with ``rest`` it leaves a nonempty rest of the component's
+        leaves, which forms one more block, the last.  The block whose lca in the second
         tree is shallowest keeps the component's tree root; every other
         block is detached by deleting the edge above its own lca.  Valid
         only when the blocks' spans are pairwise disjoint in the second
@@ -489,27 +460,26 @@ class Partition:
         for k, v in enumerate(roots):
             if k != keep and (v == root or cut[v] or v in roots[:k]):
                 raise InvariantError("block anchor is not cuttable")
-        return self._replace(comp, [sorted(p) for p in parts], roots)
+        return self._replace(comp, [set(p) for p in parts], roots)
 
     def _replace(self, comp, parts, roots):
         """Replace ``comp`` by blocks rooted at ``roots``, cutting above
         every root but its own; returns the new ids in that order.
 
-        ``parts`` holds the blocks' sorted leaf lists, or all but the
-        last, which is then the rest of ``comp``'s leaves.  Only
-        detached leaves get a new ``leaf_root``.  The block that keeps
-        the root keeps ``comp``'s leaf list object, which loses the
-        other blocks' leaves, a lone part's by bisection straight from
-        its list.  A detached rest is read off that list, which costs
-        the kept block's leaves too, but the caller listed those.  The
-        detached trees get the structural pass.  ``comp``'s colored meet
-        leaves ``meets``.  A new block is colored when the first node of
-        its walk counts a red or blue leaf, and ``_lower_meet`` then
-        records its colored meet.  The walk starts at the old meet for
-        the block whose tree holds it: the root with the lowest id whose
-        subtree, the id range ``[subtree_min[v], v]``, contains the
-        meet.  Every other block starts at its own
-        root, which then has all of its colors below.
+        ``parts`` holds the blocks' leaf sets, or all but the last,
+        which is then the rest of ``comp``'s leaves.  Only detached
+        leaves get a new ``leaf_root``.  The block that keeps the root
+        keeps ``comp``'s leaf set object, which loses the other blocks'
+        leaves in place.  A detached rest is the set difference, which
+        costs the kept block's leaves too, but the caller listed those.
+        The detached trees get the structural pass.  ``comp``'s colored
+        meet leaves ``meets``.  A new block is colored when the first
+        node of its walk counts a red or blue leaf, and ``_lower_meet``
+        then records its colored meet.  The walk starts at the old meet
+        for the block whose tree holds it: the root with the lowest id
+        whose subtree, the id range ``[subtree_min[v], v]``, contains the
+        meet.  Every other block starts at its own root, which then has
+        all of its colors below.
         """
         root = comp.root2
         keep = roots.index(root)
@@ -520,26 +490,17 @@ class Partition:
         anchors = [v for v in roots if v != root]
         meet = self.meets.pop(comp.id, -1)
         self._cut(root, meet, anchors, size)
-        leaf_root = self.leaf_root
-        blocks = []
-        for k, v in enumerate(roots):
-            if k == keep:
-                p = comp.leaves
-            elif k < len(parts):
-                p = parts[k]
-            else:
-                given = set(chain.from_iterable(parts))
-                p = [x for x in comp.leaves if x not in given]
+        leaf_root, leaves = self.leaf_root, comp.leaves
+        blocks = list(parts)
+        if len(parts) < len(roots):
+            blocks.append(leaves.difference(*parts) if keep < len(parts)
+                          else leaves)
+        blocks[keep] = leaves
+        for k, (p, v) in enumerate(zip(blocks, roots)):
             if k != keep:
                 for x in p:
                     leaf_root[x] = v
-            blocks.append(p)
-        if keep < len(parts):
-            comp.leaves[:] = parts[keep]
-        elif len(parts) == 1:
-            _drop_sorted(comp.leaves, parts[0])
-        else:
-            _drop_sorted(comp.leaves, sorted(chain.from_iterable(parts)))
+                leaves -= p
 
         origin0 = comp.origin0 if comp.id >= self.first_new else comp.id
         comps, root_comp = self.comps, self.root_comp
@@ -635,7 +596,8 @@ class Partition:
 
         Until then a merged block has no forest tree: the smaller
         block's leaves map to the larger one's old root, which names the
-        merged block.
+        merged block, and join the larger one's leaf set, which the
+        merged block takes over.
         """
         comps, leaf_root = self.comps, self.leaf_root
         for x1, x2 in pairs:
@@ -645,14 +607,15 @@ class Partition:
                 raise InvariantError("merge pair already shares a component")
             if a.size < b.size:
                 a, b = b, a
-            key = leaf_root[a.leaves[0]]
+            key = leaf_root[next(iter(a.leaves))]
             for x in b.leaves:
                 leaf_root[x] = key
+            a.leaves |= b.leaves
             del comps[a.id]
             del comps[b.id]
             cid = self.next_id
             self.next_id += 1
-            comps[cid] = Component(cid, sorted(a.leaves + b.leaves), -1, -1)
+            comps[cid] = Component(cid, a.leaves, -1, -1)
             self.root_comp[key] = cid
         self.canonicalize_cuts()
 

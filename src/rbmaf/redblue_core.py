@@ -512,10 +512,10 @@ def special_split(partition, dual, cid, pairslist):
     nodes2 = pair.leaf_node2
     dual.star(2, ua)
     lo = t2.subtree_min[ua]
-    outside = [i for i in c.leaves if not lo <= nodes2[i] <= ua]
+    outside = {i for i in c.leaves if not lo <= nodes2[i] <= ua}
     if not outside:
         raise InvariantError("four-way special split needs four blocks")
-    if not set(outside).isdisjoint(chain(reds, blues)):
+    if not outside.isdisjoint(chain(reds, blues)):
         raise InvariantError("leaves outside the meeting node must be white")
     # the white leaves below the meeting node are the rest
     partition.split_component(cid, [outside, reds, blues], rest=True)

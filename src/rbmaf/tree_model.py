@@ -569,16 +569,6 @@ def meet_matrix(pair, t):
     return meet
 
 
-def triple_compatible(pair, a, b, c):
-    """True when leaf indices a, b, c resolve to the same cherry in both trees."""
-    def cherry(t):
-        tree = pair.tree(t)
-        x, y, z = (pair.leaf_node(t, i) for i in (a, b, c))
-        depth, lca = tree.depth, tree.lca
-        return _cherry(depth[lca(x, y)], depth[lca(x, z)], depth[lca(y, z)])
-    return cherry(1) == cherry(2)
-
-
 def incompatible_triples(pair):
     """Sorted leaf-index triples ``(a, b, c)`` whose cherry differs
     between the two trees, as a frozenset built once per pair.
@@ -687,9 +677,3 @@ def spanned_nodes(pair, t, leaves):
             seen.add(v)
             v = parent[v]
     return seen
-
-
-def sets_overlap(pair, a, b):
-    """True when the spans of leaf sets a and b share a node in either tree."""
-    return any(spanned_nodes(pair, t, a) & spanned_nodes(pair, t, b)
-               for t in (1, 2))

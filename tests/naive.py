@@ -227,7 +227,7 @@ def full_structure(partition):
 
 
 def leaf_blocks(partition):
-    """The block id of every leaf, read off the blocks' leaf lists."""
+    """The block id of every leaf, read off the blocks' leaf sets."""
     out = [-1] * partition.pair.n
     for cid, c in partition.comps.items():
         for x in c.leaves:

@@ -606,6 +606,13 @@ def _toml():
     return tomllib
 
 
+def test_package_exports_resolve_once():
+    """A name deleted from the package must leave ``__all__`` too."""
+    names = rbmaf.__all__
+    assert len(set(names)) == len(names)
+    assert [x for x in names if not hasattr(rbmaf, x)] == []
+
+
 def test_console_script_subprocess():
     argv = ["solve", FIG9_NEWICK1, FIG9_NEWICK2]
     # An installed script on PATH is checked too, wherever there is one.

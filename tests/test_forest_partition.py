@@ -38,7 +38,7 @@ def test_split_below_cuts_one_edge(fig1):
     assert part.label_sets() == (("b1", "r1"),
                                  ("b2", "r2", "w1", "w2", "w3"))
     assert part.deleted_edges_labels() == [["b1", "r1"]]
-    assert part.comps[below].leaves == idx(fig1, "b1", "r1")
+    assert sorted(part.comps[below].leaves) == idx(fig1, "b1", "r1")
     assert part.comps[below].root2 == 2
 
 
@@ -96,6 +96,20 @@ def test_merge_then_canonicalize_round_trip(fig1):
     assert naive.cover_blocks(part) == naive.full_structure(part)[2]
     with pytest.raises(InvariantError):
         part.merge([(b1, b2)])
+
+
+def test_merge_hands_the_larger_leaf_set_on(fig1):
+    """A merge adds the smaller block's leaves to the larger block's set,
+    which the merged block keeps, rather than building a new one."""
+    part = Partition(fig1)
+    below, above = part.split_below(2)
+    larger, smaller = part.comps[above].leaves, part.comps[below].leaves
+    b1, b2 = idx(fig1, "b1", "b2")
+    part.merge([(b1, b2)])
+    (merged,) = part.comps.values()
+    assert merged.leaves is larger
+    assert merged.leaves == set(range(fig1.n)) > smaller
+    assert merged.size == fig1.n
 
 
 def test_split_rejects_overlapping_family(fig1):

@@ -347,7 +347,7 @@ def _one_more_cut(args, out):
 
 
 def _merge_into_one(args, out):
-    firsts = [c.leaves[0] for c in args[0].comps.values()]
+    firsts = [min(c.leaves) for c in args[0].comps.values()]
     args[0].merge([(firsts[0], x) for x in firsts[1:]])
 
 
@@ -660,7 +660,7 @@ def test_resumed_sweep_matches_full_sweep_outside_run(n, seed, rho, rnd):
                 break
             step = rnd.random()
             if last is not None and step < 0.15:
-                part.merge([(last[0][0], leaves[0]) for leaves in last[1:]])
+                part.merge([(min(last[0]), min(leaves)) for leaves in last[1:]])
                 assert part.sweep is None
                 last = None
             elif step < 0.55:
