@@ -391,13 +391,14 @@ class Partition:
         ``parts`` is a list of disjoint nonempty collections of leaf
         indices inside the component.  Their union is the component, or
         with ``rest`` it leaves a nonempty rest of the component's
-        leaves, which forms one more block, the last.  The block whose lca in the second
-        tree is shallowest keeps the component's tree root; every other
-        block is detached by deleting the edge above its own lca.  Valid
-        only when the blocks' spans are pairwise disjoint in the second
-        tree; under that condition each detached subtree, after the
-        deeper cuts, holds exactly its block.  New ids follow ``parts``
-        order.
+        leaves, which forms one more block, the last.  The block whose
+        lca in the second tree is shallowest keeps the component's tree
+        root; every other block is detached by deleting the edge above
+        its own lca.  Valid only when the blocks' spans are pairwise
+        disjoint in the second tree; under that condition each detached
+        subtree, after the deeper cuts, holds exactly its block.  New
+        ids follow ``parts`` order.  Each detached part is copied into a
+        set, its block's leaf set; the kept part is not copied.
 
         One pass over the parts' leaves checks that each lies in the
         component and anchors each part: a part of one leaf at its leaf,
@@ -460,18 +461,21 @@ class Partition:
         for k, v in enumerate(roots):
             if k != keep and (v == root or cut[v] or v in roots[:k]):
                 raise InvariantError("block anchor is not cuttable")
-        return self._replace(comp, [set(p) for p in parts], roots)
+        return self._replace(comp, [p if k == keep else set(p)
+                                    for k, p in enumerate(parts)], roots)
 
     def _replace(self, comp, parts, roots):
         """Replace ``comp`` by blocks rooted at ``roots``, cutting above
         every root but its own; returns the new ids in that order.
 
-        ``parts`` holds the blocks' leaf sets, or all but the last,
-        which is then the rest of ``comp``'s leaves.  Only detached
-        leaves get a new ``leaf_root``.  The block that keeps the root
-        keeps ``comp``'s leaf set object, which loses the other blocks'
-        leaves in place.  A detached rest is the set difference, which
-        costs the kept block's leaves too, but the caller listed those.
+        ``parts`` holds the blocks' leaves, or all but the last, which
+        is then the rest of ``comp``'s leaves; each detached part is a
+        set, which becomes its block's leaf set.  The kept part may be
+        any collection: only its length is read, and for a detached rest
+        the set difference, which costs the kept block's leaves too,
+        but the caller listed those.  Only detached leaves get a new
+        ``leaf_root``.  The block that keeps the root keeps ``comp``'s
+        leaf set object, which loses the other blocks' leaves in place.
         The detached trees get the structural pass.  ``comp``'s colored
         meet leaves ``meets``.  A new block is colored when the first
         node of its walk counts a red or blue leaf, and ``_lower_meet``

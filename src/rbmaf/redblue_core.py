@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from itertools import chain
 
 from .dual_certificate import DualState, check_balance
@@ -134,8 +133,10 @@ class _Sweep:
     still incomplete (-1 when none), ``csize``, that restriction's size,
     and ``meet``, its meeting node in the second tree.  ``by_meet`` maps
     a second-tree node to the first-tree nodes that joined two children
-    there, stale entries included; ``rsize`` maps each forest-tree root
-    to its block's size, and ``next_id`` is the partition's at the time.
+    there, stale entries included; ``_resume`` reads it only at the
+    meeting nodes of shrunk blocks.  ``rsize`` maps each forest-tree
+    root to its block's size, and ``next_id`` is the partition's at the
+    time.
     """
 
     __slots__ = ("comp", "csize", "meet", "by_meet", "rsize", "stop",
@@ -162,12 +163,16 @@ def _resume(partition, sweep):
     Block ids are never reused, so the blocks from ``sweep.next_id`` on
     are exactly those created since.  Seeds: every leaf of a block with
     a new root, and for a block that kept an old root but shrank, the
-    nodes that joined two children on the second-tree path from its
-    meeting node up to its root, the only joins where condition "c" can
-    newly fire.  The answer is the seeds' ancestors.  A shrunk block
-    needs no other seed: entries of nodes that now hold all of it turn
-    complete, and an entry is read only by the parent, which compares
-    its size with the block's current size.
+    nodes that joined two children of it at its new meeting node
+    ``m``.  The answer is the seeds' ancestors.
+
+    A shrunk block needs no other seed.  An entry that no seed marks
+    has no detached leaf below it, so its restriction lies inside the
+    shrunk block, and its meet lies at or below ``m``.  Condition "c"
+    needs the meet to hold the whole block, ``live[p] == size``, so it
+    can newly fire only at ``m``.  Entries of nodes that now hold all
+    of the block turn complete, and an entry is read only by the
+    parent, which compares its size with the block's current size.
     """
     pair = partition.pair
     parent1 = pair.t1.parent
@@ -184,9 +189,9 @@ def _resume(partition, sweep):
         if not rsize[r]:
             seeds.extend(map(leaf_node1.__getitem__, c.leaves))
         elif rsize[r] != size:
-            for p in partition.meeting_path(r, size):
-                seeds.extend(v for v in by_meet.get(p, ())
-                             if v < stop and comp[v] == r and meet[v] == p)
+            m = partition.meeting_path(r, size)[-1]
+            seeds.extend(v for v in by_meet.get(m, ())
+                         if v < stop and comp[v] == r and meet[v] == m)
         rsize[r] = size
     marked = set()
     for v in seeds:
@@ -559,21 +564,20 @@ def split(partition, dual, pairslist, top_cid):
 def find_merge_pair(partition):
     """One undoable pair of colored leaves, or None.
 
-    Considers single-color blocks created this iteration.  A block
-    reaches a node of the second tree when it covers it, or when its
-    meeting node is strictly below it and everything strictly between
-    is covered by no block.  Two same-color blocks reaching a common
-    node can be remerged.  Failing that, a red and a blue block from
+    Considers single-color blocks created this iteration.  A block's
+    chain is its meeting node, then its ancestors in turn, up to and
+    including the first covered ancestor, or up to the root; a block
+    reaches the nodes of its chain and the nodes it covers.  Two
+    same-color blocks reaching a common node can be remerged, the
+    lowest such pair first.  Failing that, a red and a blue block from
     the same start-of-iteration block meeting at an uncovered node can
     be remerged, provided no node from there up to the root is covered
     by a colored block created this iteration.
 
     A scope block's leaves all carry its color, so its colored meet is
-    its meeting node, read with no lca query.  Only the nodes some
-    block reaches are visited: a walk up from the meeting nodes in
-    ascending id order, so that each node has heard from both children
-    before it passes anything on, and then the uncovered nodes reached
-    by exactly two blocks, in pre-order.
+    its meeting node, read with no lca query.  One ascending scan of the
+    reached nodes finds the same-color pair; the forks, the uncovered
+    nodes exactly two chains reach, are then tried in pre-order.
     """
     comps = partition.comps
     scope = {}
@@ -589,13 +593,10 @@ def find_merge_pair(partition):
     if len(scope) < 2:
         return None
 
-    pair = partition.pair
-    t2 = pair.t2
-    parent, smin, root = t2.parent, t2.subtree_min, t2.root
-    covering = partition.covering
-    bucket = {}
-    for cid in scope:
-        bucket.setdefault(partition.meets[cid], []).append(cid)
+    t2 = partition.pair.t2
+    parent, root = t2.parent, t2.root
+    cover, covering = partition.cover, partition.covering
+    meets = partition.meets
 
     def emit(c1, c2):
         if c1 > c2:
@@ -604,19 +605,25 @@ def find_merge_pair(partition):
             raise InvariantError("undo pair spans two start-of-iteration blocks")
         return (min(comps[c1].leaves), min(comps[c2].leaves))
 
-    # A meeting node passes up only its own blocks, an uncovered node
-    # everything that reached it, any other covered node nothing.
-    reach = {a: list(cids) for a, cids in bucket.items()}
-    heap = list(reach)
-    heapify(heap)
+    reach = {}
+    for cid in scope:
+        v = meets[cid]
+        reach.setdefault(v, []).append(cid)
+        while v != root:
+            v = parent[v]
+            reach.setdefault(v, []).append(cid)
+            if cover[v] >= 0:
+                break
+
     forks = []
-    while heap:
-        v = heappop(heap)
-        entries = reach[v]
+    for v in sorted(reach):
+        rset = reach[v]
         cov = covering(v)
-        rset = entries
-        if cov in scope and cov not in rset:
-            rset = entries + [cov]
+        if cov < 0:
+            if len(rset) == 2:
+                forks.append(v)
+        elif cov in scope and cov not in rset:
+            rset = rset + [cov]
         if len(rset) >= 2:
             reds = sorted(c for c in rset if scope[c] == RED)
             blues = sorted(c for c in rset if scope[c] == BLUE)
@@ -624,22 +631,9 @@ def find_merge_pair(partition):
                 return emit(reds[0], reds[1])
             if len(blues) >= 2:
                 return emit(blues[0], blues[1])
-        if cov < 0:
-            up = entries
-            if len(entries) == 2:
-                forks.append(v)
-        else:
-            up = bucket.get(v)
-        if up and v != root:
-            p = parent[v]
-            if p in reach:
-                reach[p].extend(up)
-            else:
-                reach[p] = list(up)
-                heappush(heap, p)
 
     # Forks in pre-order, but none inside a scope meeting node's subtree.
-    for v in _outside(smin, bucket, forks):
+    for v in _outside(t2.subtree_min, map(meets.__getitem__, scope), forks):
         c1, c2 = reach[v]
         if scope[c1] == scope[c2]:
             raise InvariantError("same-color pair escaped the upward scan")

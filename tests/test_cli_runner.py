@@ -1,5 +1,6 @@
 """Exact oracle, instance generators, reports, and the command line."""
 
+import ast
 import hashlib
 import importlib
 import itertools
@@ -611,6 +612,32 @@ def test_package_exports_resolve_once():
     names = rbmaf.__all__
     assert len(set(names)) == len(names)
     assert [x for x in names if not hasattr(rbmaf, x)] == []
+
+
+def test_modules_use_every_name_they_import():
+    """Each module of the package uses every name it imports, except
+    ``from __future__`` imports, the names the package re-exports
+    through ``__all__`` and names on a line marked ``# noqa: F401``."""
+    unused = []
+    for path in sorted(Path(rbmaf.__file__).resolve().parent.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        exported = set(rbmaf.__all__) if path.name == "__init__.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if node.module == "__future__":
+                    continue
+            elif not isinstance(node, ast.Import):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if (name not in used and name not in exported
+                        and "# noqa: F401" not in lines[alias.lineno - 1]):
+                    unused.append("%s:%d %s" % (path.name, alias.lineno, name))
+    assert unused == []
 
 
 def test_console_script_subprocess():

@@ -694,6 +694,38 @@ def test_resumed_sweep_seeds_joins_on_the_kept_blocks_meeting_path():
     assert calls["find_lowest_pcs"] > 2
 
 
+def test_resumed_sweep_reads_one_join_list_per_shrunk_block():
+    """``_resume`` looks up ``by_meet`` once for each block that kept its
+    root but shrank, at that block's meeting node, and nowhere else."""
+    counts = Counter()
+
+    class Recording(dict):
+        def get(self, key, default=None):
+            counts["get"] += 1
+            return dict.get(self, key, default)
+
+    init, resume = redblue_core._Sweep.__init__, redblue_core._resume
+
+    def recording_init(self, partition):
+        init(self, partition)
+        self.by_meet = Recording()
+
+    def counting_resume(partition, sweep):
+        for cid in range(sweep.next_id, partition.next_id):
+            c = partition.comps.get(cid)
+            if c is not None and sweep.rsize[c.root2] not in (0, c.size):
+                counts["shrunk"] += 1
+        return resume(partition, sweep)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(redblue_core._Sweep, "__init__", recording_init)
+        mp.setattr(redblue_core, "_resume", counting_resume)
+        for n in range(3, 13):
+            for _, pair in corpus(n, 25):
+                run(pair)
+    assert counts == Counter(get=489, shrunk=489)
+
+
 @pytest.mark.parametrize("parts", [[[3], [0], [1, 2, 4]],
                                    [[1, 2, 4], [0], [3]]])
 def test_split_with_nested_anchors_updates_the_kept_tree_once(parts):
