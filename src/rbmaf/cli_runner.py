@@ -15,7 +15,7 @@ import random
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 from .dual_certificate import verify_dual_feasibility
@@ -399,15 +399,7 @@ class RunReport:
         return True
 
     def as_dict(self):
-        return {
-            "instance": self.instance,
-            "value": self.value,
-            "dual": self.dual,
-            "exact": self.exact,
-            "ratio_exact": self.ratio_exact,
-            "ratio_half": self.ratio_half,
-            "timings": dict(self.timings),
-        }
+        return asdict(self)
 
 
 def make_report(pair, instance="instance", want_exact=False, exact_cap=None,

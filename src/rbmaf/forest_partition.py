@@ -36,16 +36,16 @@ the pass starts ``meets``, the only record of colored blocks, empty,
 maps each such block's id to that node, and tints the nodes from the
 block's colored leaves up to it, counting the red and blue live
 leaves below each.  The counts at the meet are the block's own, and
-nothing else records them: ``mixed`` derives its color counts from
-them.  Splits keep those counts current: each cut takes its subtree's
-red and blue counts off the nodes above it, up to the first cut node
-or the meet, and each new block's meet is found by a walk down from
-the old meet, when its tree holds it, or from its own root, the nodes
-passed being zeroed; a new block of one leaf keeps its leaf as its
-meet.  Every other node reads 0, whatever lies below it, and white
-counts are live counts minus red and blue.  Only the color pass
-writes ``tinted``, the nodes it tinted in ascending order: a node a
-split empties stays there, reading 0, until the next pass.
+nothing else records them: ``mixed`` reads each block's red, blue and
+white counts there.  Splits keep those counts current: each cut takes
+its subtree's red and blue counts off the nodes above it, up to the
+first cut node or the meet, and each new block's meet is found by a
+walk down from the old meet, when its tree holds it, or from its own
+root, the nodes passed being zeroed; a new block of one leaf keeps its
+leaf as its meet.  Every other node reads 0, whatever lies below it,
+and white counts are live counts minus red and blue.  Only the color
+pass writes ``tinted``, the nodes it tinted in ascending order: a node
+a split empties stays there, reading 0, until the next pass.
 """
 
 from __future__ import annotations
@@ -184,15 +184,15 @@ class Partition:
         return self.live_r[m], self.live_b[m]
 
     def mixed(self):
-        """Each colored block with two or three colors, mapped to that
-        count, read off the counts at its colored meet."""
+        """Each block of two or three colors, mapped to its red, blue
+        and white leaf counts, read once at its colored meet."""
         live_r, live_b, comps = self.live_r, self.live_b, self.comps
         out = {}
         for cid, m in self.meets.items():
             r, b = live_r[m], live_b[m]
-            k = (r > 0) + (b > 0) + (r + b < comps[cid].size)
-            if k > 1:
-                out[cid] = k
+            w = comps[cid].size - r - b
+            if (r > 0) + (b > 0) + (w > 0) > 1:
+                out[cid] = r, b, w
         return out
 
     # ------------------------------------------------------------------
@@ -404,9 +404,9 @@ class Partition:
         component and anchors each part: a part of one leaf at its leaf,
         any other at the lca of its smallest and largest node ids.  The
         rest's lca comes from a walk down from the root that subtracts
-        the parts' leaves, one range test for a lone leaf and bisection
-        otherwise, so the call costs the leaves of ``parts`` and of the
-        detached blocks.  Every check raises before any state changes.
+        the parts' leaves by bisection, so the call costs the leaves of
+        ``parts`` and of the detached blocks.  Every check raises before
+        any state changes.
         """
         comp = self.comps[comp_id]
         root = comp.root2
@@ -437,17 +437,11 @@ class Partition:
         depth, smin = t2.depth, t2.subtree_min
         if rest:
             live = self.live
-            if total == 1:
-                x = nodes[0]
+            nodes.sort()
 
-                def rest_below(v):
-                    return live[v] - (smin[v] <= x <= v)
-            else:
-                nodes.sort()
-
-                def rest_below(v):
-                    return (live[v] - bisect_right(nodes, v)
-                            + bisect_left(nodes, smin[v]))
+            def rest_below(v):
+                return (live[v] - bisect_right(nodes, v)
+                        + bisect_left(nodes, smin[v]))
 
             roots.append(
                 self.meeting_path(root, comp.size - total, rest_below)[-1])

@@ -134,24 +134,22 @@ class _Sweep:
     and ``meet``, its meeting node in the second tree.  ``by_meet`` maps
     a second-tree node to the first-tree nodes that joined two children
     there, stale entries included; ``_resume`` reads it only at the
-    meeting nodes of shrunk blocks.  ``rsize`` maps each forest-tree
-    root to its block's size, and ``next_id`` is the partition's at the
-    time.
+    meeting nodes of shrunk blocks.  ``roots`` holds the forest-tree
+    roots the sweep has seen, and ``next_id`` is the partition's at the
+    time.  Block sizes are not kept: a forest tree's root counts its
+    block's leaves in the partition's ``live``.
     """
 
-    __slots__ = ("comp", "csize", "meet", "by_meet", "rsize", "stop",
+    __slots__ = ("comp", "csize", "meet", "by_meet", "roots", "stop",
                  "next_id")
 
     def __init__(self, partition):
-        pair = partition.pair
-        n1 = pair.t1.n_nodes
+        n1 = partition.pair.t1.n_nodes
         self.comp = [-1] * n1
         self.csize = [0] * n1
         self.meet = [0] * n1
         self.by_meet = {}
-        self.rsize = rsize = [0] * pair.t2.n_nodes
-        for c in partition.comps.values():
-            rsize[c.root2] = c.size
+        self.roots = {c.root2 for c in partition.comps.values()}
         self.stop = n1
         self.next_id = partition.next_id
 
@@ -162,37 +160,41 @@ def _resume(partition, sweep):
 
     Block ids are never reused, so the blocks from ``sweep.next_id`` on
     are exactly those created since.  Seeds: every leaf of a block with
-    a new root, and for a block that kept an old root but shrank, the
-    nodes that joined two children of it at its new meeting node
-    ``m``.  The answer is the seeds' ancestors.
+    a root the sweep has not seen, and for a block that kept a seen
+    root, the nodes that joined two children of it at its new meeting
+    node ``m``.  The answer is the seeds' ancestors.
 
+    A block that kept a seen root has shrunk, with no size test: every
+    split detaches at least one leaf, since ``split_below`` refuses an
+    empty upper block and ``split_component`` needs two nonempty ones.
     A shrunk block needs no other seed.  An entry that no seed marks
     has no detached leaf below it, so its restriction lies inside the
     shrunk block, and its meet lies at or below ``m``.  Condition "c"
     needs the meet to hold the whole block, ``live[p] == size``, so it
     can newly fire only at ``m``.  Entries of nodes that now hold all
     of the block turn complete, and an entry is read only by the
-    parent, which compares its size with the block's current size.
+    parent, which compares its size with the block's current size,
+    ``live`` at its root.
     """
     pair = partition.pair
     parent1 = pair.t1.parent
     leaf_node1 = pair.leaf_node1
     comps = partition.comps
-    comp, meet, rsize, stop = sweep.comp, sweep.meet, sweep.rsize, sweep.stop
+    comp, meet, roots, stop = sweep.comp, sweep.meet, sweep.roots, sweep.stop
     by_meet = sweep.by_meet
     seeds = []
     for cid in range(sweep.next_id, partition.next_id):
         c = comps.get(cid)
         if c is None:
             continue
-        r, size = c.root2, c.size
-        if not rsize[r]:
+        r = c.root2
+        if r not in roots:
+            roots.add(r)
             seeds.extend(map(leaf_node1.__getitem__, c.leaves))
-        elif rsize[r] != size:
-            m = partition.meeting_path(r, size)[-1]
+        else:
+            m = partition.meeting_path(r, c.size)[-1]
             seeds.extend(v for v in by_meet.get(m, ())
                          if v < stop and comp[v] == r and meet[v] == m)
-        rsize[r] = size
     marked = set()
     for v in seeds:
         while 0 <= v < stop and v not in marked:
@@ -206,7 +208,9 @@ def find_lowest_pcs(partition):
 
     An ascending pass keeping, per node, the forest-tree root of the
     block whose restriction below the node is incomplete, the size of
-    that restriction and its meeting node in the second tree.  Returns
+    that restriction and its meeting node in the second tree.  A
+    restriction is complete when its size reaches its block's, which
+    the partition's ``live`` holds at the forest tree's root.  Returns
     None exactly when the partition is an agreement forest.  Where the
     two children's meeting nodes are distinct siblings, their parent is
     the join's meeting node, with no lca query.
@@ -236,7 +240,7 @@ def find_lowest_pcs(partition):
         order = chain(_resume(partition, sweep), range(sweep.stop, n1))
         sweep.next_id = partition.next_id
     comp, csize, meet = sweep.comp, sweep.csize, sweep.meet
-    sizes, by_meet = sweep.rsize, sweep.by_meet
+    by_meet = sweep.by_meet
 
     for v in order:
         lv = left[v]
@@ -248,10 +252,10 @@ def find_lowest_pcs(partition):
             continue
         rv = right[v]
         cl = comp[lv]
-        if cl >= 0 and csize[lv] >= sizes[cl]:
+        if cl >= 0 and csize[lv] >= live2[cl]:
             cl = -1
         cr = comp[rv]
-        if cr >= 0 and csize[rv] >= sizes[cr]:
+        if cr >= 0 and csize[rv] >= live2[cr]:
             cr = -1
         if cl < 0 and cr < 0:
             comp[v] = -1
@@ -273,7 +277,7 @@ def find_lowest_pcs(partition):
         if a == p or b == p:
             sweep.stop = v
             return Pcs(v, "a")
-        size = sizes[cl]
+        size = live2[cl]
         sv = csize[lv] + csize[rv]
         if live2[p] == size and sv < size:
             sweep.stop = v
@@ -296,12 +300,6 @@ def _colored_meet(partition, comp):
     return ua
 
 
-def _block_colors(partition, c):
-    """Red, blue and white leaves of block ``c``."""
-    r, b = partition.color_counts(c)
-    return r, b, c.size - r - b
-
-
 def classify_case(partition):
     """Case of the colored start-of-iteration partition: 1, 2 or 3.
 
@@ -315,20 +313,18 @@ def classify_case(partition):
     ``run`` confirms the shape by the cuts of ``make_rb_compatible``,
     the next stage to change the partition: some in case 1, none in 3.
     """
-    comps, mixed = partition.comps, partition.mixed()
-    multi = [comps[cid] for cid in mixed]
-    if len(multi) == 2:
-        (ar, ab, aw), (br, bb, bw) = sorted(
-            (_block_colors(partition, c) for c in multi),
-            key=lambda k: k[0], reverse=True)
+    mixed = partition.mixed()
+    if len(mixed) == 2:
+        (ar, ab, aw), (br, bb, bw) = sorted(mixed.values(), reverse=True)
         if not (ar and aw and not ab and bb and bw and not br):
             raise InvariantError("two multicolored blocks must be red+white and blue+white")
         return 2
-    if len(multi) != 1:
+    if len(mixed) != 1:
         raise InvariantError("expected one or two multicolored blocks")
-    a0 = multi[0]
-    if mixed[a0.id] != 3:
+    (cid, counts), = mixed.items()
+    if not all(counts):
         raise InvariantError("a lone multicolored block must carry all three colors")
+    a0 = partition.comps[cid]
     return 1 if partition.live[_colored_meet(partition, a0)] < a0.size else 3
 
 
@@ -382,7 +378,9 @@ def _splittable_violations(partition):
         lw = live[v] - lr - lb
         if (lr > 0) + (lb > 0) + (lw > 0) != 2:
             continue
-        cr, cb, cw = _block_colors(partition, comps[root_comp[r]])
+        c = comps[root_comp[r]]
+        cr, cb = partition.color_counts(c)
+        cw = c.size - cr - cb
         if cr and lr >= cr:
             continue
         if cb and lb >= cb:
@@ -505,7 +503,8 @@ def special_split(partition, dual, cid, pairslist):
     """
     pair = partition.pair
     c = partition.comps[cid]
-    if not all(_block_colors(partition, c)):
+    r, b = partition.color_counts(c)
+    if not (r and b and c.size - r - b):
         raise InvariantError("special split needs a tricolored block")
     ua = _colored_meet(partition, c)
     reds, blues = _color_classes(partition, c)
@@ -536,17 +535,19 @@ def split(partition, dual, pairslist, top_cid):
     ``top_cid``, the top block of the iteration (or None when no
     special split is legal), raises InvariantError.  Returns (chi,
     pair_added, special) where chi flags the four-way split and special
-    carries (block id, node, branch).  Each block's red and blue
-    classes are read off the installed coloring's counts just before
-    its split, which leaves the other blocks' counts as they were; the
-    white class is its rest.
+    carries (block id, node, branch).  The blocks and their red, blue
+    and white counts come from ``mixed()``, read once: each block's red
+    and blue classes are read off the installed coloring's counts just
+    before its split, which leaves the other blocks' counts as they
+    were, and the white class is its rest.
     """
     chi = 0
     pair_added = False
     special = None
-    for cid, ncol in sorted(partition.mixed().items()):
+    for cid, (r, b, w) in sorted(partition.mixed().items()):
         c = partition.comps[cid]
-        if ncol == 3 and partition.live[_colored_meet(partition, c)] < c.size:
+        if (r and b and w
+                and partition.live[_colored_meet(partition, c)] < c.size):
             if cid != top_cid:
                 raise InvariantError("special split outside the top block")
             added_chi, added_pair, ua, branch = special_split(
@@ -556,8 +557,7 @@ def split(partition, dual, pairslist, top_cid):
             special = (cid, ua, branch)
             continue
         parts = [p for p in _color_classes(partition, c) if p]
-        white = _block_colors(partition, c)[2]
-        partition.split_component(cid, parts, rest=white > 0)
+        partition.split_component(cid, parts, rest=w > 0)
     return chi, pair_added, special
 
 
@@ -731,8 +731,8 @@ def run(pair, record_snapshots=False, on_iteration=None):
             top_cid = tops[0]
         else:
             top_cid = None
-        t = sum(1 for cid, ncol in partition.mixed().items()
-                if ncol == 3 and cid not in tops)
+        t = sum(1 for cid, counts in partition.mixed().items()
+                if all(counts) and cid not in tops)
 
         chi, pair_added, special = split(partition, dual, pairslist, top_cid)
         p3 = len(partition)

@@ -363,7 +363,16 @@ def test_make_report_on_worked_instance(fig9):
     assert report.ratio_half == 5 / 6
     assert set(report.timings) == {"solve", "exact"}
     data = report.as_dict()
-    assert data["instance"] == "fig9" and data["value"] == 5
+    assert data == {
+        "instance": "fig9", "value": 5, "dual": 3, "exact": 5,
+        "ratio_exact": 1.0, "ratio_half": 5 / 6,
+        "timings": report.timings}
+    assert list(data) == ["instance", "value", "dual", "exact",
+                          "ratio_exact", "ratio_half", "timings"]
+    timings = dict(report.timings)
+    data["timings"]["solve"] = -1.0
+    data["timings"]["extra"] = 0.0
+    assert report.timings == timings
 
 
 def test_make_report_identical_trees():
@@ -637,6 +646,53 @@ def test_modules_use_every_name_they_import():
                 if (name not in used and name not in exported
                         and "# noqa: F401" not in lines[alias.lineno - 1]):
                     unused.append("%s:%d %s" % (path.name, alias.lineno, name))
+    assert unused == []
+
+
+def test_package_uses_every_private_name_it_defines():
+    """Each private name the package defines, that is each module-level
+    function, class or assignment and each method whose name starts
+    with an underscore and does not end with two, is used somewhere in
+    the package outside its own definition.  A use is a name, an
+    attribute or an imported name."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(
+        Path(rbmaf.__file__).resolve().parent.glob("*.py"))}
+    uses = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            uses.setdefault(name, []).append(node)
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    unused = []
+    for module, tree in trees.items():
+        defs = []
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defs.extend(m for m in node.body
+                            if isinstance(m, ast.FunctionDef))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defs.extend(t for t in targets if isinstance(t, ast.Name))
+        for node in defs:
+            name = getattr(node, "name", None) or node.id
+            if not private(name):
+                continue
+            inside = set(map(id, ast.walk(node)))
+            if all(id(use) in inside for use in uses.get(name, ())):
+                unused.append("%s:%d %s" % (module, node.lineno, name))
     assert unused == []
 
 

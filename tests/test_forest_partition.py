@@ -136,6 +136,71 @@ def test_canonicalize_rejects_unrealizable_family(fig1):
                     (("b1", "b2"), ("b1", "r2"), ("r1", "w1"))])
 
 
+# Second-tree nodes of fig1: 2 = (b1,r1), 6 = ((b1,r1),(b2,w1)), 11 = w3
+# and 12 the root.
+
+
+def _split_off_w3_then_the_root(pair, part):
+    # the root then holds six leaves, all below one child
+    part.split_below(11)
+    part.split_below(pair.t2.root)
+
+
+def _split_below_a_miscounted_node(pair, part):
+    part.live[2] = 1  # {b1, r1} lie below it
+    part.split_below(2)
+
+
+def _split_a_leaf_of_another_block(pair, part):
+    _, rest = part.split_below(2)
+    part.split_component(rest, [idx(pair, "b1")], rest=True)
+
+
+def _merge_singletons(*pairs):
+    def fault(pair, part):
+        part.split_component(0, [[i] for i in range(pair.n)])
+        part.merge([idx(pair, a, b) for a, b in pairs])
+    return fault
+
+
+# (fault, message): each call on fig1's partition that must raise, and
+# the message it raises with.  Only corrupted live counts reach the
+# check that a split's collected leaves match the live count.
+PARTITION_FAULTS = [
+    (_split_off_w3_then_the_root, "not covered by any component"),
+    (lambda pair, part: part.split_below(pair.t2.root), "empty upper block"),
+    (_split_below_a_miscounted_node,
+     "live count disagrees with collected leaves"),
+    (lambda pair, part: part.split_component(0, [range(pair.n)]),
+     "at least two blocks"),
+    (lambda pair, part: part.split_component(0, [[0], []], rest=True),
+     "empty block in split"),
+    (lambda pair, part: part.split_component(
+        0, [idx(pair, "b1"), idx(pair, "r1")]),
+     "do not partition the component"),
+    (_split_a_leaf_of_another_block, "do not partition the component"),
+    # {b1, b2} and {r1, w1} both meet at node 6
+    (lambda pair, part: part.split_component(
+        0, [idx(pair, "b1", "b2"), idx(pair, "r1", "w1")], rest=True),
+     "not cuttable"),
+    (_merge_singletons(("b1", "b2"), ("b1", "r2"), ("r1", "w1")),
+     "not realizable"),
+    (lambda pair, part: part.merge([idx(pair, "b1", "r1")]),
+     "already shares a component"),
+    # w3 keeps the root, and {b1, b2} and {r1, w1} both need node 6
+    (_merge_singletons(("b1", "b2"), ("r1", "w1")), "share a lca"),
+]
+
+
+@pytest.mark.parametrize(
+    "fault, message", PARTITION_FAULTS,
+    ids=["%d-%s" % (k, m) for k, (_, m) in enumerate(PARTITION_FAULTS)])
+def test_partition_checks_fire_with_their_message(fig1, fault, message):
+    """Each check in ``forest_partition`` fires, with its own message."""
+    with pytest.raises(InvariantError, match=message):
+        fault(fig1, Partition(fig1))
+
+
 def test_begin_iteration_stamps_origin(fig1):
     """Blocks split off in an iteration, however often their lineage is
     cut, point to the block that existed when the iteration began."""

@@ -495,7 +495,8 @@ def check_blocks_and_colors(partition):
     recounts in ``naive``: node counts are kept only at or below the
     colored meets, and block counts only on the blocks in ``meets``,
     which must be exactly the colored blocks, each with its meet;
-    ``mixed()`` must name every block of two or three colors.
+    ``mixed()`` must map every block of two or three colors to its red,
+    blue and white counts.
     ``tinted`` is ascending and holds every node with a count; nodes a
     split emptied may stay in it."""
     treecomp = naive.full_structure(partition)[1]
@@ -519,9 +520,8 @@ def check_blocks_and_colors(partition):
     assert {cid: partition.color_counts(partition.comps[cid])
             for cid in meets} == {cid: tuple(blocks[cid][:2])
                                   for cid in meets}
-    colors = {cid: sum(1 for x in counts if x)
-              for cid, counts in blocks.items()}
-    assert mixed == {cid: k for cid, k in colors.items() if k >= 2}
+    assert mixed == {cid: tuple(counts) for cid, counts in blocks.items()
+                     if sum(1 for x in counts if x) >= 2}
 
 
 @contextmanager
@@ -713,7 +713,7 @@ def test_resumed_sweep_reads_one_join_list_per_shrunk_block():
     def counting_resume(partition, sweep):
         for cid in range(sweep.next_id, partition.next_id):
             c = partition.comps.get(cid)
-            if c is not None and sweep.rsize[c.root2] not in (0, c.size):
+            if c is not None and c.root2 in sweep.roots:
                 counts["shrunk"] += 1
         return resume(partition, sweep)
 
@@ -774,7 +774,7 @@ def test_colors_are_current_after_each_split_without_a_refresh():
             pqr, leaf2[lab["q"]], x_node]
         assert part.live_b[pq] == 1 and part.live_b[pqr] == 2
         assert part.live_r[pqrw] == part.live_b[pqrw] == 0
-        assert part.mixed() == {ids[2]: 2}
+        assert part.mixed() == {ids[2]: (1, 0, 2)}
         assert calls == Counter(refresh_annotations=1, split_below=1,
                                 split_component=1)
 
