@@ -58,10 +58,13 @@ def exact_maf(pair, partition_cap=None):
     A block may grow only while all its leaf triples stay compatible
     and its spanned edges stay disjoint from every other block in both
     trees, which :func:`leaf_path_masks` shows is the same as disjoint
-    spanned nodes; branches already using at least the best known
-    number of blocks are cut.  Refuses more than ``partition_cap``
-    leaves (default 10) and a cap below 1; a cap above the default
-    warns.
+    spanned nodes.  As spans stay disjoint, the other blocks' edges are
+    the union of every block's edges, one int per tree carried down the
+    search, less the block's own: a leaf joins a block when its path to
+    the block's first leaf misses them in both trees.  Branches already
+    using at least the best known number of blocks are cut.  Refuses
+    more than ``partition_cap`` leaves (default 10) and a cap below 1;
+    a cap above the default warns.
     """
     cap = EXACT_CAP if partition_cap is None else partition_cap
     if cap < 1:
@@ -77,50 +80,39 @@ def exact_maf(pair, partition_cap=None):
     if n > cap:
         raise OracleCapError(
             "exact search capped at %d leaves, got %d" % (cap, n))
-    if n <= 2:
-        return 0
     bad = incompatible_triples(pair)
     pm1 = leaf_path_masks(pair, 1)
     pm2 = leaf_path_masks(pair, 2)
     best = n - 1
-    members = []
-    span1 = []
-    span2 = []
+    blocks = []  # [leaves, edges spanned in the first tree, in the second]
 
-    def grow(i):
+    def grow(i, used1, used2):
         nonlocal best
-        nblocks = len(members)
+        nblocks = len(blocks)
         if nblocks - 1 >= best:
             return
         if i == n:
             best = nblocks - 1
             return
-        for k in range(nblocks):
-            ms, s1, s2 = members[k], span1[k], span2[k]
+        for block in blocks:
+            ms, s1, s2 = block
             for x, y in combinations(ms, 2):
                 if (x, y, i) in bad:
                     break
             else:
-                ns1 = s1 | pm1[ms[0]][i]
-                ns2 = s2 | pm2[ms[0]][i]
-                for j in range(nblocks):
-                    if j != k and (ns1 & span1[j] or ns2 & span2[j]):
-                        break
-                else:
+                p1 = pm1[ms[0]][i]
+                p2 = pm2[ms[0]][i]
+                if not (p1 & (used1 ^ s1) or p2 & (used2 ^ s2)):
                     ms.append(i)
-                    span1[k], span2[k] = ns1, ns2
-                    grow(i + 1)
+                    block[1], block[2] = s1 | p1, s2 | p2
+                    grow(i + 1, used1 | p1, used2 | p2)
                     ms.pop()
-                    span1[k], span2[k] = s1, s2
-        members.append([i])
-        span1.append(0)
-        span2.append(0)
-        grow(i + 1)
-        members.pop()
-        span1.pop()
-        span2.pop()
+                    block[1], block[2] = s1, s2
+        blocks.append([[i], 0, 0])
+        grow(i + 1, used1, used2)
+        blocks.pop()
 
-    grow(0)
+    grow(0, 0, 0)
     return best
 
 
@@ -375,7 +367,11 @@ class RunReport:
     timings: dict = field(default_factory=dict)
 
     def validate(self):
-        """Check the approximation and certificate inequalities."""
+        """Check the approximation and certificate inequalities.
+
+        ``value <= 2 * dual`` and ``dual <= exact`` give ``value <= 2 *
+        exact``, so that needs no check of its own.
+        """
         if self.dual < 0:
             raise InvariantError(
                 "%s: negative lower bound %d" % (self.instance, self.dual))
@@ -391,10 +387,6 @@ class RunReport:
             if self.value < self.exact:
                 raise InvariantError(
                     "%s: value %d below the optimum %d"
-                    % (self.instance, self.value, self.exact))
-            if self.value > 2 * self.exact:
-                raise InvariantError(
-                    "%s: value %d exceeds twice the optimum %d"
                     % (self.instance, self.value, self.exact))
         return True
 

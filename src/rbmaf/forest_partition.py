@@ -524,12 +524,9 @@ class Partition:
         """Record the colored meet of block ``cid`` at the end of the
         walk down from ``top``, a node of its tree with all of its red
         and blue leaves below, and zero the colors of the nodes passed
-        on the way, which stay in ``tinted``.  A block of one leaf gets
-        its leaf at once.
+        on the way, which stay in ``tinted``.  From a leaf the walk
+        passes no node, so a block of one leaf gets its leaf.
         """
-        if self.pair.t2.left[top] < 0:
-            self.meets[cid] = top
-            return
         live_r, live_b = self.live_r, self.live_b
         path = self.meeting_path(top, live_r[top] + live_b[top],
                                  lambda v: live_r[v] + live_b[v])

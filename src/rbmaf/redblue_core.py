@@ -499,7 +499,8 @@ def special_split(partition, dual, cid, pairslist):
     meeting node plus the three color classes below it, at the cost of
     one more certificate decrement at that node.  The red and blue
     classes are read off the installed coloring's counts by a walk of
-    this block alone.  Returns (chi, pair_added, node, branch).
+    this block alone, down from the meeting node, so every leaf outside
+    it is white.  Returns (chi, pair_added, node, branch).
     """
     pair = partition.pair
     c = partition.comps[cid]
@@ -519,8 +520,6 @@ def special_split(partition, dual, cid, pairslist):
     outside = {i for i in c.leaves if not lo <= nodes2[i] <= ua}
     if not outside:
         raise InvariantError("four-way special split needs four blocks")
-    if not outside.isdisjoint(chain(reds, blues)):
-        raise InvariantError("leaves outside the meeting node must be white")
     # the white leaves below the meeting node are the rest
     partition.split_component(cid, [outside, reds, blues], rest=True)
     return 1, False, ua, 2
@@ -576,8 +575,12 @@ def find_merge_pair(partition):
 
     A scope block's leaves all carry its color, so its colored meet is
     its meeting node, read with no lca query.  One ascending scan of the
-    reached nodes finds the same-color pair; the forks, the uncovered
-    nodes exactly two chains reach, are then tried in pre-order.
+    reached nodes finds the same-color pair, and returns at any node two
+    same-color chains reach; the forks, the uncovered nodes exactly two
+    chains reach, then hold one red and one blue block and are tried in
+    pre-order.  With fewer than two scope blocks no node is reached
+    twice, so both find none.  Chains are walked in ascending id order,
+    so every pair comes out with its lower id first.
     """
     comps = partition.comps
     scope = {}
@@ -590,8 +593,6 @@ def find_merge_pair(partition):
             scope[cid] = RED
         elif b == c.size:
             scope[cid] = BLUE
-    if len(scope) < 2:
-        return None
 
     t2 = partition.pair.t2
     parent, root = t2.parent, t2.root
@@ -599,8 +600,6 @@ def find_merge_pair(partition):
     meets = partition.meets
 
     def emit(c1, c2):
-        if c1 > c2:
-            c1, c2 = c2, c1
         if comps[c1].origin0 != comps[c2].origin0:
             raise InvariantError("undo pair spans two start-of-iteration blocks")
         return (min(comps[c1].leaves), min(comps[c2].leaves))
@@ -635,8 +634,6 @@ def find_merge_pair(partition):
     # Forks in pre-order, but none inside a scope meeting node's subtree.
     for v in _outside(t2.subtree_min, map(meets.__getitem__, scope), forks):
         c1, c2 = reach[v]
-        if scope[c1] == scope[c2]:
-            raise InvariantError("same-color pair escaped the upward scan")
         if comps[c1].origin0 == comps[c2].origin0:
             return emit(c1, c2)
     return None
@@ -665,13 +662,18 @@ def run(pair, record_snapshots=False, on_iteration=None):
         "labels": list(pair.labels),
     }]
 
-    def snap(stage):
+    def stage(name, snapshot, **fields):
+        # The stage's event, then its blocks when recording; the count.
+        n = len(partition)
+        trace.append({"event": "stage", "stage": name, **fields,
+                      "n_components": n})
         if record_snapshots:
             trace.append({
                 "event": "snapshot",
-                "stage": stage,
+                "stage": snapshot,
                 "components": [list(s) for s in partition.label_sets()],
             })
+        return n
 
     k = 0
     while True:
@@ -705,24 +707,9 @@ def run(pair, record_snapshots=False, on_iteration=None):
             raise InvariantError("color-compatible block must sit below the meeting node")
         if case == 3 and rb_nodes:
             raise InvariantError("color-incompatible block needs a white leaf outside the meeting node")
-        p1 = len(partition)
-        trace.append({
-            "event": "stage",
-            "stage": "make_rb_compatible",
-            "nodes": rb_nodes,
-            "n_components": p1,
-        })
-        snap("p1")
-
-        sp_nodes = make_splittable(partition, dual)
-        p2 = len(partition)
-        trace.append({
-            "event": "stage",
-            "stage": "make_splittable",
-            "nodes": sp_nodes,
-            "n_components": p2,
-        })
-        snap("p2")
+        p1 = stage("make_rb_compatible", "p1", nodes=rb_nodes)
+        p2 = stage("make_splittable", "p2",
+                   nodes=make_splittable(partition, dual))
 
         tops = _top_components(partition)
         if case == 1:
@@ -735,18 +722,10 @@ def run(pair, record_snapshots=False, on_iteration=None):
                 if all(counts) and cid not in tops)
 
         chi, pair_added, special = split(partition, dual, pairslist, top_cid)
-        p3 = len(partition)
-        trace.append({
-            "event": "stage",
-            "stage": "split",
-            "chi": chi,
-            "t": t,
-            "special": None if special is None else {
-                "component": special[0], "node": special[1],
-                "branch": special[2]},
-            "n_components": p3,
-        })
-        snap("p3")
+        p3 = stage("split", "p3", chi=chi, t=t,
+                   special=None if special is None else {
+                       "component": special[0], "node": special[1],
+                       "branch": special[2]})
 
         if not pair_added:
             mp = find_merge_pair(partition)

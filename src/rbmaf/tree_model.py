@@ -24,7 +24,8 @@ which leaf sets can survive together inside one agreement component:
 
 * a leaf set is compatible when both trees induce the same shape on it,
   which for binary trees reduces to every leaf triple resolving to the
-  same cherry pair in both trees;
+  same cherry pair in both trees, and is tested from the meets of the
+  leaves consecutive in the first tree, taken in both trees;
 * two leaf sets overlap when the node sets spanned by their pairwise
   leaf paths intersect in either tree.
 
@@ -629,33 +630,43 @@ def internal_span(edges, inner):
     return (edges | 1 << edges.bit_length()) & inner
 
 
-def _restricted_clusters(pair, t, xs):
-    """Clusters (as leaf-index frozensets) of the tree restricted to xs.
-
-    The internal nodes of the restricted tree are exactly the lcas of
-    consecutive leaves in left-to-right order; each contributes the set
-    of xs members below it.
-    """
-    tree = pair.tree(t)
-    nodes = sorted(pair.leaf_node(t, x) for x in xs)
-    inner = {tree.lca(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)}
-    out = set()
-    for v in inner:
-        lo, hi = tree.subtree_min[v], v
-        out.add(frozenset(x for x in xs if lo <= pair.leaf_node(t, x) <= hi))
-    return out
-
-
 def set_compatible(pair, leaves):
     """True when both trees induce the same shape on the given leaf set.
 
     Equivalent to all leaf triples being compatible; sets of size at
-    most two are always compatible.
+    most two are always compatible.  With the set's k leaves in
+    first-tree leaf order, the k - 1 consecutive pairs meet at the
+    first tree's restricted internal nodes, and every run of them holds
+    the run's own meet once, as its shallowest.  The shapes agree
+    exactly when the second tree's meets of the same pairs are
+    distinct, so that they too are one restricted node each, and both
+    depth sequences have the same nearest shallower position to the
+    left of each entry, which fixes the shallowest of every run.
+    Linear after the sort, with amortised constant-time lcas.
     """
-    xs = sorted(set(leaves))
-    if len(xs) <= 2:
+    nodes1 = sorted(map(pair.leaf_node1.__getitem__, set(leaves)))
+    if len(nodes1) <= 2:
         return True
-    return _restricted_clusters(pair, 1, xs) == _restricted_clusters(pair, 2, xs)
+    t1, t2, leaf_node2 = pair.t1, pair.t2, pair.leaf_node2
+    nodes2 = [leaf_node2[i] for i in map(pair.leaf_index1.__getitem__, nodes1)]
+    meets2 = list(map(t2.lca, nodes2, nodes2[1:]))
+    if len(set(meets2)) != len(meets2):
+        return False
+    return (_shallower_left(map(t1.depth.__getitem__,
+                                map(t1.lca, nodes1, nodes1[1:])))
+            == _shallower_left(map(t2.depth.__getitem__, meets2)))
+
+
+def _shallower_left(depths):
+    """For each entry, the position of the nearest earlier entry of
+    smaller depth, or -1: a Cartesian tree in parent-distance form."""
+    out, stack = [], []  # stack: (position, depth), depths increasing
+    for j, d in enumerate(depths):
+        while stack and stack[-1][1] >= d:
+            stack.pop()
+        out.append(stack[-1][0] if stack else -1)
+        stack.append((j, d))
+    return out
 
 
 def spanned_nodes(pair, t, leaves):

@@ -509,6 +509,8 @@ def test_cli_gen_kinds(tmp_path, capsys):
 def test_cli_gen_errors(tmp_path, capsys):
     assert main(["gen", "random", "-o", str(tmp_path / "x")]) == 2
     assert "gen random needs --n" in capsys.readouterr().err
+    assert main(["gen", "krspr", "--n", "5", "-o", str(tmp_path / "k")]) == 2
+    assert "gen krspr needs --n and --k" in capsys.readouterr().err
     assert main(["gen", "wu", "--k", "3", "-o", str(tmp_path / "y")]) == 2
     assert "even" in capsys.readouterr().err
 

@@ -42,15 +42,6 @@ def test_split_below_cuts_one_edge(fig1):
     assert part.comps[below].root2 == 2
 
 
-def test_split_below_rejects_uncovered_and_empty_upper(fig1):
-    part = Partition(fig1)
-    with pytest.raises(InvariantError):
-        part.split_below(fig1.t2.root)
-    part.split_below(2)
-    with pytest.raises(InvariantError):
-        part.split_below(2)
-
-
 def test_split_component_parts_must_partition(fig1):
     part = Partition(fig1)
     cid = next(iter(part.comps))
@@ -146,6 +137,12 @@ def _split_off_w3_then_the_root(pair, part):
     part.split_below(pair.t2.root)
 
 
+def _split_below_a_detached_root(pair, part):
+    # node 2 roots the detached {b1, r1} and is covered by it
+    part.split_below(2)
+    part.split_below(2)
+
+
 def _split_below_a_miscounted_node(pair, part):
     part.live[2] = 1  # {b1, r1} lie below it
     part.split_below(2)
@@ -189,6 +186,7 @@ PARTITION_FAULTS = [
      "already shares a component"),
     # w3 keeps the root, and {b1, b2} and {r1, w1} both need node 6
     (_merge_singletons(("b1", "b2"), ("r1", "w1")), "share a lca"),
+    (_split_below_a_detached_root, "empty upper block"),
 ]
 
 
@@ -253,6 +251,9 @@ def test_is_K_feasible_basic(fig1):
     assert is_K_feasible(fig1, final, range(fig1.n))
     # the one-block partition is incompatible once any witness is added
     assert not is_K_feasible(fig1, [list(range(fig1.n))], range(fig1.n))
+    # {b2, r2} is compatible, but w2 outside K breaks it
+    assert not is_K_feasible(fig1, [list(range(fig1.n))],
+                             idx(fig1, "b2", "r2"))
 
 
 def test_leaf_sets_and_component_of_leaf(fig1):

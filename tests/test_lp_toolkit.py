@@ -199,6 +199,10 @@ def test_check_feasible_point_reports(fig1):
     assert any(v.startswith("leaf_1:") for v in violations)
     ok, violations = check_feasible_point(model, {"x_L_b1": -0.5})
     assert any("below lower bound" in v for v in violations)
+    capped = LpModel("m")
+    capped.add_variable("x", upper=1.0)
+    assert check_feasible_point(capped, {"x": 1.5}) == (
+        False, ["x = 1.5 above upper bound 1.0"])
     with pytest.raises(ValueError, match="unknown variable"):
         check_feasible_point(model, {"x_L_nope": 1.0})
 

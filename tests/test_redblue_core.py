@@ -1,11 +1,14 @@
 """Solver loop: worked-instance goldens, op contracts, invariants."""
 
+import ast
 import dataclasses
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +41,7 @@ from rbmaf import (
 )
 
 import naive
+from test_forest_partition import PARTITION_FAULTS
 
 
 def build_state(pair, parts_labels):
@@ -252,25 +256,6 @@ def test_special_split_reads_colors_from_the_installed_coloring(fig1):
     assert dual.as_dict() == {}
 
 
-def test_special_split_rejects_non_tricolored(fig1):
-    part = build_state(fig1, [["b1", "r1"],
-                              ["b2", "w1", "r2", "w2", "w3"]])
-    coloring = make_coloring(part, 6)
-    part.refresh_annotations(coloring)
-    small = next(c.id for c in part.comps.values() if c.size == 2)
-    with pytest.raises(InvariantError):
-        special_split(part, DualState(fig1), small, [])
-
-
-def test_split_top_guard(fig1):
-    part = build_state(fig1, [["b1", "r1"],
-                              ["b2", "w1", "r2", "w2", "w3"]])
-    coloring = make_coloring(part, 6)
-    part.refresh_annotations(coloring)
-    with pytest.raises(InvariantError):
-        split(part, DualState(fig1), [], top_cid=None)
-
-
 def test_merge_components_empty_list_is_noop(fig1):
     part = Partition(fig1)
     before = part.label_sets()
@@ -407,6 +392,123 @@ def test_run_catches_a_faulty_stage(request, stage, fault, fig, message):
         with pytest.raises(InvariantError) as err:
             run(pair)
     assert str(err.value) == message
+
+
+def _colored_state(pair, node1, parts_labels=None):
+    """One block, or ``build_state``'s, with the coloring of first-tree
+    node ``node1`` installed."""
+    part = build_state(pair, parts_labels) if parts_labels else Partition(pair)
+    part.refresh_annotations(make_coloring(part, node1))
+    return part
+
+
+# fig1's first-tree node 6 colors b1, b2 blue and r1, r2 red; its
+# second-tree node 2 is (b1,r1) and node 6 is ((b1,r1),(b2,w1)).
+_FIG1_TWO = [["b1", "r1"], ["b2", "r2", "w1", "w2", "w3"]]
+
+
+def _special_split(part, leaf):
+    cid = part.component_of_leaf(part.pair.index_of[leaf]).id
+    special_split(part, DualState(part.pair), cid, [])
+
+
+def _special_split_at_a_foreign_meet(pair):
+    part = _colored_state(pair, 6, _FIG1_TWO)
+    part.meets[part.component_of_leaf(pair.index_of["w3"]).id] = 2
+    _special_split(part, "w3")  # 2 is {b1, r1}'s meet
+
+
+def _special_split_with_a_red_leaf_zeroed(pair):
+    part = _colored_state(pair, 6, _FIG1_TWO)
+    part.live_r[pair.leaf_node2[pair.index_of["r2"]]] = 0
+    _special_split(part, "w3")
+
+
+def _one_block_under_two_ids(pair):
+    part = Partition(pair)
+    lower, upper = part.split_below(2)
+    part.comps[upper] = part.comps[lower]
+    redblue_core._top_components(part)
+
+
+def _split_start_blocks_to_singletons(pair):
+    # b1 (from the first block) and b2 (from the second) both reach
+    # node 6, which no block covers
+    part = _colored_state(pair, 6, [["b1", "r1", "w3"], ["b2", "w1"],
+                                    ["r2", "w2"]])
+    for c in list(part.comps.values()):
+        part.split_component(c.id, [[x] for x in c.leaves])
+    find_merge_pair(part)
+
+
+# (instance, fault, message): each call on a state of the instance that
+# must raise in ``redblue_core``, and the message it raises with.  Only
+# a moved colored meet reaches the check that it is covered by its
+# block, only a color count changed after the color pass the check on
+# the walked color classes, and only two ids for one block the check
+# on created blocks' meeting nodes.
+CORE_FAULTS = [
+    ("fig1", lambda pair: make_coloring(Partition(pair), 0),
+     "coloring node must be internal"),
+    ("fig1", _special_split_at_a_foreign_meet,
+     "colored meeting node is not covered by its block"),
+    ("fig1", lambda pair: classify_case(_colored_state(pair, 6, _FIG1_TWO)),
+     "two multicolored blocks must be red"),
+    ("fig1", lambda pair: classify_case(
+        _colored_state(pair, 6, [[x] for x in pair.labels])),
+     "expected one or two multicolored blocks"),
+    ("fig1", lambda pair: classify_case(_colored_state(pair, pair.t1.root)),
+     "a lone multicolored block must carry all three colors"),
+    ("fig1", _one_block_under_two_ids, "two created blocks share a meeting node"),
+    # fig9's first-tree node 4 colors 1, 2 blue and 3 red, and the three
+    # meet at the second tree's root
+    ("fig9", lambda pair: _special_split(_colored_state(pair, 4), "1"),
+     "four-way special split needs four blocks"),
+    ("fig1", _split_start_blocks_to_singletons,
+     "undo pair spans two start-of-iteration blocks"),
+    ("fig1", lambda pair: _special_split(_colored_state(pair, 6, _FIG1_TWO),
+                                         "b1"),
+     "special split needs a tricolored block"),
+    ("fig1", _special_split_with_a_red_leaf_zeroed,
+     "color classes disagree with the block's color counts"),
+    ("fig1", lambda pair: split(_colored_state(pair, 6, _FIG1_TWO),
+                                DualState(pair), [], None),
+     "special split outside the top block"),
+]
+
+
+# Checks no state reaches, each with the reason.
+UNREACHED = {
+    "iteration gained more cuts than the certificate can pay for":
+        "the identities before it imply it; see "
+        "test_run_catches_a_faulty_stage",
+}
+
+
+@pytest.mark.parametrize("fig, fault, message", CORE_FAULTS,
+                         ids=[message for *_, message in CORE_FAULTS])
+def test_core_checks_fire_with_their_message(request, fig, fault, message):
+    """Each check in ``redblue_core`` outside ``run`` fires, with its
+    own message, when a public op meets the state it guards against."""
+    with pytest.raises(InvariantError, match=message):
+        fault(request.getfixturevalue(fig))
+
+
+def test_every_invariant_check_is_fired_or_unreached():
+    """Every ``raise InvariantError("...")`` in ``redblue_core`` and
+    ``forest_partition`` matches a row of a fault table, or is in
+    ``UNREACHED``, whose entries must all still be raise sites."""
+    patterns = [m for *_, m in RUN_FAULTS + CORE_FAULTS + PARTITION_FAULTS]
+    src = Path(redblue_core.__file__).parent
+    messages = [
+        node.exc.args[0].value
+        for name in ("redblue_core.py", "forest_partition.py")
+        for node in ast.walk(ast.parse((src / name).read_text()))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "InvariantError"]
+    assert [m for m in messages if m not in UNREACHED
+            and not any(re.search(p, m) for p in patterns)] == []
+    assert set(UNREACHED) <= set(messages)
 
 
 def test_k_feasible_after_every_iteration():

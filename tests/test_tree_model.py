@@ -42,6 +42,8 @@ def test_postorder_layout_by_hand():
     assert t.depth == [2, 2, 1, 1, 0]
     assert t.subtree_min == [0, 1, 0, 3, 0]
     assert t.leaf_ids == [0, 1, 3]
+    with pytest.raises(NewickError, match="empty tree"):
+        RootedBinaryTree([], [], [], [])
 
 
 def test_newick_roundtrip_preserves_shape():
@@ -594,6 +596,8 @@ def test_pair_indexing(fig1):
         for t in (1, 2):
             node = fig1.leaf_node(t, i)
             assert fig1.tree(t).labels[node] == lab
+    with pytest.raises(ValueError, match="tree index must be 1 or 2"):
+        fig1.tree(3)
 
 
 def test_rho_augmentation():
@@ -665,6 +669,16 @@ def test_set_compatible_against_naive(fig1):
         for subset in combinations(range(fig1.n), size):
             assert set_compatible(fig1, subset) == \
                 naive.naive_set_compatible(fig1, subset)
+    rng = random.Random(7)
+    seen = Counter()
+    for n in range(3, 13):
+        for name, pair in corpus(n, 25):
+            for _ in range(8):
+                subset = rng.sample(range(n), rng.randint(3, n))
+                want = naive.naive_set_compatible(pair, subset)
+                assert set_compatible(pair, subset) == want, (name, subset)
+                seen[want] += 1
+    assert min(seen.values()) > 100
 
 
 def test_set_compatible_trivial_cases(fig1):
