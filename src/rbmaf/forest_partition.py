@@ -4,11 +4,12 @@ The deleted-edge set over the second tree is the authoritative state
 while the refinement loop runs: every component is the leaf set of one
 tree of the forest obtained by removing the deleted edges, and the
 number of deleted edges always equals the number of components minus
-one.  The merge phase at the very end is one call that inverts that
-authority: it unions component leaf sets and then re-derives a
-canonical cut set that realizes them (cut above each component's lca in
-the second tree, except for one shallowest component that keeps the
-original root).
+one.  The merge phase at the very end is one call that unions
+component leaf sets and then re-cuts the forest in place into the
+canonical cut set that realizes them (cut above each component's lca
+in the second tree, except for one shallowest component that keeps the
+original root), writing only what the unions and the moved roots
+change.
 
 Every leaf maps to the root of its forest tree (``leaf_root``) and
 ``root_comp`` names the block of each root, so a split writes
@@ -94,8 +95,8 @@ class Partition:
     annotation arrays on the trees it detaches only.  ``meets`` maps
     each colored block's id to its colored meet and is the only record
     of colored blocks; a block outside it reads white.  ``sweep`` holds
-    ``find_lowest_pcs``'s saved state, which ``merge`` drops because it
-    re-derives the roots.
+    ``find_lowest_pcs``'s saved state, to which ``merge`` hands the
+    seeds of what it changed.
     ``order1`` lists the leaf indices in first-tree leaf order, so the
     leaves below a first-tree node are one slice of it.
     """
@@ -587,14 +588,19 @@ class Partition:
 
     def merge(self, pairs):
         """Union the two components containing each pair of leaves, in
-        order, then re-derive the cuts with ``canonicalize_cuts``.
+        order, then re-cut the forest in place with ``canonicalize_cuts``
+        and hand the saved sweep the first-tree seeds of what changed.
 
-        Until then a merged block has no forest tree: the smaller
-        block's leaves map to the larger one's old root, which names the
-        merged block, and join the larger one's leaf set, which the
-        merged block takes over.
+        Until the re-cut a merged block has no forest tree: the smaller
+        block's leaves map to the larger one's root, its key, which
+        names the merged block, and join the larger one's leaf set,
+        which the merged block takes over.  Each merged block keeps the
+        list of its parts, the blocks before the call, as (root, size,
+        leaf) triples, and the list of the leaf sets pointed at its key.
         """
         comps, leaf_root = self.comps, self.leaf_root
+        first = self.next_id
+        parts, moved = {}, {}
         for x1, x2 in pairs:
             a = self.component_of_leaf(x1)
             b = self.component_of_leaf(x2)
@@ -602,7 +608,12 @@ class Partition:
                 raise InvariantError("merge pair already shares a component")
             if a.size < b.size:
                 a, b = b, a
-            key = leaf_root[next(iter(a.leaves))]
+            pa = parts.pop(a.id, None) or [(a.root2, a.size, next(iter(a.leaves)))]
+            pa += parts.pop(b.id, None) or [(b.root2, b.size, next(iter(b.leaves)))]
+            ma = moved.pop(a.id, None) or []
+            moved.pop(b.id, None)
+            ma.append(b.leaves)
+            key = a.root2
             for x in b.leaves:
                 leaf_root[x] = key
             a.leaves |= b.leaves
@@ -610,44 +621,166 @@ class Partition:
             del comps[b.id]
             cid = self.next_id
             self.next_id += 1
-            comps[cid] = Component(cid, a.leaves, -1, -1)
+            comps[cid] = Component(cid, a.leaves, key, -1)
             self.root_comp[key] = cid
-        self.canonicalize_cuts()
+            parts[cid], moved[cid] = pa, ma
+        fresh, grown = self.canonicalize_cuts(parts, moved)
+        if self.sweep is not None:
+            self.sweep.merged(self, first, fresh, grown)
 
-    def canonicalize_cuts(self):
-        """Re-derive the deleted-edge set from the component leaf sets.
+    def canonicalize_cuts(self, parts, moved):
+        """Re-cut the forest in place into the canonical one of its
+        blocks: each block cut above its lca in the second tree, except
+        one of least lca depth (then least lca, then least id), which
+        keeps the root.
 
-        Cut above each component's lca in the second tree except for one
-        component of minimum lca depth, which keeps the original root.
-        The structural pass validates that the resulting forest
-        reproduces every component, so an unrealizable (span-overlapping)
-        family raises.
+        ``parts`` and ``moved`` come from ``merge``: every other block
+        is a tree of the forest, whose lca is its meeting node, and a
+        merged block's lca is the lca of its parts' meeting nodes.  Two
+        blocks cut at one lca raise, as do blocks whose spans in the
+        second tree share a node: the spans of the forest's trees are
+        disjoint, so only a merged block's join paths, from its parts'
+        meeting nodes up to its lca, can meet another block's span,
+        which ``cover`` shows, or another join path.
+
+        Then only what changes is written.  A block changes when it is
+        merged or its root moves; the edges above the changed blocks'
+        old and new roots toggle, each toggle adding or taking its
+        node's live count on the nodes above it, up to the first cut
+        node, and those nodes' coverage is recomputed: a node an added
+        edge takes leaves from holds none, unless some removed edge
+        gives it a block's leaves.  Join paths are covered by their
+        merged block.  A block's span, up to its lca, takes its new root
+        in ``cover`` and ``leaf_root`` when the root moves; a merged
+        block that keeps its key, the root of the part it grew from (the
+        larger block at each union), writes only the leaves it moved
+        there.  Returns what ``merge`` hands the sweep: the leaf sets
+        whose root is new, and per merged block that kept its key the
+        key part's size and one of its leaves with the moved leaf sets.
         """
-        pair = self.pair
-        t2 = pair.t2
-        depth = t2.depth
-        anchors = {cid: pair.lca_of_leaves(2, c.leaves)
-                   for cid, c in self.comps.items()}
-        keep = min(self.comps, key=lambda cid: (depth[anchors[cid]], anchors[cid], cid))
-        self.cut = [False] * t2.n_nodes
-        self.root_comp = {}
-        leaf_root = self.leaf_root
-        for cid, c in self.comps.items():
-            if cid == keep:
-                c.root2 = t2.root
+        t2 = self.pair.t2
+        depth, parent, top = t2.depth, t2.parent, t2.root
+        left, right = t2.left, t2.right
+        comps, cut, live, cover = self.comps, self.cut, self.live, self.cover
+        anchor, part_meets = {}, {}
+        least = None
+        for cid, c in comps.items():
+            ps = parts.get(cid)
+            if ps is None:
+                a = self.meeting_path(c.root2, c.size)[-1]
             else:
-                v = anchors[cid]
-                if self.cut[v]:
-                    raise InvariantError("two components share a lca in the second tree")
-                self.cut[v] = True
-                c.root2 = v
-                self.root_comp[v] = cid
-            for x in c.leaves:
-                leaf_root[x] = c.root2
-        self.root_comp[t2.root] = keep
-        self.sweep = None
-        self._refresh_structure([c.root2 for c in self.comps.values()])
+                ms = part_meets[cid] = [self.meeting_path(r, s)[-1]
+                                        for r, s, _ in ps]
+                a = t2.lca(min(ms), max(ms))
+            anchor[cid] = a
+            if least is None or (depth[a], a) < least[:2]:
+                least = depth[a], a, cid
+        keep = least[2]
+        if len(set(anchor.values())) < len(anchor):
+            seen = set()
+            for cid in comps:
+                if cid != keep:
+                    if anchor[cid] in seen:
+                        raise InvariantError(
+                            "two components share a lca in the second tree")
+                    seen.add(anchor[cid])
+        joins = {}
+        for cid, ms in part_meets.items():
+            p = anchor[cid]
+            own = {r for r, _, _ in parts[cid]}
+            for v in ms:
+                while v != p:
+                    v = parent[v]
+                    owner = joins.get(v)
+                    if owner == cid:
+                        break
+                    if owner is not None or (cover[v] >= 0
+                                             and cover[v] not in own):
+                        raise InvariantError(
+                            "partition is not realizable as a forest of "
+                            "the second tree")
+                    joins[v] = cid
+
+        changed = []  # (block, new root, old roots)
+        for cid, c in comps.items():
+            r = top if cid == keep else anchor[cid]
+            if cid in parts:
+                changed.append((c, r, [q for q, _, _ in parts[cid]]))
+            elif r != c.root2:
+                changed.append((c, r, [c.root2]))
+        new = {r for _, r, _ in changed}
+        touched = {}  # node -> root of its tree, or -1 for no leaves
+        for r in new:
+            if r != top and not cut[r]:
+                self._toggle(r, True, -1, touched)
+        for _, r, olds in changed:
+            for q in olds:
+                if q != top and q not in new:
+                    self._toggle(q, False, r, touched)
+        for v, r in touched.items():
+            if r < 0:
+                cover[v] = -1
+                continue
+            l, rr = left[v], right[v]
+            lv = live[v]
+            both = not cut[l] and live[l] and not cut[rr] and live[rr]
+            cover[v] = r if lv and (lv < live[r] or both) else -1
+
+        root_comp, leaf_root = self.root_comp, self.leaf_root
+        for _, _, olds in changed:
+            for q in olds:
+                root_comp.pop(q, None)
+        fresh, grown, spans = [], [], []
+        for c, r, _ in changed:
+            root_comp[r] = c.id
+            if c.id in parts and r == c.root2:
+                size, x = next((s, x) for q, s, x in parts[c.id] if q == r)
+                grown.append((size, x, moved[c.id]))
+                spans.append((moved[c.id], r, anchor[c.id]))
+            else:
+                c.root2 = r
+                for x in c.leaves:
+                    leaf_root[x] = r
+                fresh.append(c.leaves)
+                spans.append(([c.leaves], r, anchor[c.id]))
+        for v, cid in joins.items():
+            cover[v] = comps[cid].root2
+        for leaf_sets, r, lca in spans:
+            self._cover_span(leaf_sets, r, lca)
         self.refresh_annotations(None)
+        return fresh, grown
+
+    def _toggle(self, u, on, root, touched):
+        """Cut (``on``) or restore the edge above ``u``: its live count
+        comes off or goes onto the nodes above it, up to the first cut
+        node or the root, each then mapped to ``root`` in ``touched``."""
+        cut, live, parent = self.cut, self.live, self.pair.t2.parent
+        top = self.pair.t2.root
+        cut[u] = on
+        d = -live[u] if on else live[u]
+        if d:
+            v = parent[u]
+            while True:
+                live[v] += d
+                touched[v] = root
+                if cut[v] or v == top:
+                    break
+                v = parent[v]
+
+    def _cover_span(self, leaf_sets, root, lca):
+        """Cover with ``root`` the nodes from each leaf up to the block's
+        ``lca``, stopping at a node that already reads ``root``: every
+        node there has its path up to ``lca`` covered already."""
+        cover, leaf_node2 = self.cover, self.pair.leaf_node2
+        parent = self.pair.t2.parent
+        for leaves in leaf_sets:
+            for x in leaves:
+                v = leaf_node2[x]
+                while cover[v] != root:
+                    cover[v] = root
+                    if v == lca:
+                        break
+                    v = parent[v]
 
 
 def as_blocks(components):

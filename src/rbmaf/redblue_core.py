@@ -136,12 +136,13 @@ class _Sweep:
     there, stale entries included; ``_resume`` reads it only at the
     meeting nodes of shrunk blocks.  ``roots`` holds the forest-tree
     roots the sweep has seen, and ``next_id`` is the partition's at the
-    time.  Block sizes are not kept: a forest tree's root counts its
-    block's leaves in the partition's ``live``.
+    time.  ``seeds`` holds the first-tree nodes a merge handed over,
+    which ``_resume`` reads next.  Block sizes are not kept: a forest
+    tree's root counts its block's leaves in the partition's ``live``.
     """
 
     __slots__ = ("comp", "csize", "meet", "by_meet", "roots", "stop",
-                 "next_id")
+                 "next_id", "seeds")
 
     def __init__(self, partition):
         n1 = partition.pair.t1.n_nodes
@@ -152,17 +153,51 @@ class _Sweep:
         self.roots = {c.root2 for c in partition.comps.values()}
         self.stop = n1
         self.next_id = partition.next_id
+        self.seeds = []
+
+    def merged(self, partition, first, fresh, grown):
+        """Take the seeds of a merge that created the blocks from id
+        ``first`` on (see ``Partition.canonicalize_cuts``), or drop the
+        state when splits since the last call left seeds ``_resume``
+        has not read yet.
+
+        Seeds: each leaf of ``fresh``, whose roots are new; and for each
+        block that kept a seen root but grew, each leaf it gained and
+        the node where its key part's restriction completed, found by a
+        walk up from one of that part's leaves to the first entry
+        whose size reaches the part's (nodes from ``stop`` on are swept
+        anyway).  ``roots`` becomes the roots of the merged forest.
+        """
+        if self.next_id != first:
+            partition.sweep = None
+            return
+        pair = partition.pair
+        leaf_node1, parent1 = pair.leaf_node1, pair.t1.parent
+        csize, stop, seeds = self.csize, self.stop, self.seeds
+        for leaves in fresh:
+            seeds.extend(map(leaf_node1.__getitem__, leaves))
+        for size, x, moved in grown:
+            for leaves in moved:
+                seeds.extend(map(leaf_node1.__getitem__, leaves))
+            v = leaf_node1[x]
+            while v < stop and csize[v] < size:
+                v = parent1[v]
+            seeds.append(v)
+        self.roots = {c.root2 for c in partition.comps.values()}
+        self.next_id = partition.next_id
 
 
 def _resume(partition, sweep):
-    """First-tree nodes below ``sweep.stop`` whose entries the splits
-    since the saved sweep may have changed, in ascending order.
+    """First-tree nodes below ``sweep.stop`` whose entries the splits or
+    the merge since the saved sweep may have changed, in ascending order.
 
     Block ids are never reused, so the blocks from ``sweep.next_id`` on
     are exactly those created since.  Seeds: every leaf of a block with
     a root the sweep has not seen, and for a block that kept a seen
     root, the nodes that joined two children of it at its new meeting
-    node ``m``.  The answer is the seeds' ancestors.
+    node ``m``; a merge hands over its own (``_Sweep.merged``) and
+    moves ``next_id`` past its blocks.  The answer is the seeds'
+    ancestors.
 
     A block that kept a seen root has shrunk, with no size test: every
     split detaches at least one leaf, since ``split_below`` refuses an
@@ -175,6 +210,21 @@ def _resume(partition, sweep):
     of the block turn complete, and an entry is read only by the
     parent, which compares its size with the block's current size,
     ``live`` at its root.
+
+    A merged block M that keeps the root of its key part Y, the block
+    it grew from, has grown instead.  Its other leaves are seeds, so an unseeded node
+    with a leaf of M below it has only Y's leaves below: its entry
+    (root, size, meet) is still right.  Y's restriction was complete
+    only at the seeded node where it completed and above, so every
+    unseeded entry of Y was incomplete, and is still, M being larger.
+    Condition "c" there needs ``live[p] == |M|`` at its meet ``p``;
+    but ``live[p]`` was below ``|Y|``, or "c" had fired, and grew by at
+    most the ``|M| - |Y|`` leaves gained, so it stays below ``|M|``.
+    Every block whose root moved has all its leaves seeded, and every
+    other block keeps its root, its size and the live counts on its
+    span, since a merged block's join paths take no node that holds a
+    leaf of another block.  So no unseeded entry changes, nor does
+    what its parent reads from it.
     """
     pair = partition.pair
     parent1 = pair.t1.parent
@@ -182,7 +232,7 @@ def _resume(partition, sweep):
     comps = partition.comps
     comp, meet, roots, stop = sweep.comp, sweep.meet, sweep.roots, sweep.stop
     by_meet = sweep.by_meet
-    seeds = []
+    seeds, sweep.seeds = sweep.seeds, []
     for cid in range(sweep.next_id, partition.next_id):
         c = comps.get(cid)
         if c is None:
@@ -217,9 +267,10 @@ def find_lowest_pcs(partition):
 
     The pass resumes from the state the previous call left on the
     partition (see ``_resume``): it recomputes the entries that the
-    splits since then may have changed below the node where that call
-    stopped, then goes on upward from that node.  Without saved state,
-    on the first call and after a merge, it sweeps the whole first tree.
+    splits or the merge since then may have changed below the node
+    where that call stopped, then goes on upward from that node.
+    Without saved state, on the first call or after a merge that
+    followed unread splits, it sweeps the whole first tree.
     """
     pair = partition.pair
     t1, t2 = pair.t1, pair.t2
@@ -640,7 +691,8 @@ def find_merge_pair(partition):
 
 
 def merge_components(partition, pairslist):
-    """Undo the remembered splits, most recent first, and re-derive cuts."""
+    """Undo the remembered splits, most recent first, re-cutting the
+    forest in place."""
     partition.merge(reversed(pairslist))
 
 

@@ -455,20 +455,36 @@ class TreePair:
                  "_triples", "_compatible_sets")
 
     def __init__(self, t1, t2):
-        self.leaf_node1 = sorted(t1.leaf_ids, key=t1.labels.__getitem__)
-        self.leaf_node2 = sorted(t2.leaf_ids, key=t2.labels.__getitem__)
-        self.labels = list(map(t1.labels.__getitem__, self.leaf_node1))
-        if self.labels != list(map(t2.labels.__getitem__, self.leaf_node2)):
+        # One sort, of the first tree's leaves; the second tree's leaves
+        # find their index by label.  Labels are unique within a tree,
+        # so equal leaf counts and every label found make a bijection.
+        leaf_node1 = sorted(t1.leaf_ids, key=t1.labels.__getitem__)
+        labels = list(map(t1.labels.__getitem__, leaf_node1))
+        index_of = {lab: i for i, lab in enumerate(labels)}
+        n = len(labels)
+        if len(t2.leaf_ids) != n:
             raise NewickError("trees carry different label sets")
+        leaf_index1 = [-1] * t1.n_nodes
+        for i, v in enumerate(leaf_node1):
+            leaf_index1[v] = i
+        leaf_node2 = [0] * n
+        leaf_index2 = [-1] * t2.n_nodes
+        labels2, find = t2.labels, index_of.get
+        for v in t2.leaf_ids:
+            i = find(labels2[v])
+            if i is None:
+                raise NewickError("trees carry different label sets")
+            leaf_node2[i] = v
+            leaf_index2[v] = i
         self.t1 = t1
         self.t2 = t2
-        self.n = len(self.labels)
-        self.index_of = {lab: i for i, lab in enumerate(self.labels)}
-        self.leaf_index1 = [-1] * t1.n_nodes
-        self.leaf_index2 = [-1] * t2.n_nodes
-        for i in range(self.n):
-            self.leaf_index1[self.leaf_node1[i]] = i
-            self.leaf_index2[self.leaf_node2[i]] = i
+        self.labels = labels
+        self.n = n
+        self.index_of = index_of
+        self.leaf_node1 = leaf_node1
+        self.leaf_node2 = leaf_node2
+        self.leaf_index1 = leaf_index1
+        self.leaf_index2 = leaf_index2
         # Per-pair tables, built on first use: incompatible_triples and
         # lp_toolkit.compatible_set_table.
         self._triples = None

@@ -9,7 +9,8 @@ from itertools import combinations
 
 from rbmaf.forest_partition import as_blocks
 from rbmaf.redblue_core import Pcs
-from rbmaf.tree_model import NewickError, RootedBinaryTree, spanned_nodes
+from rbmaf.tree_model import (InvariantError, NewickError, RootedBinaryTree,
+                              spanned_nodes)
 
 
 def root_path(tree, v):
@@ -224,6 +225,57 @@ def full_structure(partition):
             if ll > 0 and rr > 0:
                 acomp[v] = a
     return live, treecomp, acomp
+
+
+def rebuilt_forest(partition):
+    """The canonical cut forest of the partition's blocks, rebuilt from
+    the leaf sets alone, as ``Partition.merge`` first did it.
+
+    Cut above each block's lca in the second tree, except for one block
+    of least lca depth (then least lca, then least id), which keeps the
+    root.  Returns ``(cut, root_comp, leaf_root, root2)``, ``root2``
+    mapping each block id to its root.  Raises InvariantError with the
+    merge's messages: when two cut blocks share a lca, and otherwise
+    when some leaf's forest tree is not its block's, or a cut block's
+    lca is the root, which the kept block's lca then is too.
+    """
+    pair = partition.pair
+    t2 = pair.t2
+    anchors = {}
+    for cid, c in partition.comps.items():
+        nodes = [pair.leaf_node2[x] for x in c.leaves]
+        a = nodes[0]
+        for v in nodes[1:]:
+            a = naive_lca(t2, a, v)
+        anchors[cid] = a
+    keep = min(anchors, key=lambda cid: (t2.depth[anchors[cid]],
+                                         anchors[cid], cid))
+    cut = [False] * t2.n_nodes
+    root_comp = {t2.root: keep}
+    root2 = {keep: t2.root}
+    for cid, v in anchors.items():
+        if cid == keep:
+            continue
+        if cut[v]:
+            raise InvariantError("two components share a lca in the second tree")
+        cut[v] = True
+        root_comp[v] = cid
+        root2[cid] = v
+    if cut[t2.root]:
+        raise InvariantError(
+            "partition is not realizable as a forest of the second tree")
+    leaf_root = [-1] * pair.n
+    for cid, c in partition.comps.items():
+        for x in c.leaves:
+            leaf_root[x] = root2[cid]
+    for x in range(pair.n):
+        v = pair.leaf_node2[x]
+        while not cut[v] and v != t2.root:
+            v = t2.parent[v]
+        if v != leaf_root[x]:
+            raise InvariantError(
+                "partition is not realizable as a forest of the second tree")
+    return cut, root_comp, leaf_root, root2
 
 
 def leaf_blocks(partition):

@@ -262,3 +262,40 @@ def test_leaf_sets_and_component_of_leaf(fig1):
     for i in range(fig1.n):
         assert i in part.component_of_leaf(i).leaves
     assert part.leaf_sets() == ((0, 2), (1, 3, 4, 5, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 14), st.integers(0, 5_000), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_merge_matches_the_rebuild_oracle(n, seed, singletons, rnd):
+    """Random splits, or singleton blocks, then random merges: the
+    in-place re-cut leaves the rebuilt forest, live counts and coverage,
+    or raises the rebuild oracle's error."""
+    pair = random_pair(n, seed)
+    part = Partition(pair)
+    if singletons:
+        part.split_component(0, [[i] for i in range(n)])
+    for _ in range(rnd.randint(0, n)):
+        covered = [v for v in range(pair.t2.n_nodes) if part.covering(v) >= 0
+                   and part.live[v] < part.comps[part.covering(v)].size]
+        if covered:
+            part.split_below(rnd.choice(covered))
+    group = {c.id: c.id for c in part.comps.values()}
+    pairs = []
+    for _ in range(rnd.randint(0, len(part))):
+        x1, x2 = rnd.sample(range(n), 2)
+        a, b = (group[part.component_of_leaf(x).id] for x in (x1, x2))
+        if a != b:
+            pairs.append((x1, x2))
+            group = {k: a if g == b else g for k, g in group.items()}
+    try:
+        part.merge(pairs)
+    except InvariantError as error:
+        with pytest.raises(InvariantError, match=str(error)):
+            naive.rebuilt_forest(part)
+        return
+    cut, root_comp, leaf_root, root2 = naive.rebuilt_forest(part)
+    assert (part.cut, part.root_comp, part.leaf_root) == (cut, root_comp, leaf_root)
+    assert {cid: c.root2 for cid, c in part.comps.items()} == root2
+    live, _, cover = naive.full_structure(part)
+    assert part.live == live and naive.cover_blocks(part) == cover

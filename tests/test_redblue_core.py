@@ -626,21 +626,32 @@ def check_blocks_and_colors(partition):
                      if sum(1 for x in counts if x) >= 2}
 
 
+def check_rebuilt(partition):
+    """The forest a merge re-cut in place against the rebuild oracle."""
+    cut, root_comp, leaf_root, root2 = naive.rebuilt_forest(partition)
+    assert partition.cut == cut
+    assert partition.root_comp == root_comp
+    assert partition.leaf_root == leaf_root
+    assert {cid: c.root2 for cid, c in partition.comps.items()} == root2
+
+
 @contextmanager
 def full_sweep_checks():
     """Run the solver with every incremental stage checked, call by call,
     against its full-sweep oracle in ``naive``: the annotations, blocks
-    and color counts after every refresh and after every split, and
-    each node a violation scan yields, when it yields it; a scan must
-    end exactly when its oracle finds no violation.  Yields a call
-    counter."""
+    and color counts after every refresh, split and merge, a merge's
+    forest against the rebuild oracle, and each node a violation scan
+    yields, when it yields it; a scan must end exactly when its oracle
+    finds no violation.  Yields a call counter."""
     calls = Counter()
 
-    def checked_update(name):
+    def checked_update(name, oracle=None):
         fast = getattr(Partition, name)
 
         def wrapper(partition, *args, **kwargs):
             got = fast(partition, *args, **kwargs)
+            if oracle is not None:
+                oracle(partition)
             live, _, acomp = naive.full_structure(partition)
             assert partition.live == live, name
             assert naive.cover_blocks(partition) == acomp, name
@@ -677,6 +688,7 @@ def full_sweep_checks():
     with pytest.MonkeyPatch.context() as mp:
         for name in ("refresh_annotations", "split_below", "split_component"):
             mp.setattr(Partition, name, checked_update(name))
+        mp.setattr(Partition, "merge", checked_update("merge", check_rebuilt))
         for name, oracle in (
                 ("find_lowest_pcs", naive.full_lowest_pcs),
                 ("find_merge_pair", naive.full_find_merge_pair),
@@ -700,7 +712,7 @@ def test_incremental_stages_match_full_sweeps():
             run(pair)
     assert calls["find_merge_pair"] > 500
     assert calls["split_below"] > 200 and calls["split_component"] > 200
-    assert min(calls.values()) > 0 and len(calls) == 9
+    assert min(calls.values()) > 0 and len(calls) == 10
 
 
 def test_near_run_builds_no_lca_table():
@@ -763,7 +775,7 @@ def test_resumed_sweep_matches_full_sweep_outside_run(n, seed, rho, rnd):
             step = rnd.random()
             if last is not None and step < 0.15:
                 part.merge([(min(last[0]), min(leaves)) for leaves in last[1:]])
-                assert part.sweep is None
+                assert part.sweep is not None
                 last = None
             elif step < 0.55:
                 v = rnd.choice(covered)
@@ -780,6 +792,28 @@ def test_resumed_sweep_matches_full_sweep_outside_run(n, seed, rho, rnd):
                 last = [part.comps[cid].leaves for cid in ids]
             sweep(part)
     assert calls["find_lowest_pcs"] > 0
+
+
+def test_merge_after_unread_splits_starts_the_sweep_afresh(fig1):
+    """A merge that follows splits no sweep has read yet drops the saved
+    sweep, which then starts from scratch and agrees with the full
+    sweep; one that follows a sweep keeps it."""
+    part = Partition(fig1)
+    with full_sweep_checks() as calls:
+        sweep = redblue_core.find_lowest_pcs
+        sweep(part)
+        below, above = part.split_below(2)
+        part.merge([(min(part.comps[below].leaves),
+                     min(part.comps[above].leaves))])
+        assert part.sweep is None
+        sweep(part)
+        below, above = part.split_below(2)
+        sweep(part)
+        part.merge([(min(part.comps[below].leaves),
+                     min(part.comps[above].leaves))])
+        assert part.sweep is not None
+        sweep(part)
+    assert calls["find_lowest_pcs"] == 4 and calls["merge"] == 2
 
 
 def test_resumed_sweep_seeds_joins_on_the_kept_blocks_meeting_path():
@@ -826,6 +860,44 @@ def test_resumed_sweep_reads_one_join_list_per_shrunk_block():
             for _, pair in corpus(n, 25):
                 run(pair)
     assert counts == Counter(get=489, shrunk=489)
+
+
+def test_final_check_visits_only_the_merge_seeds_ancestors():
+    """After the merge phase, the final ``find_lowest_pcs`` call on a
+    k-rSPR pair with 2,000 leaves (k = 20, with rho) resumes the sweep
+    the loop left: it visits exactly the first-tree ancestors of the
+    seeds the merge handed it, 604 of the 4,001 nodes, where a sweep
+    from scratch visits them all."""
+    base = random_pair(2000, 0, mode="k_rspr", k=20)
+    pair = make_pair(base.t1, base.t2, add_rho=True)
+    n1 = pair.t1.n_nodes
+    parent1 = pair.t1.parent
+    calls = []
+    find, resume = redblue_core.find_lowest_pcs, redblue_core._resume
+
+    def recording_find(partition):
+        sweep = partition.sweep
+        calls.append({"visits": n1} if sweep is None else
+                      {"visits": n1 - sweep.stop, "seeds": list(sweep.seeds),
+                       "stop": sweep.stop})
+        return find(partition)
+
+    def recording_resume(partition, sweep):
+        nodes = resume(partition, sweep)
+        calls[-1]["visits"] += len(nodes)
+        return nodes
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(redblue_core, "find_lowest_pcs", recording_find)
+        mp.setattr(redblue_core, "_resume", recording_resume)
+        res = run(pair)
+    final = calls[-1]
+    ancestors = set()
+    for v in final.get("seeds", ()):
+        while 0 <= v < final["stop"] and v not in ancestors:
+            ancestors.add(v)
+            v = parent1[v]
+    assert res.pairslist and final["visits"] <= len(ancestors) <= n1 // 5
 
 
 @pytest.mark.parametrize("parts", [[[3], [0], [1, 2, 4]],

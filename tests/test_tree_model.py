@@ -460,6 +460,31 @@ def test_constructor_names_the_first_bad_label_in_id_order(leaf_labels, message)
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("s1, s2", [
+    ("((a,b),c);", "(a,b);"),            # fewer leaves in the second tree
+    ("(a,b);", "((a,b),c);"),            # more leaves in the second tree
+    ("((a,b),c);", "((a,b),d);"),        # as many leaves, one label differs
+])
+def test_pair_rejects_different_label_sets(s1, s2):
+    with pytest.raises(NewickError, match="trees carry different label sets"):
+        tree_model.TreePair(parse_newick(s1), parse_newick(s2))
+
+
+def test_pair_indices_match_sorting_each_tree():
+    """The second tree's leaves found by label give the indices that
+    sorting each tree's leaves by label gives."""
+    for n in range(3, 13):
+        for _, pair in corpus(n, 25):
+            for t, nodes, index in ((pair.t1, pair.leaf_node1, pair.leaf_index1),
+                                    (pair.t2, pair.leaf_node2, pair.leaf_index2)):
+                want = sorted(t.leaf_ids, key=t.labels.__getitem__)
+                assert nodes == want
+                assert index == [want.index(v) if v in want else -1
+                                 for v in range(t.n_nodes)]
+            assert pair.labels == sorted(pair.labels)
+            assert pair.index_of == {lab: i for i, lab in enumerate(pair.labels)}
+
+
 def test_lca_and_ancestor_against_naive(fig1, fig9):
     for pair in (fig1, fig9):
         for t in (1, 2):
