@@ -45,6 +45,13 @@ from .tree_model import (
 
 EXACT_CAP = 10
 _SPR_ATTEMPTS = 64
+# Largest leaf count random_pair generates.  At this cap one pair peaks
+# at about 0.9 KB per leaf (424 MB uniform, 445 MB k-rSPR with k = 20,
+# above the interpreter; x86-64, Python 3.11), before any solve.
+GENERATED_LEAF_CAP = 500_000
+# Largest size `rbmaf bench` runs: its uniform pairs take about n / 2
+# iterations, so `run` is quadratic there.
+BENCH_LEAF_CAP = 32_000
 
 
 # ----------------------------------------------------------------------
@@ -120,174 +127,147 @@ def exact_maf(pair, partition_cap=None):
 # random instances
 
 
-class _Bud:
-    """Mutable node used only while building or editing random trees.
+def _uniform_tree(labels, rng):
+    """Uniform rooted binary topology on ``labels`` via random
+    sequential insertion.
 
-    ``size`` counts the nodes of the subtree below and including it.
+    Node 0 is the first leaf, and leaf ``i`` (from 1) adds joint
+    ``2i - 1`` and leaf ``2i``: the joint takes the place of a node
+    drawn uniformly from the ``2i - 1`` made so far, with that node as
+    its left child and the new leaf as its right.  Every node is a slot
+    (the root's is the one above it), which makes every shape equally
+    likely.  In post-order the joint's subtree is the host's followed by
+    the leaf and the joint, so an insertion puts those two right after
+    the host in a list of post-order successors, and no other link is
+    kept.  Leaf 0 stays leftmost, so the post-order starts there.
     """
+    m = 2 * len(labels) - 1
+    after = [-1] * m
+    draw = rng.randrange
+    for joint in range(1, m, 2):
+        host = draw(joint)
+        after[joint] = after[host]
+        after[host] = joint + 1
+        after[joint + 1] = joint
+    named = [None] * m
+    named[::2] = labels
+    names = [None] * m
+    u = 0
+    for v in range(m):
+        names[v] = named[u]
+        u = after[u]
+    return _post_order_tree(names)
 
-    __slots__ = ("left", "right", "parent", "label", "size")
 
-    def __init__(self, label=None):
-        self.left = None
-        self.right = None
-        self.parent = None
-        self.label = label
-        self.size = 1
-
-
-def _bud_tree(root):
-    """The bud tree as a :class:`RootedBinaryTree`, ids in left-to-right
-    post-order: the ids ``parse_newick`` gives the tree's Newick text.
-
-    One explicit-stack walk: a leaf gets its id when it is reached, an
-    internal node when both its children are done.
-    """
-    parent, left, right, labels = [], [], [], []
+def _post_order_names(left, right, labels, root):
+    """Labels of the nodes below ``root`` in left-to-right post-order,
+    None on internal nodes: a right-first pre-order walk, reversed."""
+    names = []
+    visit = names.append
     stack = [root]
-    kids = []  # ids of the finished subtrees still waiting for a parent
+    push, pop = stack.append, stack.pop
     while stack:
-        node = stack.pop()
-        if node is not None and node.label is None:
-            stack += (None, node.right, node.left)  # None closes the node
-            continue
-        v = len(parent)
-        if node is None:
-            r = kids.pop()
-            l = kids[-1]
+        u = pop()
+        visit(labels[u])
+        if left[u] >= 0:
+            push(left[u])
+            push(right[u])
+    names.reverse()
+    return names
+
+
+def _post_order_tree(names):
+    """The tree whose left-to-right post-order has these labels, None on
+    internal nodes, as a :class:`RootedBinaryTree`: the ids
+    ``parse_newick`` gives the tree's Newick text.
+
+    Read in post-order, a leaf opens a subtree and an internal node
+    closes the last two open ones, as in the parser.
+    """
+    m = len(names)
+    parent = [-1] * m
+    left = [-1] * m
+    right = [-1] * m
+    kids = []  # ids of the finished subtrees still waiting for a parent
+    push, pop = kids.append, kids.pop
+    for v, name in enumerate(names):
+        if name is None:
+            r = pop()
+            l = pop()
+            left[v] = l
+            right[v] = r
             parent[l] = parent[r] = v
-            left.append(l)
-            right.append(r)
-            labels.append(None)
-            kids[-1] = v
-        else:
-            left.append(-1)
-            right.append(-1)
-            labels.append(node.label)
-            kids.append(v)
-        parent.append(-1)
-    return RootedBinaryTree(parent, left, right, labels)
+        push(v)
+    return RootedBinaryTree(parent, left, right, names)
 
 
-def _relink(node, new, root):
-    """Hang ``new`` where ``node`` hangs; returns the (new) root."""
-    up = node.parent
-    new.parent = up
-    if up is None:
-        return new
-    if up.left is node:
-        up.left = new
-    else:
-        up.right = new
-    return root
-
-
-def _grow(node, by):
-    """Add ``by`` to the size of every proper ancestor of ``node``."""
-    node = node.parent
-    while node is not None:
-        node.size += by
-        node = node.parent
-
-
-def _splice_above(host, graft, root):
-    """Insert a new joint above ``host`` adopting ``graft`` as sibling.
-
-    Sizes above the joint are left to the caller.
-    """
-    joint = _Bud()
-    joint.left = host
-    joint.right = graft
-    joint.size = host.size + graft.size + 1
-    root = _relink(host, joint, root)
-    host.parent = joint
-    graft.parent = joint
-    return root
-
-
-def _uniform_bud(labels, rng):
-    """Uniform rooted binary topology via random sequential insertion.
-
-    Each new leaf attaches at one of the 2i-1 slots of the current
-    i-leaf tree (one per node, counting the slot above the root), which
-    makes every shape equally likely.  Subtree sizes are set in one
-    pass at the end.
-    """
-    nodes = [_Bud(labels[0])]
-    root = nodes[0]
-    for lab in labels[1:]:
-        leaf = _Bud(lab)
-        host = nodes[rng.randrange(len(nodes))]
-        root = _splice_above(host, leaf, root)
-        nodes.append(host.parent)
-        nodes.append(leaf)
-    order = [root]  # parents before children
-    for node in order:
-        if node.label is None:
-            order.append(node.left)
-            order.append(node.right)
-    for node in reversed(order):
-        if node.label is None:
-            node.size = node.left.size + node.right.size + 1
-    return root
-
-
-def _post_order_at(root, i):
-    """Node at index ``i`` of the tree's left-to-right post-order.
-
-    That is the node numbering ``_bud_tree`` gives; the walk goes down
-    from the root by subtree sizes.
-    """
-    node = root
-    while i != node.size - 1:
-        below = node.left.size
-        if i < below:
-            node = node.left
-        else:
-            i -= below
-            node = node.right
-    return node
-
-
-def _pre_order_at(root, i):
-    """Node at index ``i`` of the tree's pre-order, right child first."""
+def _pre_order_node(left, right, size, root, i):
+    """Node at index ``i`` of the right-first pre-order below ``root``,
+    found by walking down by subtree sizes (``size`` counts nodes)."""
     node = root
     while i:
         i -= 1
-        below = node.right.size
+        below = size[right[node]]
         if i < below:
-            node = node.right
+            node = right[node]
         else:
             i -= below
-            node = node.left
+            node = left[node]
     return node
 
 
-def _spr_once(root, rng):
-    """One subtree prune and regraft, in place; returns the new root.
+def _hang(parent, left, right, node, new):
+    """Hang ``new`` where ``node`` hangs, below ``node``'s parent."""
+    up = parent[node]
+    parent[new] = up
+    if left[up] == node:
+        left[up] = new
+    else:
+        right[up] = new
 
-    The pruned subtree is drawn by its left-to-right post-order index
-    (the root excluded) and the regraft point by its right-first
-    pre-order index in the pruned tree.  Returns None and leaves the
-    tree as it was when the pruned subtree would go back onto its
-    former sibling: in a rooted binary tree with distinct labels that
-    is the only move that gives back the same topology.
+
+def _resize(parent, size, node, by):
+    """Add ``by`` to the size of ``node`` and of each of its ancestors."""
+    while node >= 0:
+        size[node] += by
+        node = parent[node]
+
+
+def _spr_move(parent, left, right, size, top, rng):
+    """One subtree prune and regraft on the arrays, in place; True when
+    the tree changed.
+
+    ``top`` is a node above the root, whose left child the root is, so
+    every node of the tree has a parent to hang from.  The pruned
+    subtree is drawn by its left-to-right post-order index (the root
+    excluded) and the regraft point by its right-first pre-order index
+    in the pruned tree.  The pruned subtree's former parent becomes the
+    joint above the regraft point, with that point as its left child.
+    Returns False and leaves the arrays as they were when the pruned
+    subtree would go back onto its former sibling: in a rooted binary
+    tree with distinct labels that is the only move that gives back the
+    same topology.
     """
-    moving = _post_order_at(root, rng.randrange(root.size - 1))
-    gone = moving.parent
-    sib = gone.left if gone.right is moving else gone.right
-    cut = moving.size + 1
-    _grow(gone, -cut)
-    root = _relink(gone, sib, root)
-    host = _pre_order_at(root, rng.randrange(root.size))
-    if host is sib:
-        _relink(sib, gone, root)
-        sib.parent = gone
-        _grow(gone, cut)
-        return None
-    root = _splice_above(host, moving, root)
-    _grow(moving.parent, cut)
-    return root
+    root = left[top]
+    # post-order index i is right-first pre-order index size - 1 - i
+    moving = _pre_order_node(left, right, size, root,
+                             size[root] - 1 - rng.randrange(size[root] - 1))
+    gone = parent[moving]
+    sib = left[gone] if right[gone] == moving else right[gone]
+    cut = size[moving] + 1
+    _resize(parent, size, parent[gone], -cut)
+    _hang(parent, left, right, gone, sib)
+    root = left[top]
+    host = _pre_order_node(left, right, size, root, rng.randrange(size[root]))
+    moved = host != sib  # if not, gone goes back with its children as they were
+    if moved:
+        left[gone] = host
+        right[gone] = moving
+        size[gone] = size[host] + cut
+    _hang(parent, left, right, host, gone)
+    parent[host] = gone
+    _resize(parent, size, parent[gone], cut)
+    return moved
 
 
 def random_pair(n, seed=0, mode="uniform", k=None):
@@ -301,34 +281,43 @@ def random_pair(n, seed=0, mode="uniform", k=None):
     subtree's former sibling, the one move that changes nothing; so the
     true distance is at most ``k``.  When no shape-changing move exists
     (two leaves) the move is skipped.  Randomness comes from
-    ``random.Random(seed)`` (Mersenne Twister).  Each tree goes from its
-    nodes straight to post-order arrays (``_bud_tree``); no Newick text
-    is written or read.
+    ``random.Random(seed)`` (Mersenne Twister).  A uniform tree grows
+    as a list of post-order successors; the moves edit copies of the
+    first tree's ``parent``/``left``/``right`` arrays and subtree sizes.
+    Each tree is read out once into post-order tree arrays; no Newick
+    text is written or read.  Arguments are checked before anything is
+    allocated; ``n`` may not exceed :data:`GENERATED_LEAF_CAP`.
     """
     if n < 2:
         raise ValueError("need at least 2 leaves, got %d" % n)
-    width = len(str(n))
-    labels = ["L%0*d" % (width, i + 1) for i in range(n)]
-    rng = random.Random(seed)
-    if mode == "uniform":
-        t1 = _bud_tree(_uniform_bud(labels, rng))
-        t2 = _bud_tree(_uniform_bud(labels, rng))
-    elif mode == "k_rspr":
+    if n > GENERATED_LEAF_CAP:
+        raise ValueError(
+            "generated pairs are capped at GENERATED_LEAF_CAP = %d leaves, "
+            "got %d" % (GENERATED_LEAF_CAP, n))
+    if mode == "k_rspr":
         if k is None or k < 0:
             raise ValueError("k_rspr mode needs k >= 0")
         if k >= n:
             raise ValueError("k must stay below the leaf count")
-        root = _uniform_bud(labels, rng)
-        t1 = _bud_tree(root)
+    elif mode != "uniform":
+        raise ValueError("unknown mode %r" % mode)
+    name = "L%%0%dd" % len(str(n))
+    labels = [name % i for i in range(1, n + 1)]
+    rng = random.Random(seed)
+    t1 = _uniform_tree(labels, rng)
+    if mode == "uniform":
+        t2 = _uniform_tree(labels, rng)
+    else:
+        top = t1.n_nodes  # a node above the root, for _spr_move
+        parent = t1.parent[:-1] + [top, -1]
+        left, right = t1.left + [t1.root], t1.right + [-1]
+        size = [v - low + 1 for v, low in enumerate(t1.subtree_min)] + [0]
         for _ in range(k):
             for _attempt in range(_SPR_ATTEMPTS):
-                moved = _spr_once(root, rng)
-                if moved is not None:
-                    root = moved
+                if _spr_move(parent, left, right, size, top, rng):
                     break
-        t2 = _bud_tree(root)
-    else:
-        raise ValueError("unknown mode %r" % mode)
+        t2 = _post_order_tree(
+            _post_order_names(left, right, t1.labels, left[top]))
     return TreePair(t1, t2)
 
 
@@ -596,6 +585,11 @@ def _cmd_bench(args):
     for s in filter(None, args.sizes.split(",")):
         if not s.strip().isdigit() or int(s) < 2:
             raise ValueError("bench --sizes needs leaf counts >= 2, got %r" % s)
+        if int(s) > BENCH_LEAF_CAP:
+            raise ValueError(
+                "bench --sizes is capped at BENCH_LEAF_CAP = %d leaves "
+                "(run is quadratic on uniform pairs), got %s"
+                % (BENCH_LEAF_CAP, s.strip()))
         sizes.append(int(s))
     if not sizes:
         raise ValueError("bench --sizes needs at least one leaf count, got %r"

@@ -822,6 +822,24 @@ def is_feasible_maf(pair, components):
          for b in blocks])
 
 
+def _sibling_cluster(tree, nodes, v):
+    """``(meet, size, first)`` for leaf node ``v`` of ``tree`` and the
+    sorted leaf nodes ``nodes``, which do not hold ``v``.
+
+    In the tree restricted to ``nodes`` and ``v``, ``v``'s parent is its
+    deepest meet with a member, and that is its meet with one of its two
+    neighbours in leaf order.  The members below that meet are ``v``'s
+    sibling cluster, a run of ``size`` entries of ``nodes`` starting at
+    ``first``.
+    """
+    j = bisect_left(nodes, v)
+    # both meets are ancestors of v, so the deeper has the smaller id
+    meet = min(tree.lca(v, nodes[i]) for i in (j - 1, j)
+               if 0 <= i < len(nodes))
+    lo = bisect_left(nodes, tree.subtree_min[meet], 0, j)
+    return meet, bisect_left(nodes, meet, j) - lo, nodes[lo]
+
+
 def is_K_feasible(pair, components, K):
     """Feasibility of a partition relative to a leaf subset K.
 
@@ -829,15 +847,32 @@ def is_K_feasible(pair, components, K):
     any single leaf of the block outside K, and block spans may not
     share nodes of the second tree nor nodes of the first tree spanned
     by K.
+
+    With ``bk`` (a block restricted to K) compatible, both trees
+    restrict to one tree on ``bk``, and ``bk`` plus a leaf ``w`` is
+    compatible exactly when ``w`` hangs above the same cluster of it in
+    both (:func:`_sibling_cluster`).  Two clusters of one tree nest or
+    are disjoint, so equal sizes and one shared leaf show that they are
+    equal.  A block costs one sort per tree, then two bisections and
+    two lcas per tree for each leaf outside K.
     """
     blocks = as_blocks(components)
     kset = set(K)
+    t1, t2 = pair.t1, pair.t2
+    node1, node2 = pair.leaf_node1, pair.leaf_node2
     for b in blocks:
-        bk = sorted(b & kset)
+        bk = b & kset
         if not set_compatible(pair, bk):
             return False
+        if len(bk) < 2:
+            continue  # bk plus one leaf has at most two leaves
+        nodes1 = sorted(map(node1.__getitem__, bk))
+        nodes2 = sorted(map(node2.__getitem__, bk))
         for w in b - kset:
-            if not set_compatible(pair, bk + [w]):
+            _, size1, first1 = _sibling_cluster(t1, nodes1, node1[w])
+            meet2, size2, _ = _sibling_cluster(t2, nodes2, node2[w])
+            if size1 != size2 or not t2.is_ancestor(
+                    meet2, node2[pair.leaf_index1[first1]]):
                 return False
     v1k = spanned_nodes(pair, 1, K) if kset else set()
     return _spans_disjoint(

@@ -7,10 +7,10 @@ independent logic rather than against itself.
 
 from itertools import combinations
 
-from rbmaf.forest_partition import as_blocks
+from rbmaf.forest_partition import _spans_disjoint, as_blocks
 from rbmaf.redblue_core import Pcs
 from rbmaf.tree_model import (InvariantError, NewickError, RootedBinaryTree,
-                              spanned_nodes)
+                              set_compatible, spanned_nodes)
 
 
 def root_path(tree, v):
@@ -98,6 +98,24 @@ def naive_feasible(pair, blocks):
         if s1a & s1b or s2a & s2b:
             return False
     return True
+
+
+def naive_is_K_feasible(pair, components, K):
+    """``is_K_feasible`` as it first was: one ``set_compatible`` call on
+    a fresh sorted list per block leaf outside K."""
+    blocks = as_blocks(components)
+    kset = set(K)
+    for b in blocks:
+        bk = sorted(b & kset)
+        if not set_compatible(pair, bk):
+            return False
+        for w in b - kset:
+            if not set_compatible(pair, bk + [w]):
+                return False
+    v1k = spanned_nodes(pair, 1, K) if kset else set()
+    return _spans_disjoint(
+        [(spanned_nodes(pair, 1, b) & v1k, spanned_nodes(pair, 2, b))
+         for b in blocks])
 
 
 def all_partitions(items):
@@ -736,32 +754,33 @@ def naive_parse_newick(text):
 
 
 # ----------------------------------------------------------------------
-# random-tree draws by walking the whole bud tree, as the generator
-# first did them
+# random-tree draws by walking the whole tree, as the generator first
+# did them
 
 
-def naive_subtree_buds(node):
-    """Nodes under ``node`` in pre-order, right child first.
+def naive_subtree_nodes(left, right, v):
+    """Nodes under ``v`` in pre-order, right child first, by any ids.
 
     Reversed, the list is the left-to-right post-order, which is the
     node numbering ``parse_newick`` gives the tree's Newick text.
     """
     out = []
-    stack = [node]
+    stack = [v]
     while stack:
         u = stack.pop()
         out.append(u)
-        if u.label is None:
-            stack.append(u.left)
-            stack.append(u.right)
+        if left[u] >= 0:
+            stack.append(left[u])
+            stack.append(right[u])
     return out
 
 
-def naive_bud_newick(root):
-    """Newick text of a bud tree, children left to right.
+def naive_arrays_newick(left, right, labels, root):
+    """Newick text of the tree below ``root``, children left to right,
+    for node arrays in any ids.
 
     The generator wrote this text and parsed it back before it built
-    its tree arrays from the buds directly.
+    its tree arrays directly.
     """
     out = []
     stack = [root]
@@ -769,9 +788,9 @@ def naive_bud_newick(root):
         node = stack.pop()
         if isinstance(node, str):  # a ")" or "," pushed below
             out.append(node)
-        elif node.label is not None:
-            out.append(node.label)
+        elif left[node] < 0:
+            out.append(labels[node])
         else:
             out.append("(")
-            stack += (")", node.right, ",", node.left)
+            stack += (")", right[node], ",", left[node])
     return "".join(out) + ";"

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -31,11 +32,13 @@ from rbmaf import (
     tree_model,
 )
 from rbmaf.cli_runner import (
-    _bud_tree,
-    _post_order_at,
-    _pre_order_at,
-    _spr_once,
-    _uniform_bud,
+    BENCH_LEAF_CAP,
+    GENERATED_LEAF_CAP,
+    _post_order_names,
+    _post_order_tree,
+    _pre_order_node,
+    _spr_move,
+    _uniform_tree,
     certificate_dict,
     main,
 )
@@ -169,19 +172,31 @@ class _Scripted:
         return value
 
 
+def _editable(tree):
+    """The arrays the k-rSPR generator edits: copies of the tree's
+    ``parent``, ``left`` and ``right`` arrays and each node's subtree
+    size, with one more node, id ``n_nodes``, whose left child is the
+    root."""
+    top = tree.n_nodes
+    return (tree.parent[:-1] + [top, -1], tree.left + [tree.root],
+            tree.right + [-1],
+            [v - low + 1 for v, low in enumerate(tree.subtree_min)] + [0])
+
+
 # Reference prune and regraft on nested tuples: a leaf is its label, an
 # internal node the pair (left, right), a node the path of 0/1 steps to it.
 
-def _nested(node):
-    if node.label is not None:
-        return node.label
-    return (_nested(node.left), _nested(node.right))
+def _nested(left, right, labels, v):
+    if left[v] < 0:
+        return labels[v]
+    return (_nested(left, right, labels, left[v]),
+            _nested(left, right, labels, right[v]))
 
 
-def _post_order(t, path=()):
+def _post_order_paths(t, path=()):
     if isinstance(t, tuple):
-        yield from _post_order(t[0], path + (0,))
-        yield from _post_order(t[1], path + (1,))
+        yield from _post_order_paths(t[0], path + (0,))
+        yield from _post_order_paths(t[1], path + (1,))
     yield path
 
 
@@ -222,17 +237,18 @@ def _canonical(t):
 
 def test_spr_noop_iff_sibling():
     """Every move on every labelled tree with 2 to 6 leaves: the move is
-    refused, leaving the tree as it was, exactly when it would give back
-    the same topology; otherwise it is the reference move."""
+    refused, leaving the arrays as they were, exactly when it would give
+    back the same topology; otherwise it is the reference move."""
     trees = 0
     for n in range(2, 7):
         labels = ["L%d" % (i + 1) for i in range(n)]
         for slots in itertools.product(*(range(2 * i - 1)
                                          for i in range(1, n))):
             trees += 1
-            before = _nested(_uniform_bud(labels, _Scripted(slots)))
+            tree = _uniform_tree(labels, _Scripted(slots))
+            before = _nested(tree.left, tree.right, tree.labels, tree.root)
             same = _canonical(before)
-            moves = list(_post_order(before))[:-1]
+            moves = list(_post_order_paths(before))[:-1]
             for m, moving in enumerate(moves):
                 pruned = _put(before, moving[:-1],
                               _at(before, moving[:-1] + (1 - moving[-1],)))
@@ -240,16 +256,21 @@ def test_spr_noop_iff_sibling():
                 for h, host in enumerate(hosts):
                     after = _put(pruned, host,
                                  (_at(pruned, host), _at(before, moving)))
-                    root = _uniform_bud(labels, _Scripted(slots))
-                    moved = _spr_once(root, _Scripted((m, h)))
+                    parent, left, right, size = arrays = _editable(tree)
+                    moved = _spr_move(parent, left, right, size, tree.n_nodes,
+                                      _Scripted((m, h)))
                     if _canonical(after) == same:
-                        assert moved is None, (before, m, h)
-                        moved, after = root, before  # left as it was
+                        assert not moved, (before, m, h)
+                        assert arrays == _editable(tree), (before, m, h)
+                        after = before  # left as it was
                     else:
-                        assert moved is not None, (before, m, h)
+                        assert moved, (before, m, h)
+                    root = left[tree.n_nodes]
                     text = _text(after) + ";"
-                    assert naive.naive_bud_newick(moved) == text
-                    assert _bud_tree(moved).to_newick() == text
+                    assert naive.naive_arrays_newick(
+                        left, right, tree.labels, root) == text
+                    assert _post_order_tree(_post_order_names(
+                        left, right, tree.labels, root)).to_newick() == text
     assert trees == 1 + 3 + 15 + 105 + 945
 
 
@@ -257,60 +278,72 @@ _TREE_FIELDS = ("parent", "left", "right", "labels", "depth",
                 "subtree_min", "leaf_ids")
 
 
-def _assert_bud_tree_matches_text(root):
-    """The arrays built from the buds equal those parsed from their
-    Newick text."""
-    built = _bud_tree(root)
-    parsed = tree_model.parse_newick(naive.naive_bud_newick(root))
+def _assert_tree_matches_text(left, right, labels, root):
+    """The tree arrays renumbered from the edited arrays equal those
+    parsed from their Newick text."""
+    built = _post_order_tree(_post_order_names(left, right, labels, root))
+    parsed = tree_model.parse_newick(
+        naive.naive_arrays_newick(left, right, labels, root))
     for name in _TREE_FIELDS:
         assert getattr(built, name) == getattr(parsed, name), name
 
 
 def test_size_indexed_draws_match_walk():
-    """On random bud trees with 2 to 60 leaves, the lookups by subtree
-    size return the node at every index of the walked post-order and
-    right-first pre-order, every size is the walked subtree size, and
-    the tree arrays equal those of the tree's Newick text."""
+    """On random trees with 2 to 60 leaves, as grown and after three
+    prune and regraft moves, the lookup by subtree size returns the node
+    at every index of the walked right-first pre-order, whose reverse is
+    the left-to-right post-order the moving node is drawn from, every
+    size is the walked subtree size, and the tree arrays equal those of
+    the tree's Newick text."""
     for n in range(2, 61):
         labels = ["L%d" % (i + 1) for i in range(n)]
         for seed in range(3):
-            root = _uniform_bud(labels, random.Random(seed))
-            _assert_bud_tree_matches_text(root)
-            pre = naive.naive_subtree_buds(root)
-            for i, node in enumerate(pre[::-1]):
-                assert _post_order_at(root, i) is node
-            for i, node in enumerate(pre):
-                assert _pre_order_at(root, i) is node
-                assert node.size == len(naive.naive_subtree_buds(node))
+            rng = random.Random(seed)
+            tree = _uniform_tree(labels, rng)
+            parsed = tree_model.parse_newick(naive.naive_arrays_newick(
+                tree.left, tree.right, tree.labels, tree.root))
+            for name in _TREE_FIELDS:
+                assert getattr(tree, name) == getattr(parsed, name), name
+            parent, left, right, size = _editable(tree)
+            for moves in range(4):
+                root = left[tree.n_nodes]
+                _assert_tree_matches_text(left, right, tree.labels, root)
+                pre = naive.naive_subtree_nodes(left, right, root)
+                for i, node in enumerate(pre):
+                    assert _pre_order_node(left, right, size, root, i) == node
+                    assert size[node] == len(
+                        naive.naive_subtree_nodes(left, right, node))
+                _spr_move(parent, left, right, size, tree.n_nodes, rng)
 
 
 def test_sizes_track_every_move():
     """n = 300, 50 prune and regraft moves, every third aimed at the
-    former sibling so that it is refused: after each move every bud's
+    former sibling so that it is refused: after each move every node's
     size equals its walked subtree size, and the tree arrays equal those
     of the tree's Newick text."""
     rng = random.Random(3)
-    root = _uniform_bud(["L%d" % (i + 1) for i in range(300)], rng)
+    tree = _uniform_tree(["L%d" % (i + 1) for i in range(300)], rng)
+    parent, left, right, size = _editable(tree)
+    top = tree.n_nodes
     refused = 0
     for step in range(50):
-        pre = naive.naive_subtree_buds(root)
+        root = left[top]
+        pre = naive.naive_subtree_nodes(left, right, root)
         m = rng.randrange(len(pre) - 1)
         moving = pre[::-1][m]
-        gone = moving.parent
-        sib = gone.left if gone.right is moving else gone.right
-        drop = {id(u) for u in naive.naive_subtree_buds(moving)} | {id(gone)}
-        hosts = [u for u in pre if id(u) not in drop]
+        gone = parent[moving]
+        sib = left[gone] if right[gone] == moving else right[gone]
+        drop = set(naive.naive_subtree_nodes(left, right, moving)) | {gone}
+        hosts = [u for u in pre if u not in drop]
         h = hosts.index(sib) if step % 3 == 0 else rng.randrange(len(hosts))
-        moved = _spr_once(root, _Scripted((m, h)))
-        assert (moved is None) == (hosts[h] is sib)
-        if moved is None:
-            refused += 1
-        else:
-            root = moved
-        assert root.parent is None
-        for bud in naive.naive_subtree_buds(root):
-            assert bud.size == len(naive.naive_subtree_buds(bud))
-        _assert_bud_tree_matches_text(root)
+        moved = _spr_move(parent, left, right, size, top, _Scripted((m, h)))
+        assert moved == (hosts[h] != sib)
+        refused += not moved
+        root = left[top]
+        assert parent[root] == top and parent[top] == -1
+        for u in naive.naive_subtree_nodes(left, right, root):
+            assert size[u] == len(naive.naive_subtree_nodes(left, right, u))
+        _assert_tree_matches_text(left, right, tree.labels, root)
     assert refused >= 17
 
 
@@ -338,6 +371,16 @@ def test_random_pair_argument_errors():
         random_pair(5, mode="k_rspr", k=5)
     with pytest.raises(ValueError, match="unknown mode"):
         random_pair(5, mode="nni")
+    with pytest.raises(ValueError, match="GENERATED_LEAF_CAP = %d leaves, got %d"
+                       % (GENERATED_LEAF_CAP, GENERATED_LEAF_CAP + 1)):
+        random_pair(GENERATED_LEAF_CAP + 1, mode="k_rspr", k=3)
+    tracemalloc.start()  # a bad k is refused before the labels are made
+    try:
+        with pytest.raises(ValueError, match="below the leaf count"):
+            random_pair(GENERATED_LEAF_CAP, mode="k_rspr", k=10 ** 12)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 # ----------------------------------------------------------------------
@@ -554,6 +597,38 @@ def test_cli_bench_tiny(capsys):
     assert lines[0].split() == ["n", "time_s", "value", "dual", "ratio"]
     assert len(lines) == 3
     assert lines[1].split()[0] == "40"
+
+
+@pytest.mark.parametrize("argv, name, cap", [
+    (["gen", "random", "--n", "%d"], "GENERATED_LEAF_CAP", GENERATED_LEAF_CAP),
+    (["gen", "krspr", "--n", "%d", "--k", "5"], "GENERATED_LEAF_CAP",
+     GENERATED_LEAF_CAP),
+    (["fuzz", "--n", "%d", "--iters", "3"], "GENERATED_LEAF_CAP",
+     GENERATED_LEAF_CAP),
+    (["bench", "--sizes", "40,%d"], "BENCH_LEAF_CAP", BENCH_LEAF_CAP),
+])
+def test_cli_leaf_counts_capped(tmp_path, capsys, argv, name, cap):
+    """A leaf count of 10**12 fails fast with exit code 2 and a message
+    naming the cap, allocating nothing in proportion to it."""
+    huge = 10 ** 12
+    argv = [a % huge if "%" in a else a for a in argv]
+    if argv[0] == "gen":
+        argv += ["-o", str(tmp_path / "x")]
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2 ** 20
+    captured = capsys.readouterr()
+    assert "%s = %d" % (name, cap) in captured.err
+    assert "got %d" % huge in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_error_exit_codes(capsys):

@@ -8,11 +8,18 @@ from hypothesis import given, settings, strategies as st
 from rbmaf import (
     InvariantError,
     Partition,
+    corpus,
+    forest_partition,
     is_feasible_maf,
     is_K_feasible,
+    make_pair,
     pair_from_newick,
     random_pair,
+    run,
+    set_compatible,
 )
+
+from rbmaf.forest_partition import as_blocks
 
 import naive
 
@@ -254,6 +261,67 @@ def test_is_K_feasible_basic(fig1):
     # {b2, r2} is compatible, but w2 outside K breaks it
     assert not is_K_feasible(fig1, [list(range(fig1.n))],
                              idx(fig1, "b2", "r2"))
+
+
+def _random_blocks_and_K(n, rng):
+    """One to three random blocks, and K a random share of the leaves."""
+    blocks = {}
+    for i in range(n):
+        blocks.setdefault(rng.randrange(rng.randint(1, 3)), []).append(i)
+    keep = rng.random()
+    return list(blocks.values()), [i for i in range(n) if rng.random() < keep]
+
+
+def test_is_K_feasible_matches_oracle_on_corpus():
+    """On every corpus(n, 25) pair, n = 3..12, random partitions and
+    run's final forest, each with random leaf subsets K, get the
+    oracle's answer; the check of the leaves outside K is reached and
+    answers both ways."""
+    outside = {True: 0, False: 0}
+    for n in range(3, 13):
+        for name, pair in corpus(n, 25):
+            rng = random.Random(name)
+            final = [sorted(b) for b in as_blocks(run(pair).partition)]
+            for trial in range(8):
+                blocks, K = _random_blocks_and_K(n, rng)
+                if trial % 2:
+                    blocks = final
+                assert (is_K_feasible(pair, blocks, K)
+                        == naive.naive_is_K_feasible(pair, blocks, K)), (
+                    name, blocks, K)
+                parts = [(sorted(set(b) & set(K)), set(b) - set(K))
+                         for b in blocks]
+                if all(set_compatible(pair, bk) for bk, _ in parts) and any(
+                        len(bk) > 1 and rest for bk, rest in parts):
+                    outside[all(set_compatible(pair, bk + [w])
+                                for bk, rest in parts for w in rest)] += 1
+    assert min(outside.values()) > 100, outside
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 40), st.integers(0, 5_000), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_is_K_feasible_matches_oracle(n, seed, near, rnd):
+    mode = "k_rspr" if near else "uniform"
+    pair = random_pair(n, seed, mode=mode, k=1 + seed % (n - 1) if near else None)
+    blocks, K = _random_blocks_and_K(n, rnd)
+    assert (is_K_feasible(pair, blocks, K)
+            == naive.naive_is_K_feasible(pair, blocks, K))
+
+
+def test_is_K_feasible_sorts_each_block_once(monkeypatch):
+    """One set_compatible call per block, however many leaves lie
+    outside K: on run's forest of a 2,000-leaf k-rSPR pair with rho
+    and K every other leaf."""
+    p = random_pair(2000, 0, mode="k_rspr", k=20)
+    pair = make_pair(p.t1, p.t2, add_rho=True)
+    partition = run(pair).partition
+    calls = []
+    real = forest_partition.set_compatible
+    monkeypatch.setattr(forest_partition, "set_compatible",
+                        lambda pair, leaves: calls.append(1) or real(pair, leaves))
+    assert is_K_feasible(pair, partition, range(0, pair.n, 2))
+    assert len(calls) == len(partition)
 
 
 def test_leaf_sets_and_component_of_leaf(fig1):
