@@ -156,7 +156,7 @@ def _uniform_tree(labels, rng):
     for v in range(m):
         names[v] = named[u]
         u = after[u]
-    return _post_order_tree(names)
+    return RootedBinaryTree(names)
 
 
 def _post_order_names(left, right, labels, root):
@@ -176,36 +176,16 @@ def _post_order_names(left, right, labels, root):
     return names
 
 
-def _post_order_tree(names):
-    """The tree whose left-to-right post-order has these labels, None on
-    internal nodes, as a :class:`RootedBinaryTree`: the ids
-    ``parse_newick`` gives the tree's Newick text.
-
-    Read in post-order, a leaf opens a subtree and an internal node
-    closes the last two open ones, as in the parser.
-    """
-    m = len(names)
-    parent = [-1] * m
-    left = [-1] * m
-    right = [-1] * m
-    kids = []  # ids of the finished subtrees still waiting for a parent
-    push, pop = kids.append, kids.pop
-    for v, name in enumerate(names):
-        if name is None:
-            r = pop()
-            l = pop()
-            left[v] = l
-            right[v] = r
-            parent[l] = parent[r] = v
-        push(v)
-    return RootedBinaryTree(parent, left, right, names)
-
-
 def _pre_order_node(left, right, size, root, i):
     """Node at index ``i`` of the right-first pre-order below ``root``,
-    found by walking down by subtree sizes (``size`` counts nodes)."""
+    found by walking down by subtree sizes (``size`` counts nodes).
+    Sizes that carry the walk past a leaf raise InvariantError there.
+    """
     node = root
     while i:
+        if left[node] < 0:
+            raise InvariantError(
+                "pre-order index past the subtree of node %d" % root)
         i -= 1
         below = size[right[node]]
         if i < below:
@@ -284,9 +264,10 @@ def random_pair(n, seed=0, mode="uniform", k=None):
     ``random.Random(seed)`` (Mersenne Twister).  A uniform tree grows
     as a list of post-order successors; the moves edit copies of the
     first tree's ``parent``/``left``/``right`` arrays and subtree sizes.
-    Each tree is read out once into post-order tree arrays; no Newick
-    text is written or read.  Arguments are checked before anything is
-    allocated; ``n`` may not exceed :data:`GENERATED_LEAF_CAP`.
+    Each tree is read out once as its post-order labels, the list
+    :class:`RootedBinaryTree` builds it from; no Newick text is written
+    or read.  Arguments are checked before anything is allocated; ``n``
+    may not exceed :data:`GENERATED_LEAF_CAP`.
     """
     if n < 2:
         raise ValueError("need at least 2 leaves, got %d" % n)
@@ -316,7 +297,7 @@ def random_pair(n, seed=0, mode="uniform", k=None):
             for _attempt in range(_SPR_ATTEMPTS):
                 if _spr_move(parent, left, right, size, top, rng):
                     break
-        t2 = _post_order_tree(
+        t2 = RootedBinaryTree(
             _post_order_names(left, right, t1.labels, left[top]))
     return TreePair(t1, t2)
 

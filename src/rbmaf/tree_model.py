@@ -3,13 +3,16 @@
 A tree is stored as parallel arrays indexed by node id.  Ids follow a
 left-to-right post-order walk, so every child id is smaller than its
 parent id, the root is the largest id, and the subtree of node ``v`` is
-exactly the contiguous id range ``[subtree_min[v], v]``.  Leaves carry
-string labels; internal labels and branch lengths in Newick input are
-parsed and discarded.  One reader loop takes the text's parentheses,
-commas and labels in one pass and can graft the shared root leaf
-``rho`` as it reads; plain text, with no whitespace, branch length or
-other decoration, is cut into those pieces by ``str.split``, any other
-text once at its parentheses and commas.  Lowest common ancestors
+exactly the contiguous id range ``[subtree_min[v], v]``.  Only
+:class:`RootedBinaryTree` derives the arrays, from the labels in that
+order (``None`` on internal nodes), which is all that the reader, the
+``rho`` graft and the generators hand it.  Leaves carry string labels;
+internal labels and branch lengths in Newick input are parsed and
+discarded.  One reader loop takes the text's parentheses, commas and
+labels in one pass and can graft the shared root leaf ``rho`` as it
+reads; plain text, with no whitespace, branch length or other
+decoration, is cut into those pieces by ``str.split``, any other text
+once at its parentheses and commas.  Lowest common ancestors
 climb parent links until the climbs of one tree have taken as many
 steps as it has nodes; after that they are range-minimum queries on
 depth over the ids themselves (Bender and Farach-Colton, "The LCA
@@ -77,7 +80,8 @@ class OracleCapError(ValueError):
 
 
 class RootedBinaryTree:
-    """A rooted, strictly binary tree over labeled leaves.
+    """A rooted, strictly binary tree over labeled leaves, built from its
+    left-to-right post-order labels, ``None`` on internal nodes.
 
     Attributes
     ----------
@@ -100,40 +104,58 @@ class RootedBinaryTree:
 
     __slots__ = (
         "n_nodes", "n_leaves", "root", "parent", "left", "right",
-        "labels", "depth", "subtree_min", "leaf_ids", "_min_label",
-        "_sparse", "_walked",
+        "labels", "depth", "subtree_min", "leaf_ids", "_sparse", "_walked",
     )
 
-    def __init__(self, parent, left, right, labels):
-        n = len(parent)
-        if n == 0:
-            raise NewickError("empty tree")
+    def __init__(self, labels):
+        """One stack pass derives the node arrays, leaf ids and subtree
+        minima: a leaf opens a subtree, an internal node closes the last
+        two open ones."""
+        n = len(labels)
+        parent = [-1] * n
+        left = [-1] * n
+        right = [-1] * n
+        smin = list(range(n))
+        leaves = []
+        kids = []  # roots of the finished subtrees still waiting for a parent
+        for v, name in enumerate(labels):
+            if name is None:
+                if len(kids) < 2:
+                    raise NewickError(
+                        "internal node with %d children, need exactly 2"
+                        % len(kids))
+                r = kids.pop()
+                l = kids[-1]
+                kids[-1] = v
+                left[v] = l
+                right[v] = r
+                parent[l] = parent[r] = v
+                smin[v] = smin[l]
+            else:
+                leaves.append(v)
+                kids.append(v)
+        if len(kids) != 1:
+            raise NewickError("expected a single root")
         self.n_nodes = n
         self.root = n - 1
         self.parent = parent
         self.left = left
         self.right = right
         self.labels = labels
-        self.leaf_ids = leaves = [v for v in range(n) if left[v] < 0]
+        self.leaf_ids = leaves
         self.n_leaves = len(leaves)
-        # One set tells whether any label is missing or repeated; only
+        self.subtree_min = smin
+        # One set tells whether any label is empty or repeated; only
         # then does the walk in id order name the first offender.
         names = set(map(labels.__getitem__, leaves))
-        if len(names) != len(leaves) or "" in names or None in names:
-            _check_labels(labels, leaves)
+        if len(names) != len(leaves) or "" in names:
+            _check_labels(map(labels.__getitem__, leaves))
 
         depth = [0] * n
         for v in range(n - 2, -1, -1):
             depth[v] = depth[parent[v]] + 1
         self.depth = depth
 
-        smin = list(range(n))
-        for v in range(n):
-            if left[v] >= 0:
-                smin[v] = smin[left[v]]
-        self.subtree_min = smin
-
-        self._min_label = None
         self._sparse = None
         self._walked = 0
 
@@ -197,27 +219,12 @@ class RootedBinaryTree:
         hi = bisect_left(ids, v + 1)
         return ids[lo:hi]
 
-    def min_labels(self):
-        """Smallest leaf label in each node's subtree (cached)."""
-        if self._min_label is None:
-            ml = [None] * self.n_nodes
-            left, right, labels = self.left, self.right, self.labels
-            for v in range(self.n_nodes):
-                if left[v] < 0:
-                    ml[v] = labels[v]
-                else:
-                    a, b = ml[left[v]], ml[right[v]]
-                    ml[v] = a if a <= b else b
-            self._min_label = ml
-        return self._min_label
-
-    def to_newick(self, canonical=False):
-        """Serialize; canonical mode orders children by smallest leaf label.
+    def to_newick(self):
+        """Serialize, children left to right.
 
         A walk down from the root writes each label and bracket once into
         one list, joined at the end, so the time is linear in the text.
         """
-        ml = self.min_labels() if canonical else None
         left, right, labels = self.left, self.right, self.labels
         pieces = []
         # A string on the stack is text to write, an int a node to visit.
@@ -231,11 +238,8 @@ class RootedBinaryTree:
             if l < 0:
                 pieces.append(labels[v])
                 continue
-            r = right[v]
-            if canonical and ml[r] < ml[l]:
-                l, r = r, l
             pieces.append("(")
-            stack += (")", r, ",", l)
+            stack += (")", right[v], ",", l)
         pieces.append(";")
         return "".join(pieces)
 
@@ -244,25 +248,19 @@ class RootedBinaryTree:
 
         The ids are the ones ``parse_newick`` gives ``(label,<this
         tree>);``: the new leaf is 0, every old id moves up by one and
-        the new root comes last.  For ``rho`` these are also the arrays
+        the new root comes last.  For ``rho`` this is also the tree
         ``parse_newick(text, add_rho=True)`` reads from this tree's text.
         """
         if label in self.labels:
             raise NewickError("label %r already present" % label)
-        root = self.n_nodes + 1
-        return RootedBinaryTree(
-            [root] + [root if p < 0 else p + 1 for p in self.parent] + [-1],
-            [-1] + [v + 1 if v >= 0 else -1 for v in self.left] + [0],
-            [-1] + [v + 1 if v >= 0 else -1 for v in self.right]
-            + [self.n_nodes],
-            [label] + self.labels + [None])
+        return RootedBinaryTree([label] + self.labels + [None])
 
 
-def _check_labels(labels, leaves):
-    """Raise on the first leaf id without a label or with a repeated one."""
+def _check_labels(names):
+    """Raise on the first leaf label, in id order, that is empty or
+    repeated."""
     seen = set()
-    for v in leaves:
-        lab = labels[v]
+    for lab in names:
         if not lab:
             raise NewickError("leaf without a label")
         if lab in seen:
@@ -289,12 +287,12 @@ def parse_newick(text, add_rho=False):
     out, and each other piece is one label.  Any other text is split
     at its parentheses and commas; a piece between them that holds
     none of those characters is one label, and any other piece is read
-    token by token.  A leaf gets its post-order id when it appears, an
-    internal node when its ``)`` closes.  With ``add_rho`` the tree is
-    the one :meth:`RootedBinaryTree.with_root_sibling` grafts for
-    ``rho``: the reader starts with that leaf as node 0 and closes the
-    new root at the end, and offsets in messages stay those of
-    ``text``.
+    token by token.  The loop lists the labels in post-order, a leaf's
+    when it appears and ``None`` when a ``)`` closes, for
+    :class:`RootedBinaryTree` to build the tree from.  With ``add_rho``
+    the list starts with ``rho`` and ends with the new root, the tree
+    :meth:`RootedBinaryTree.with_root_sibling` grafts; offsets in
+    messages stay those of ``text``.
     """
     # Leading whitespace stays, as a piece that reads as no label, so
     # that offsets count from the start of ``text``.
@@ -310,19 +308,16 @@ def parse_newick(text, add_rho=False):
             ")", " ) ").split()
     else:
         pieces = _split(s)  # text at even indices, "(", ")" or "," at odd
-    if add_rho:
-        parent, left, right, labels = [-1], [-1], [-1], [RHO_LABEL]
-    else:
-        parent, left, right, labels = [], [], [], []
-    kids = []  # the open nodes' finished children in turn, then the roots
-    starts = []  # where each open node's children start in kids
+    labels = [RHO_LABEL] if add_rho else []
+    kids = 0  # finished subtrees still waiting for a parent
+    starts = []  # kids when each open node opened
     prev = _OPEN
     for i, p in enumerate(pieces):
         if p == "(":
             if prev is _ITEM and starts:
                 raise NewickError(
                     "expected ',' at offset %d" % _offset(pieces, i))
-            starts.append(len(kids))
+            starts.append(kids)
             prev = _OPEN
         elif p == ",":
             if not starts:
@@ -335,21 +330,14 @@ def parse_newick(text, add_rho=False):
         elif p == ")":
             if not starts:
                 raise NewickError("unbalanced ')'")
-            k = len(kids) - starts.pop()
+            k = kids - starts.pop()
             if k != 2:
                 raise NewickError(
                     "internal node with %d children, need exactly 2" % k)
             if prev is _COMMA:
                 raise NewickError(
                     "expected a leaf label at offset %d" % _offset(pieces, i))
-            v = len(parent)
-            r = kids.pop()
-            l = kids[-1]
-            kids[-1] = v
-            parent[l] = parent[r] = v
-            parent.append(-1)
-            left.append(l)
-            right.append(r)
+            kids -= 1
             labels.append(None)
             prev = _ITEM
         elif plain or not p or _special(p) is None:
@@ -357,38 +345,27 @@ def parse_newick(text, add_rho=False):
             # leaves prev at a node: a piece after it is that node's
             # internal label.
             if p and prev is not _ITEM:
-                kids.append(len(parent))
-                parent.append(-1)
-                left.append(-1)
-                right.append(-1)
+                kids += 1
                 labels.append(p)
                 prev = _ITEM
         else:
             for name in _piece_labels(pieces, i, bool(starts)):
-                kids.append(len(parent))
-                parent.append(-1)
-                left.append(-1)
-                right.append(-1)
+                kids += 1
                 labels.append(name)
                 prev = _ITEM
     if starts:
         raise NewickError("unbalanced '('")
-    if len(kids) != 1:
+    if kids != 1:
         raise NewickError("expected a single root")
     if not add_rho:
-        return RootedBinaryTree(parent, left, right, labels)
-    v = len(parent)
-    parent[0] = parent[kids[0]] = v
-    parent.append(-1)
-    left.append(0)
-    right.append(kids[0])
+        return RootedBinaryTree(labels)
     labels.append(None)
     try:
-        return RootedBinaryTree(parent, left, right, labels)
+        return RootedBinaryTree(labels)
     except NewickError:
         pass
     # The text's own label errors come first, as when it is read alone.
-    _check_labels(labels, [u for u in range(1, v) if left[u] < 0])
+    _check_labels(lab for lab in labels[1:] if lab is not None)
     raise _LabelClash("label %r already present" % RHO_LABEL)
 
 

@@ -640,24 +640,27 @@ def naive_render_lp_text(model):
 def naive_to_newick(tree, canonical=False):
     """Newick text of a tree, built bottom-up with each internal node's
     text formatted from its children's, so a label is copied once per
-    ancestor."""
+    ancestor.  Canonical text puts first the child whose subtree holds
+    the smaller least label, so it names the topology alone."""
     parts = [None] * tree.n_nodes
-    ml = tree.min_labels() if canonical else None
+    least = [None] * tree.n_nodes  # least leaf label in each subtree
     for v in range(tree.n_nodes):
         l = tree.left[v]
         if l < 0:
-            parts[v] = tree.labels[v]
+            parts[v] = least[v] = tree.labels[v]
         else:
             r = tree.right[v]
-            if canonical and ml[r] < ml[l]:
+            if canonical and least[r] < least[l]:
                 l, r = r, l
             parts[v] = "(%s,%s)" % (parts[l], parts[r])
+            least[v] = least[l] if least[l] < least[r] else least[r]
     return parts[tree.root] + ";"
 
 
 def naive_parse_newick(text):
     """Character-loop Newick reader into nested tuples, then a second
-    walk that gives post-order ids.
+    walk that gives post-order ids and builds the node arrays, which
+    :class:`RootedBinaryTree` must derive alike from the labels alone.
 
     It counts whitespace as a separator and skips empty children, so
     ``(a b)`` and ``(a,,b)`` read as ``(a,b)``; :func:`parse_newick`
@@ -750,7 +753,9 @@ def naive_parse_newick(text):
         work.pop()
         if work:
             work[-1][1].append(nid)
-    return RootedBinaryTree(parent, left, right, labels)
+    tree = RootedBinaryTree(labels)
+    assert (tree.parent, tree.left, tree.right) == (parent, left, right)
+    return tree
 
 
 # ----------------------------------------------------------------------

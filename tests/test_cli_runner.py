@@ -21,6 +21,7 @@ import rbmaf
 from rbmaf import (
     InvariantError,
     OracleCapError,
+    RootedBinaryTree,
     RunReport,
     cli_runner,
     corpus,
@@ -35,7 +36,6 @@ from rbmaf.cli_runner import (
     BENCH_LEAF_CAP,
     GENERATED_LEAF_CAP,
     _post_order_names,
-    _post_order_tree,
     _pre_order_node,
     _spr_move,
     _uniform_tree,
@@ -102,8 +102,11 @@ def test_random_pair_deterministic():
     assert a.t1.to_newick() == b.t1.to_newick()
     assert a.t2.to_newick() == b.t2.to_newick()
     c = random_pair(8, seed=6)
-    assert (a.t1.to_newick(canonical=True), a.t2.to_newick(canonical=True)) \
-        != (c.t1.to_newick(canonical=True), c.t2.to_newick(canonical=True))
+
+    def shapes(pair):
+        return [naive.naive_to_newick(t, canonical=True)
+                for t in (pair.t1, pair.t2)]
+    assert shapes(a) != shapes(c)
 
 
 def test_random_pair_labels():
@@ -113,15 +116,15 @@ def test_random_pair_labels():
 
 
 def test_uniform_covers_all_three_leaf_shapes():
-    shapes = {random_pair(3, seed=s).t1.to_newick(canonical=True)
+    shapes = {naive.naive_to_newick(random_pair(3, seed=s).t1, canonical=True)
               for s in range(40)}
     assert len(shapes) == 3
 
 
 def test_krspr_zero_moves_is_identity():
     pair = random_pair(7, seed=9, mode="k_rspr", k=0)
-    assert pair.t1.to_newick(canonical=True) == \
-        pair.t2.to_newick(canonical=True)
+    assert naive.naive_to_newick(pair.t1, canonical=True) == \
+        naive.naive_to_newick(pair.t2, canonical=True)
 
 
 def test_krspr_distance_within_k():
@@ -269,7 +272,7 @@ def test_spr_noop_iff_sibling():
                     text = _text(after) + ";"
                     assert naive.naive_arrays_newick(
                         left, right, tree.labels, root) == text
-                    assert _post_order_tree(_post_order_names(
+                    assert RootedBinaryTree(_post_order_names(
                         left, right, tree.labels, root)).to_newick() == text
     assert trees == 1 + 3 + 15 + 105 + 945
 
@@ -281,7 +284,7 @@ _TREE_FIELDS = ("parent", "left", "right", "labels", "depth",
 def _assert_tree_matches_text(left, right, labels, root):
     """The tree arrays renumbered from the edited arrays equal those
     parsed from their Newick text."""
-    built = _post_order_tree(_post_order_names(left, right, labels, root))
+    built = RootedBinaryTree(_post_order_names(left, right, labels, root))
     parsed = tree_model.parse_newick(
         naive.naive_arrays_newick(left, right, labels, root))
     for name in _TREE_FIELDS:
@@ -314,6 +317,21 @@ def test_size_indexed_draws_match_walk():
                     assert size[node] == len(
                         naive.naive_subtree_nodes(left, right, node))
                 _spr_move(parent, left, right, size, tree.n_nodes, rng)
+
+
+def test_size_lookup_raises_on_a_wrong_size():
+    """With the root's size raised by 3, the three indices past the
+    tree carry the walk past a leaf, and it raises instead of stepping
+    on from there."""
+    for seed in range(5):
+        tree = _uniform_tree(["L%d" % (i + 1) for i in range(40)],
+                             random.Random(seed))
+        _, left, right, size = _editable(tree)
+        root = tree.root
+        size[root] += 3
+        for i in range(size[root] - 3, size[root]):
+            with pytest.raises(InvariantError, match="past the subtree"):
+                _pre_order_node(left, right, size, root, i)
 
 
 def test_sizes_track_every_move():

@@ -42,8 +42,6 @@ def test_postorder_layout_by_hand():
     assert t.depth == [2, 2, 1, 1, 0]
     assert t.subtree_min == [0, 1, 0, 3, 0]
     assert t.leaf_ids == [0, 1, 3]
-    with pytest.raises(NewickError, match="empty tree"):
-        RootedBinaryTree([], [], [], [])
 
 
 def test_newick_roundtrip_preserves_shape():
@@ -51,15 +49,9 @@ def test_newick_roundtrip_preserves_shape():
     assert parse_newick(text).to_newick() == text
 
 
-def test_canonical_newick_is_order_insensitive():
-    a = parse_newick("((b,a),c);").to_newick(canonical=True)
-    b = parse_newick("(c,(a,b));").to_newick(canonical=True)
-    assert a == b == "((a,b),c);"
-
-
 def test_writer_matches_naive():
-    """Plain and canonical text of corpus trees and of 300-leaf uniform
-    and k-rSPR trees, with and without the shared root leaf."""
+    """The text of corpus trees and of 300-leaf uniform and k-rSPR
+    trees, with and without the shared root leaf."""
     pairs = [pair for n in range(3, 13) for _, pair in corpus(n, 25)]
     for seed in range(3):
         for mode in ("uniform", "k_rspr"):
@@ -67,9 +59,7 @@ def test_writer_matches_naive():
             pairs += [pair, make_pair(pair.t1, pair.t2, add_rho=True)]
     for pair in pairs:
         for tree in (pair.t1, pair.t2):
-            for canonical in (False, True):
-                assert tree.to_newick(canonical) == \
-                    naive.naive_to_newick(tree, canonical)
+            assert tree.to_newick() == naive.naive_to_newick(tree)
 
 
 BAD_NEWICK = {
@@ -441,22 +431,30 @@ def test_reader_matches_naive_under_single_edits_of_plain_text():
     assert min(outcomes["error"], outcomes["tree"]) > edits // 10
 
 
-# Arrays of ((a,b),(c,d)) with leaves 0, 1, 3 and 4.
-_FOUR_LEAVES = ([2, 2, 6, 5, 5, 6, -1], [-1, -1, 0, -1, -1, 3, 2],
-                [-1, -1, 1, -1, -1, 4, 5])
-
-
 @pytest.mark.parametrize("leaf_labels, message", [
     (["a", "", "c", "d"], "leaf without a label"),
-    (["a", "b", None, "d"], "leaf without a label"),
+    (["a", "b", "", ""], "leaf without a label"),
     (["a", "b", "b", "a"], "duplicate leaf label 'b'"),
     (["a", "a", "", "d"], "duplicate leaf label 'a'"),
     (["a", "", "a", "d"], "leaf without a label"),
 ])
 def test_constructor_names_the_first_bad_label_in_id_order(leaf_labels, message):
+    """The leaves of ((a,b),(c,d)) carry these labels."""
     a, b, c, d = leaf_labels
     with pytest.raises(NewickError) as info:
-        RootedBinaryTree(*_FOUR_LEAVES, [a, b, None, c, d, None, None])
+        RootedBinaryTree([a, b, None, c, d, None, None])
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([], "expected a single root"),
+    ([None], "internal node with 0 children, need exactly 2"),
+    (["a", None], "internal node with 1 children, need exactly 2"),
+    (["a", "b"], "expected a single root"),
+])
+def test_constructor_rejects_a_list_that_is_no_tree(labels, message):
+    with pytest.raises(NewickError) as info:
+        RootedBinaryTree(labels)
     assert str(info.value) == message
 
 
