@@ -44,6 +44,9 @@ from .tree_model import (
 )
 
 EXACT_CAP = 10
+# Largest cap exact_maf takes: uniform pairs took 0.08-0.12 s at 24
+# leaves, 0.23-0.37 s at 26 and 0.30-1.1 s at 28 (x86-64, Python 3.11).
+EXACT_CEILING = 24
 _SPR_ATTEMPTS = 64
 # Largest leaf count random_pair generates.  At this cap one pair peaks
 # at about 0.9 KB per leaf (424 MB uniform, 445 MB k-rSPR with k = 20,
@@ -70,14 +73,15 @@ def exact_maf(pair, partition_cap=None):
     search, less the block's own: a leaf joins a block when its path to
     the block's first leaf misses them in both trees.  Branches already
     using at least the best known number of blocks are cut.  Refuses
-    more than ``partition_cap`` leaves (default 10) and a cap below 1;
-    a cap above the default warns.
+    more than ``partition_cap`` leaves (default 10), a cap below 1 and
+    a cap above :data:`EXACT_CEILING`; a cap above the default warns.
     """
     cap = EXACT_CAP if partition_cap is None else partition_cap
     if cap < 1:
         raise OracleCapError(
             "exact search cap must be at least 1 leaf (default %d), got %d "
             "for an instance with %d leaves" % (EXACT_CAP, cap, pair.n))
+    _check_exact_ceiling(cap)
     if cap > EXACT_CAP:
         warnings.warn(
             "exact search allowed up to %d leaves; the partition count "
@@ -121,6 +125,12 @@ def exact_maf(pair, partition_cap=None):
 
     grow(0, 0, 0)
     return best
+
+
+def _check_exact_ceiling(cap):
+    if cap > EXACT_CEILING:
+        raise OracleCapError("exact search caps stop at EXACT_CEILING = %d "
+                             "leaves, got %d" % (EXACT_CEILING, cap))
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +289,8 @@ def random_pair(n, seed=0, mode="uniform", k=None):
         if k is None or k < 0:
             raise ValueError("k_rspr mode needs k >= 0")
         if k >= n:
-            raise ValueError("k must stay below the leaf count")
+            raise ValueError("k must stay below the leaf count n = %d, "
+                             "got %d" % (n, k))
     elif mode != "uniform":
         raise ValueError("unknown mode %r" % mode)
     name = "L%%0%dd" % len(str(n))
@@ -528,6 +539,7 @@ def _cmd_fuzz(args):
     """
     if args.iters < 1:
         raise ValueError("fuzz needs --iters >= 1, got %d" % args.iters)
+    _check_exact_ceiling(args.exact_cap)
     want_exact = args.n <= args.exact_cap
     verify = want_exact and args.n <= ENUMERATION_CAP
     failures = []

@@ -4,12 +4,12 @@ The deleted-edge set over the second tree is the authoritative state
 while the refinement loop runs: every component is the leaf set of one
 tree of the forest obtained by removing the deleted edges, and the
 number of deleted edges always equals the number of components minus
-one.  The merge phase at the very end is one call that unions
-component leaf sets and then re-cuts the forest in place into the
-canonical cut set that realizes them (cut above each component's lca
-in the second tree, except for one shallowest component that keeps the
-original root), writing only what the unions and the moved roots
-change.
+one.  The merge phase at the very end is one call that plans unions of
+component leaf sets, checks that the canonical cut set realizes them
+(cut above each component's lca in the second tree, except for one
+shallowest component that keeps the original root), and only then
+re-cuts the forest in place, writing only what the unions and the
+moved roots change: a refused merge changes nothing.
 
 Every leaf maps to the root of its forest tree (``leaf_root``) and
 ``root_comp`` names the block of each root, so a split writes
@@ -64,7 +64,7 @@ class Component:
     when the iteration that created this one started (it is read only
     while that iteration runs).  ``leaves`` is a set and ``size`` is
     its length: a block's leaves never change, a split hands its set on
-    to the new block that keeps its root, and a merge the larger block's
+    to the new block that keeps its root, and a merge its key part's
     set.  A block carries no color: ``Partition.meets`` records the
     colored ones.
     """
@@ -587,61 +587,55 @@ class Partition:
     # merging
 
     def merge(self, pairs):
-        """Union the two components containing each pair of leaves, in
-        order, then re-cut the forest in place with ``canonicalize_cuts``
-        and hand the saved sweep the first-tree seeds of what changed.
+        """Union the two blocks containing each pair of leaves, in order,
+        then re-cut the forest in place with ``canonicalize_cuts`` and
+        hand the saved sweep the seeds of what changed.
 
-        Until the re-cut a merged block has no forest tree: the smaller
-        block's leaves map to the larger one's root, its key, which
-        names the merged block, and join the larger one's leaf set,
-        which the merged block takes over.  Each merged block keeps the
-        list of its parts, the blocks before the call, as (root, size,
-        leaf) triples, and the list of the leaf sets pointed at its key.
+        The unions are planned over the blocks as they are, and nothing
+        is written before every check has passed, so a refused merge
+        raises with the partition unchanged.  Each union takes the next
+        id, and a merged block the id of its last union.  Its parts are
+        the blocks it unions, key part first: the key side of a union
+        is the larger one (the first on a tie), and the merged block
+        keeps its key part's leaf set, which the other parts join.
         """
-        comps, leaf_root = self.comps, self.leaf_root
-        first = self.next_id
-        parts, moved = {}, {}
+        first = cid = self.next_id
+        plan = {}  # part id -> [id, size, parts] of its merged block
         for x1, x2 in pairs:
-            a = self.component_of_leaf(x1)
-            b = self.component_of_leaf(x2)
-            if a.id == b.id:
+            a, b = map(self.component_of_leaf, (x1, x2))
+            a = plan.setdefault(a.id, [a.id, a.size, [a]])
+            b = plan.setdefault(b.id, [b.id, b.size, [b]])
+            if a is b:
                 raise InvariantError("merge pair already shares a component")
-            if a.size < b.size:
+            if a[1] < b[1]:
                 a, b = b, a
-            pa = parts.pop(a.id, None) or [(a.root2, a.size, next(iter(a.leaves)))]
-            pa += parts.pop(b.id, None) or [(b.root2, b.size, next(iter(b.leaves)))]
-            ma = moved.pop(a.id, None) or []
-            moved.pop(b.id, None)
-            ma.append(b.leaves)
-            key = a.root2
-            for x in b.leaves:
-                leaf_root[x] = key
-            a.leaves |= b.leaves
-            del comps[a.id]
-            del comps[b.id]
-            cid = self.next_id
-            self.next_id += 1
-            comps[cid] = Component(cid, a.leaves, key, -1)
-            self.root_comp[key] = cid
-            parts[cid], moved[cid] = pa, ma
-        fresh, grown = self.canonicalize_cuts(parts, moved)
+            a[0], a[1] = cid, a[1] + b[1]
+            a[2] += b[2]
+            cid += 1
+            for p in b[2]:
+                plan[p.id] = a
+        merged = dict(sorted({m[0]: m[2] for m in plan.values()}.items()))
+        seeds, old, new = self.canonicalize_cuts(merged)
+        self.next_id = cid
         if self.sweep is not None:
-            self.sweep.merged(self, first, fresh, grown)
+            self.sweep.merged(self, first, seeds, old, new)
 
-    def canonicalize_cuts(self, parts, moved):
+    def canonicalize_cuts(self, merged):
         """Re-cut the forest in place into the canonical one of its
-        blocks: each block cut above its lca in the second tree, except
-        one of least lca depth (then least lca, then least id), which
-        keeps the root.
+        blocks once the blocks ``merged`` maps from their ids to their
+        parts (key part first, see ``merge``) replace those parts: each
+        block cut above its lca in the second tree, except one of least
+        lca depth (then least lca, then least id), which keeps the root.
 
-        ``parts`` and ``moved`` come from ``merge``: every other block
-        is a tree of the forest, whose lca is its meeting node, and a
-        merged block's lca is the lca of its parts' meeting nodes.  Two
-        blocks cut at one lca raise, as do blocks whose spans in the
-        second tree share a node: the spans of the forest's trees are
-        disjoint, so only a merged block's join paths, from its parts'
-        meeting nodes up to its lca, can meet another block's span,
-        which ``cover`` shows, or another join path.
+        Every check reads the partition as it was, before any write.
+        Every block that is no part is a tree of the forest, whose lca
+        is its meeting node, and a merged block's lca is the lca of its
+        parts' meeting nodes.  Two blocks cut at one lca raise, as do
+        blocks whose spans in the second tree share a node: the spans
+        of the forest's trees are disjoint, so only a merged block's
+        join paths, from its parts' meeting nodes up to its lca, can
+        meet another block's span, which ``cover`` shows, or another
+        join path.
 
         Then only what changes is written.  A block changes when it is
         merged or its root moves; the edges above the changed blocks'
@@ -652,42 +646,33 @@ class Partition:
         gives it a block's leaves.  Join paths are covered by their
         merged block.  A block's span, up to its lca, takes its new root
         in ``cover`` and ``leaf_root`` when the root moves; a merged
-        block that keeps its key, the root of the part it grew from (the
-        larger block at each union), writes only the leaves it moved
-        there.  Returns what ``merge`` hands the sweep: the leaf sets
-        whose root is new, and per merged block that kept its key the
-        key part's size and one of its leaves with the moved leaf sets.
+        block that keeps its key part's root writes only its other
+        parts' leaves there.  Returns what ``merge`` hands the sweep:
+        the leaf sets whose root changed, plus one leaf of each merged
+        block that kept its key part's root, then the changed blocks'
+        old roots and their new roots.
         """
         t2 = self.pair.t2
         depth, parent, top = t2.depth, t2.parent, t2.root
         left, right = t2.left, t2.right
         comps, cut, live, cover = self.comps, self.cut, self.live, self.cover
+        gone = {p.id for parts in merged.values() for p in parts}
         anchor, part_meets = {}, {}
-        least = None
         for cid, c in comps.items():
-            ps = parts.get(cid)
-            if ps is None:
-                a = self.meeting_path(c.root2, c.size)[-1]
-            else:
-                ms = part_meets[cid] = [self.meeting_path(r, s)[-1]
-                                        for r, s, _ in ps]
-                a = t2.lca(min(ms), max(ms))
-            anchor[cid] = a
-            if least is None or (depth[a], a) < least[:2]:
-                least = depth[a], a, cid
-        keep = least[2]
-        if len(set(anchor.values())) < len(anchor):
-            seen = set()
-            for cid in comps:
-                if cid != keep:
-                    if anchor[cid] in seen:
-                        raise InvariantError(
-                            "two components share a lca in the second tree")
-                    seen.add(anchor[cid])
+            if cid not in gone:
+                anchor[cid] = self.meeting_path(c.root2, c.size)[-1]
+        for cid, parts in merged.items():
+            ms = part_meets[cid] = [self.meeting_path(p.root2, p.size)[-1]
+                                    for p in parts]
+            anchor[cid] = t2.lca(min(ms), max(ms))
+        keep = min(anchor, key=lambda cid: (depth[anchor[cid]], anchor[cid]))
+        cuts = [a for cid, a in anchor.items() if cid != keep]
+        if len(set(cuts)) < len(cuts):
+            raise InvariantError("two components share a lca in the second tree")
         joins = {}
         for cid, ms in part_meets.items():
             p = anchor[cid]
-            own = {r for r, _, _ in parts[cid]}
+            own = {q.root2 for q in merged[cid]}
             for v in ms:
                 while v != p:
                     v = parent[v]
@@ -701,20 +686,22 @@ class Partition:
                             "the second tree")
                     joins[v] = cid
 
-        changed = []  # (block, new root, old roots)
-        for cid, c in comps.items():
-            r = top if cid == keep else anchor[cid]
-            if cid in parts:
-                changed.append((c, r, [q for q, _, _ in parts[cid]]))
-            elif r != c.root2:
-                changed.append((c, r, [c.root2]))
-        new = {r for _, r, _ in changed}
+        changed = []  # (block id, parts, new root)
+        for cid, a in anchor.items():
+            r = top if cid == keep else a
+            if cid in merged:
+                changed.append((cid, merged[cid], r))
+            elif r != comps[cid].root2:
+                changed.append((cid, (comps[cid],), r))
+        old = [p.root2 for _, parts, _ in changed for p in parts]
+        new = {r for _, _, r in changed}
         touched = {}  # node -> root of its tree, or -1 for no leaves
         for r in new:
             if r != top and not cut[r]:
                 self._toggle(r, True, -1, touched)
-        for _, r, olds in changed:
-            for q in olds:
+        for _, parts, r in changed:
+            for p in parts:
+                q = p.root2
                 if q != top and q not in new:
                     self._toggle(q, False, r, touched)
         for v, r in touched.items():
@@ -727,28 +714,35 @@ class Partition:
             cover[v] = r if lv and (lv < live[r] or both) else -1
 
         root_comp, leaf_root = self.root_comp, self.leaf_root
-        for _, _, olds in changed:
-            for q in olds:
-                root_comp.pop(q, None)
-        fresh, grown, spans = [], [], []
-        for c, r, _ in changed:
-            root_comp[r] = c.id
-            if c.id in parts and r == c.root2:
-                size, x = next((s, x) for q, s, x in parts[c.id] if q == r)
-                grown.append((size, x, moved[c.id]))
-                spans.append((moved[c.id], r, anchor[c.id]))
+        for q in old:
+            del root_comp[q]
+        seeds, spans = [], []
+        for cid, parts, r in changed:
+            key, rest = parts[0], parts[1:]
+            if r == key.root2:  # merged on its key part's root
+                sets = [p.leaves for p in rest]
+                seeds.append((next(iter(key.leaves)),))
             else:
-                c.root2 = r
-                for x in c.leaves:
+                sets = [key.leaves]  # the whole block, once merged
+            key.root2 = r
+            for p in rest:
+                key.leaves |= p.leaves
+                del comps[p.id]
+            if rest:
+                del comps[key.id]
+                comps[cid] = Component(cid, key.leaves, r, -1)
+            root_comp[r] = cid
+            for leaves in sets:
+                for x in leaves:
                     leaf_root[x] = r
-                fresh.append(c.leaves)
-                spans.append(([c.leaves], r, anchor[c.id]))
+            seeds += sets
+            spans.append((sets, r, anchor[cid]))
         for v, cid in joins.items():
             cover[v] = comps[cid].root2
-        for leaf_sets, r, lca in spans:
-            self._cover_span(leaf_sets, r, lca)
+        for sets, r, lca in spans:
+            self._cover_span(sets, r, lca)
         self.refresh_annotations(None)
-        return fresh, grown
+        return seeds, old, new
 
     def _toggle(self, u, on, root, touched):
         """Cut (``on``) or restore the edge above ``u``: its live count

@@ -722,8 +722,8 @@ def wu_gap_instance(k):
         raise ValueError("k must be even and at least 2")
     if k > WU_GAP_MAX_ORDER:
         raise ValueError(
-            "gap family order %d exceeds the limit WU_GAP_MAX_ORDER = %d "
-            "(2^%d leaves)" % (k, WU_GAP_MAX_ORDER, WU_GAP_MAX_ORDER))
+            "gap family order is capped at WU_GAP_MAX_ORDER = %d (2^%d "
+            "leaves), got %d" % (WU_GAP_MAX_ORDER, WU_GAP_MAX_ORDER, k))
     return pair_from_newick(_complete_tree_newick(k, False),
                             _complete_tree_newick(k, True))
 

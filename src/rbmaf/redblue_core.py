@@ -155,35 +155,25 @@ class _Sweep:
         self.next_id = partition.next_id
         self.seeds = []
 
-    def merged(self, partition, first, fresh, grown):
+    def merged(self, partition, first, seeds, old, new):
         """Take the seeds of a merge that created the blocks from id
         ``first`` on (see ``Partition.canonicalize_cuts``), or drop the
         state when splits since the last call left seeds ``_resume``
         has not read yet.
 
-        Seeds: each leaf of ``fresh``, whose roots are new; and for each
-        block that kept a seen root but grew, each leaf it gained and
-        the node where its key part's restriction completed, found by a
-        walk up from one of that part's leaves to the first entry
-        whose size reaches the part's (nodes from ``stop`` on are swept
-        anyway).  ``roots`` becomes the roots of the merged forest.
+        The seeds are the first-tree nodes of the leaves in ``seeds``,
+        a list of leaf collections.  The changed blocks' ``old`` roots
+        leave ``roots`` and their ``new`` ones join it: an old root kept
+        there would let a later cut at it pass as a kept root.
         """
         if self.next_id != first:
             partition.sweep = None
             return
-        pair = partition.pair
-        leaf_node1, parent1 = pair.leaf_node1, pair.t1.parent
-        csize, stop, seeds = self.csize, self.stop, self.seeds
-        for leaves in fresh:
-            seeds.extend(map(leaf_node1.__getitem__, leaves))
-        for size, x, moved in grown:
-            for leaves in moved:
-                seeds.extend(map(leaf_node1.__getitem__, leaves))
-            v = leaf_node1[x]
-            while v < stop and csize[v] < size:
-                v = parent1[v]
-            seeds.append(v)
-        self.roots = {c.root2 for c in partition.comps.values()}
+        leaf_node1 = partition.pair.leaf_node1
+        for leaves in seeds:
+            self.seeds.extend(map(leaf_node1.__getitem__, leaves))
+        self.roots.difference_update(old)
+        self.roots.update(new)
         self.next_id = partition.next_id
 
 
@@ -195,9 +185,9 @@ def _resume(partition, sweep):
     are exactly those created since.  Seeds: every leaf of a block with
     a root the sweep has not seen, and for a block that kept a seen
     root, the nodes that joined two children of it at its new meeting
-    node ``m``; a merge hands over its own (``_Sweep.merged``) and
-    moves ``next_id`` past its blocks.  The answer is the seeds'
-    ancestors.
+    node ``m``; a merge hands over its own seed list
+    (``_Sweep.merged``) and moves ``next_id`` past its blocks.  The
+    answer is the seeds' ancestors.
 
     A block that kept a seen root has shrunk, with no size test: every
     split detaches at least one leaf, since ``split_below`` refuses an
@@ -211,20 +201,25 @@ def _resume(partition, sweep):
     parent, which compares its size with the block's current size,
     ``live`` at its root.
 
-    A merged block M that keeps the root of its key part Y, the block
-    it grew from, has grown instead.  Its other leaves are seeds, so an unseeded node
-    with a leaf of M below it has only Y's leaves below: its entry
-    (root, size, meet) is still right.  Y's restriction was complete
-    only at the seeded node where it completed and above, so every
-    unseeded entry of Y was incomplete, and is still, M being larger.
-    Condition "c" there needs ``live[p] == |M|`` at its meet ``p``;
-    but ``live[p]`` was below ``|Y|``, or "c" had fired, and grew by at
-    most the ``|M| - |Y|`` leaves gained, so it stays below ``|M|``.
-    Every block whose root moved has all its leaves seeded, and every
-    other block keeps its root, its size and the live counts on its
-    span, since a merged block's join paths take no node that holds a
-    leaf of another block.  So no unseeded entry changes, nor does
-    what its parent reads from it.
+    A merged block M that keeps the root of its key part Y has grown
+    instead.  The leaves of its other parts are seeds, so an unseeded
+    node with a leaf of M below it has only Y's leaves below: its entry
+    (root, size, meet) is still right.  One leaf of Y is a seed too.
+    Y's restriction completes at the lca of Y in the first tree, an
+    ancestor of that leaf, so that node and every node above it are
+    marked or swept anyway; an unseeded node with a leaf of Y below it
+    lies strictly below the lca, so its entry of Y was incomplete, and
+    is still, M being larger.  The other nodes on the seed's chain did
+    not change; recomputing them gives their entries again and costs
+    only time.  Condition "c" at an unseeded entry of Y needs
+    ``live[p] == |M|`` at its meet ``p``; but ``live[p]`` was below
+    ``|Y|``, or "c" had fired, and grew by at most the ``|M| - |Y|``
+    leaves gained, so it stays below ``|M|``.  Every block whose root
+    moved has all its leaves seeded, and every other block keeps its
+    root, its size and the live counts on its span, since a merged
+    block's join paths take no node that holds a leaf of another block.
+    So no unseeded entry changes, nor does what its parent reads from
+    it.
     """
     pair = partition.pair
     parent1 = pair.t1.parent

@@ -85,7 +85,7 @@ class RootedBinaryTree:
 
     Attributes
     ----------
-    n_nodes, n_leaves : int
+    n_nodes : int
     root : int
         Always ``n_nodes - 1`` (post-order ids).
     parent, left, right : list[int]
@@ -103,7 +103,7 @@ class RootedBinaryTree:
     """
 
     __slots__ = (
-        "n_nodes", "n_leaves", "root", "parent", "left", "right",
+        "n_nodes", "root", "parent", "left", "right",
         "labels", "depth", "subtree_min", "leaf_ids", "_sparse", "_walked",
     )
 
@@ -143,7 +143,6 @@ class RootedBinaryTree:
         self.right = right
         self.labels = labels
         self.leaf_ids = leaves
-        self.n_leaves = len(leaves)
         self.subtree_min = smin
         # One set tells whether any label is empty or repeated; only
         # then does the walk in id order name the first offender.

@@ -5,7 +5,9 @@ parent and child arrays, so the fast library code is checked against
 independent logic rather than against itself.
 """
 
+from copy import deepcopy
 from itertools import combinations
+from types import SimpleNamespace
 
 from rbmaf.forest_partition import _spans_disjoint, as_blocks
 from rbmaf.redblue_core import Pcs
@@ -294,6 +296,43 @@ def rebuilt_forest(partition):
             raise InvariantError(
                 "partition is not realizable as a forest of the second tree")
     return cut, root_comp, leaf_root, root2
+
+
+def merged_forest(partition, pairs):
+    """``rebuilt_forest`` of the blocks ``Partition.merge(pairs)`` would
+    leave, worked out on copies of the leaf sets: the union of the two
+    blocks holding each pair takes the next id.  Raises InvariantError
+    as the merge does, also when a pair already shares a block."""
+    blocks = {cid: set(c.leaves) for cid, c in partition.comps.items()}
+    cid = partition.next_id
+    for x1, x2 in pairs:
+        a, b = (next(k for k, s in blocks.items() if x in s) for x in (x1, x2))
+        if a == b:
+            raise InvariantError("merge pair already shares a component")
+        blocks[cid] = blocks.pop(a) | blocks.pop(b)
+        cid += 1
+    copy = SimpleNamespace(pair=partition.pair, comps={
+        k: SimpleNamespace(leaves=s) for k, s in blocks.items()})
+    return rebuilt_forest(copy), blocks
+
+
+def snapshot(partition):
+    """Copies of everything a partition holds, its saved sweep included,
+    to compare before and after a call that must change nothing."""
+    sweep = partition.sweep
+    return {
+        "arrays": [list(a) for a in (
+            partition.cut, partition.live, partition.cover,
+            partition.leaf_root, partition.live_r, partition.live_b,
+            partition.tinted)],
+        "root_comp": dict(partition.root_comp),
+        "blocks": [(cid, set(c.leaves), c.size, c.root2, c.origin0)
+                   for cid, c in partition.comps.items()],
+        "ids": (partition.next_id, partition.first_new),
+        "colors": (partition.coloring, dict(partition.meets)),
+        "sweep": None if sweep is None else deepcopy(
+            {name: getattr(sweep, name) for name in sweep.__slots__}),
+    }
 
 
 def leaf_blocks(partition):

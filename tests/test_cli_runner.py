@@ -1,5 +1,6 @@
 """Exact oracle, instance generators, reports, and the command line."""
 
+import argparse
 import ast
 import hashlib
 import importlib
@@ -34,11 +35,13 @@ from rbmaf import (
 )
 from rbmaf.cli_runner import (
     BENCH_LEAF_CAP,
+    EXACT_CEILING,
     GENERATED_LEAF_CAP,
     _post_order_names,
     _pre_order_node,
     _spr_move,
     _uniform_tree,
+    build_parser,
     certificate_dict,
     main,
 )
@@ -48,6 +51,7 @@ from rbmaf.lp_toolkit import (
     FIG1_NEWICK2,
     FIG9_NEWICK1,
     FIG9_NEWICK2,
+    WU_GAP_MAX_ORDER,
     WU_ILP_CAP,
     build_exponential_lp,
     render_lp_text,
@@ -83,6 +87,9 @@ def test_exact_cap_enforced():
         exact_maf(pair)
     with pytest.raises(OracleCapError, match="capped at 8"):
         exact_maf(random_pair(9, seed=4), partition_cap=8)
+    with pytest.raises(OracleCapError, match="EXACT_CEILING = %d .*got %d"
+                       % (EXACT_CEILING, EXACT_CEILING + 1)):
+        exact_maf(random_pair(5, seed=4), partition_cap=EXACT_CEILING + 1)
 
 
 def test_exact_cap_raise_warns():
@@ -617,17 +624,56 @@ def test_cli_bench_tiny(capsys):
     assert lines[1].split()[0] == "40"
 
 
-@pytest.mark.parametrize("argv, name, cap", [
+# Every integer option of ``build_parser()`` is a size, probed at 10**12
+# in SIZE_PROBES, or listed here with the reason it is none.
+NOT_SIZES = {
+    ("gen", "--seed"): "a generator seed: each value gives a pair of the "
+                       "size asked for",
+    ("fuzz", "--seed"): "the corpus's first generator seed, as for gen",
+    ("bench", "--seed"): "the generator seed of every size, as for gen",
+    ("fuzz", "--iters"): "a count of pairs generated and solved one at a "
+                         "time: the time grows with it, the memory does not",
+}
+
+# (argv with %d where 10**12 goes, the limit its message names, its value)
+SIZE_PROBES = [
     (["gen", "random", "--n", "%d"], "GENERATED_LEAF_CAP", GENERATED_LEAF_CAP),
     (["gen", "krspr", "--n", "%d", "--k", "5"], "GENERATED_LEAF_CAP",
      GENERATED_LEAF_CAP),
     (["fuzz", "--n", "%d", "--iters", "3"], "GENERATED_LEAF_CAP",
      GENERATED_LEAF_CAP),
     (["bench", "--sizes", "40,%d"], "BENCH_LEAF_CAP", BENCH_LEAF_CAP),
-])
+    (["exact", FIG1_NEWICK1, FIG1_NEWICK2, "--cap", "%d"], "EXACT_CEILING",
+     EXACT_CEILING),
+    (["fuzz", "--n", "8", "--exact-cap", "%d"], "EXACT_CEILING",
+     EXACT_CEILING),
+    (["gen", "wu", "--k", "%d"], "WU_GAP_MAX_ORDER", WU_GAP_MAX_ORDER),
+    # k must stay below the leaf count
+    (["gen", "krspr", "--n", "10", "--k", "%d"], "n", 10),
+]
+
+
+def test_parser_walk_finds_a_probe_or_a_reason_for_every_integer_option():
+    """A walk of ``build_parser()``: each integer option of each command
+    is probed by SIZE_PROBES or listed in NOT_SIZES, not both, and each
+    option those name exists."""
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    options = {(command, action.option_strings[-1]): action.type
+               for command, p in sub.choices.items()
+               for action in p._actions if action.option_strings}
+    probed = {(argv[0], argv[k - 1]) for argv, _, _ in SIZE_PROBES
+              for k, arg in enumerate(argv) if "%d" in arg}
+    assert not probed & NOT_SIZES.keys()
+    assert probed | NOT_SIZES.keys() <= options.keys()
+    assert {o for o, kind in options.items() if kind is int} <= (
+        probed | NOT_SIZES.keys())
+
+
+@pytest.mark.parametrize("argv, name, cap", SIZE_PROBES)
 def test_cli_leaf_counts_capped(tmp_path, capsys, argv, name, cap):
-    """A leaf count of 10**12 fails fast with exit code 2 and a message
-    naming the cap, allocating nothing in proportion to it."""
+    """A size of 10**12 fails fast with exit code 2 and a message naming
+    its limit and the value, allocating nothing in proportion to it."""
     huge = 10 ** 12
     argv = [a % huge if "%" in a else a for a in argv]
     if argv[0] == "gen":
@@ -789,6 +835,30 @@ def test_package_uses_every_private_name_it_defines():
             if all(id(use) in inside for use in uses.get(name, ())):
                 unused.append("%s:%d %s" % (module, node.lineno, name))
     assert unused == []
+
+
+def test_every_slot_the_package_declares_is_read():
+    """Each name in the ``__slots__`` of a class of the package is read
+    somewhere in the package, its tests or its benchmark, where a read
+    is an attribute in load context: a slot that is only written keeps
+    state nothing uses."""
+    package = Path(rbmaf.__file__).resolve().parent
+    root = package.parent.parent
+    reads, slots = set(), []
+    for path in sorted(itertools.chain(*(
+            (root / d).rglob("*.py") for d in ("src", "tests", "perfbench")))):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and path.parent == package:
+                slots.extend(
+                    ("%s.%s" % (node.name, name.value), name.value)
+                    for stmt in node.body if isinstance(stmt, ast.Assign)
+                    and [t.id for t in stmt.targets] == ["__slots__"]
+                    for name in stmt.value.elts)
+    assert slots
+    assert [owner for owner, name in slots if name not in reads] == []
 
 
 def test_console_script_subprocess():

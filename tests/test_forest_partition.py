@@ -1,6 +1,7 @@
 """Partition bookkeeping: splits, merges, cuts, and feasibility tests."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from rbmaf import (
     make_pair,
     pair_from_newick,
     random_pair,
+    redblue_core,
     run,
     set_compatible,
 )
@@ -201,9 +203,22 @@ PARTITION_FAULTS = [
     "fault, message", PARTITION_FAULTS,
     ids=["%d-%s" % (k, m) for k, (_, m) in enumerate(PARTITION_FAULTS)])
 def test_partition_checks_fire_with_their_message(fig1, fault, message):
-    """Each check in ``forest_partition`` fires, with its own message."""
-    with pytest.raises(InvariantError, match=message):
-        fault(fig1, Partition(fig1))
+    """Each check in ``forest_partition`` fires, with its own message,
+    and a merge it refuses leaves the partition as it was."""
+    merge = Partition.merge
+
+    def checked_merge(part, pairs):
+        before = naive.snapshot(part)
+        try:
+            return merge(part, pairs)
+        except InvariantError:
+            assert naive.snapshot(part) == before
+            raise
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Partition, "merge", checked_merge)
+        with pytest.raises(InvariantError, match=message):
+            fault(fig1, Partition(fig1))
 
 
 def test_begin_iteration_stamps_origin(fig1):
@@ -332,13 +347,54 @@ def test_leaf_sets_and_component_of_leaf(fig1):
     assert part.leaf_sets() == ((0, 2), (1, 3, 4, 5, 6))
 
 
+def _check_merge(part, pairs):
+    """Merge ``pairs`` into ``part`` and hold the result against the
+    rebuild oracle, which merges copies of the leaf sets.  A refused
+    merge must raise the oracle's message and leave ``part`` as it was;
+    an accepted one must leave the oracle's blocks, ids, forest, live
+    counts and coverage, and a sweep that agrees with the full one.
+    Returns whether the merge was accepted."""
+    before = naive.snapshot(part)
+    try:
+        (cut, root_comp, leaf_root, root2), blocks = naive.merged_forest(
+            part, pairs)
+    except InvariantError as error:
+        with pytest.raises(InvariantError) as refused:
+            part.merge(pairs)
+        assert str(refused.value) == str(error)
+        assert naive.snapshot(part) == before
+        return False
+    part.merge(pairs)
+    assert {cid: c.leaves for cid, c in part.comps.items()} == blocks
+    assert (part.cut, part.root_comp, part.leaf_root) == (cut, root_comp, leaf_root)
+    assert {cid: c.root2 for cid, c in part.comps.items()} == root2
+    live, _, cover = naive.full_structure(part)
+    assert part.live == live and naive.cover_blocks(part) == cover
+    assert redblue_core.find_lowest_pcs(part) == naive.full_lowest_pcs(part)
+    return True
+
+
+def _random_merge_pairs(part, rnd):
+    """Random pairs, each joining two blocks that the pairs before it
+    have not joined, so at most one fewer than the blocks."""
+    group = {c.id: c.id for c in part.comps.values()}
+    pairs = []
+    for _ in range(rnd.randint(0, len(part))):
+        x1, x2 = rnd.sample(range(part.pair.n), 2)
+        a, b = (group[part.component_of_leaf(x).id] for x in (x1, x2))
+        if a != b:
+            pairs.append((x1, x2))
+            group = {k: a if g == b else g for k, g in group.items()}
+    return pairs
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(3, 14), st.integers(0, 5_000), st.booleans(),
        st.randoms(use_true_random=False))
 def test_merge_matches_the_rebuild_oracle(n, seed, singletons, rnd):
     """Random splits, or singleton blocks, then random merges: the
     in-place re-cut leaves the rebuilt forest, live counts and coverage,
-    or raises the rebuild oracle's error."""
+    or raises the rebuild oracle's error and changes nothing."""
     pair = random_pair(n, seed)
     part = Partition(pair)
     if singletons:
@@ -348,22 +404,48 @@ def test_merge_matches_the_rebuild_oracle(n, seed, singletons, rnd):
                    and part.live[v] < part.comps[part.covering(v)].size]
         if covered:
             part.split_below(rnd.choice(covered))
-    group = {c.id: c.id for c in part.comps.values()}
-    pairs = []
-    for _ in range(rnd.randint(0, len(part))):
-        x1, x2 = rnd.sample(range(n), 2)
-        a, b = (group[part.component_of_leaf(x).id] for x in (x1, x2))
-        if a != b:
-            pairs.append((x1, x2))
-            group = {k: a if g == b else g for k, g in group.items()}
-    try:
-        part.merge(pairs)
-    except InvariantError as error:
-        with pytest.raises(InvariantError, match=str(error)):
-            naive.rebuilt_forest(part)
-        return
-    cut, root_comp, leaf_root, root2 = naive.rebuilt_forest(part)
-    assert (part.cut, part.root_comp, part.leaf_root) == (cut, root_comp, leaf_root)
-    assert {cid: c.root2 for cid, c in part.comps.items()} == root2
-    live, _, cover = naive.full_structure(part)
-    assert part.live == live and naive.cover_blocks(part) == cover
+    _check_merge(part, _random_merge_pairs(part, rnd))
+
+
+class _LoopEnd(Exception):
+    """Raised in place of the merge phase; carries its partition and
+    pair list."""
+
+
+def _loop_end(pair):
+    """The partition, saved sweep included, and the pair list that
+    ``run`` hands its merge phase."""
+    def stop(partition, pairslist):
+        raise _LoopEnd(partition, list(pairslist))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(redblue_core, "merge_components", stop)
+        with pytest.raises(_LoopEnd) as end:
+            run(pair)
+    return end.value.args
+
+
+def test_merge_matches_the_rebuild_oracle_at_loop_end():
+    """On every loop-end partition of ``corpus(n, 25)``, n = 3..12, and
+    of ``random_pair(1000, 0)``, three merges, each on a fresh copy and
+    held against the rebuild oracle by ``_check_merge``: the run's own
+    pairs, most recent first, which are accepted; the first two blocks;
+    and random pairs."""
+    pairs = [pair for n in range(3, 13) for _, pair in corpus(n, 25)]
+    pairs.append(random_pair(1000, 0))
+    rnd = random.Random(0)
+    outcomes = Counter()
+    for pair in pairs:
+        part, pairslist = _loop_end(pair)
+        assert _check_merge(part, pairslist[::-1])
+        assert redblue_core.find_lowest_pcs(part) is None
+        part, _ = _loop_end(pair)
+        if len(part) > 1:
+            first, second = list(part.comps.values())[:2]
+            outcomes["first two", _check_merge(
+                part, [(min(first.leaves), min(second.leaves))])] += 1
+        part, _ = _loop_end(pair)
+        outcomes["random", _check_merge(part, _random_merge_pairs(part, rnd))] += 1
+    # at n = 1000 the first two blocks are refused
+    assert outcomes.pop(("first two", False)) >= 1
+    assert min(outcomes.values()) >= 20, outcomes

@@ -866,7 +866,7 @@ def test_final_check_visits_only_the_merge_seeds_ancestors():
     """After the merge phase, the final ``find_lowest_pcs`` call on a
     k-rSPR pair with 2,000 leaves (k = 20, with rho) resumes the sweep
     the loop left: it visits exactly the first-tree ancestors of the
-    seeds the merge handed it, 604 of the 4,001 nodes, where a sweep
+    seeds the merge handed it, 633 of the 4,001 nodes, where a sweep
     from scratch visits them all."""
     base = random_pair(2000, 0, mode="k_rspr", k=20)
     pair = make_pair(base.t1, base.t2, add_rho=True)
