@@ -94,16 +94,20 @@ class Partition:
     the tree that keeps the block's root in place and rewrites the
     annotation arrays on the trees it detaches only.  ``meets`` maps
     each colored block's id to its colored meet and is the only record
-    of colored blocks; a block outside it reads white.  ``sweep`` holds
-    ``find_lowest_pcs``'s saved state, to which ``merge`` hands the
-    seeds of what it changed.
+    of colored blocks; a block outside it reads white.  Until a reader
+    clears them, ``split_log`` maps each root a split cut to -1, which
+    later splits of its block keep, and every other root a split kept
+    to its block's new meeting node, and ``merge_log`` lists, per
+    merge, the leaf sets ``canonicalize_cuts`` names as changed.
+    ``sweep`` holds ``find_lowest_pcs``'s saved state, unread here.
     ``order1`` lists the leaf indices in first-tree leaf order, so the
     leaves below a first-tree node are one slice of it.
     """
 
     __slots__ = ("pair", "comps", "leaf_root", "cut", "root_comp",
                  "next_id", "first_new", "coloring", "live", "live_r",
-                 "live_b", "tinted", "meets", "cover", "sweep", "order1")
+                 "live_b", "tinted", "meets", "cover", "split_log",
+                 "merge_log", "sweep", "order1")
 
     def __init__(self, pair):
         self.pair = pair
@@ -123,6 +127,8 @@ class Partition:
         self.live_b = [0] * n2
         self.tinted = []
         self.meets = {}
+        self.split_log = {}
+        self.merge_log = []
         self.sweep = None
         self.order1 = list(map(pair.leaf_index1.__getitem__, pair.t1.leaf_ids))
         self._refresh_structure([root])
@@ -478,7 +484,7 @@ class Partition:
         for the block whose tree holds it: the root with the lowest id
         whose subtree, the id range ``[subtree_min[v], v]``, contains the
         meet.  Every other block starts at its own root, which then has
-        all of its colors below.
+        all of its colors below.  The call writes ``split_log``.
         """
         root = comp.root2
         keep = roots.index(root)
@@ -488,7 +494,12 @@ class Partition:
             size = comp.size - sum(map(len, parts))
         anchors = [v for v in roots if v != root]
         meet = self.meets.pop(comp.id, -1)
-        self._cut(root, meet, anchors, size)
+        m = self._cut(root, meet, anchors, size)
+        log = self.split_log
+        if log.get(root) != -1:
+            log[root] = m
+        for v in anchors:
+            log[v] = -1
         leaf_root, leaves = self.leaf_root, comp.leaves
         blocks = list(parts)
         if len(parts) < len(roots):
@@ -550,7 +561,7 @@ class Partition:
         covered, and on the chain from the root down to the block's new
         meeting node: a node there holds every leaf of the block, so
         only the meeting node is covered.  The detached trees are left
-        to the structural pass.
+        to the structural pass.  Returns the new meeting node.
         """
         parent = self.pair.t2.parent
         cut, live, cover = self.cut, self.live, self.cover
@@ -582,6 +593,7 @@ class Partition:
         for v in down:
             cover[v] = -1
         cover[down[-1]] = root
+        return down[-1]
 
     # ------------------------------------------------------------------
     # merging
@@ -589,7 +601,7 @@ class Partition:
     def merge(self, pairs):
         """Union the two blocks containing each pair of leaves, in order,
         then re-cut the forest in place with ``canonicalize_cuts`` and
-        hand the saved sweep the seeds of what changed.
+        append the leaf sets it names as changed to ``merge_log``.
 
         The unions are planned over the blocks as they are, and nothing
         is written before every check has passed, so a refused merge
@@ -599,7 +611,7 @@ class Partition:
         is the larger one (the first on a tie), and the merged block
         keeps its key part's leaf set, which the other parts join.
         """
-        first = cid = self.next_id
+        cid = self.next_id
         plan = {}  # part id -> [id, size, parts] of its merged block
         for x1, x2 in pairs:
             a, b = map(self.component_of_leaf, (x1, x2))
@@ -615,10 +627,8 @@ class Partition:
             for p in b[2]:
                 plan[p.id] = a
         merged = dict(sorted({m[0]: m[2] for m in plan.values()}.items()))
-        seeds, old, new = self.canonicalize_cuts(merged)
+        self.merge_log.append(self.canonicalize_cuts(merged))
         self.next_id = cid
-        if self.sweep is not None:
-            self.sweep.merged(self, first, seeds, old, new)
 
     def canonicalize_cuts(self, merged):
         """Re-cut the forest in place into the canonical one of its
@@ -647,10 +657,9 @@ class Partition:
         merged block.  A block's span, up to its lca, takes its new root
         in ``cover`` and ``leaf_root`` when the root moves; a merged
         block that keeps its key part's root writes only its other
-        parts' leaves there.  Returns what ``merge`` hands the sweep:
-        the leaf sets whose root changed, plus one leaf of each merged
-        block that kept its key part's root, then the changed blocks'
-        old roots and their new roots.
+        parts' leaves there.  Returns the leaf sets whose root changed,
+        plus one leaf of each merged block that kept its key part's
+        root.
         """
         t2 = self.pair.t2
         depth, parent, top = t2.depth, t2.parent, t2.root
@@ -742,7 +751,7 @@ class Partition:
         for sets, r, lca in spans:
             self._cover_span(sets, r, lca)
         self.refresh_annotations(None)
-        return seeds, old, new
+        return seeds
 
     def _toggle(self, u, on, root, touched):
         """Cut (``on``) or restore the edge above ``u``: its live count

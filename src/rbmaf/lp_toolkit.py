@@ -17,6 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations, compress, repeat, starmap
 from operator import add, eq, itemgetter, ne
+from string import ascii_letters, digits
 from typing import NamedTuple
 
 from .tree_model import (
@@ -44,6 +45,22 @@ COMPACT_LP_CAP = 120
 # Largest gap-family order built: the pair has 2^k leaves, so the
 # limit is 65,536 leaves and larger orders are refused up front.
 WU_GAP_MAX_ORDER = 16
+# Besides ASCII letters and digits, the CPLEX LP name characters that a
+# Newick label can hold; an LP reader splits a name at - or +, say.
+_LP_NAME_PUNCTUATION = '!"#$%&/.?@_`{}|~'
+
+
+def _check_lp_labels(pair, punctuation):
+    """Raise ValueError on the first leaf label holding a character
+    other than an ASCII letter, a digit or one of ``punctuation``."""
+    allowed = frozenset(ascii_letters + digits + punctuation)
+    for label in pair.labels:
+        for ch in label:
+            if ch not in allowed:
+                raise ValueError(
+                    "leaf label %r holds %r, which an LP variable name "
+                    "cannot carry: labels may hold ASCII letters, digits "
+                    "and %s" % (label, ch, punctuation))
 
 
 # Variables and rows are named tuples, so that a model builds them in
@@ -378,8 +395,11 @@ def build_exponential_lp(pair):
 
     Minimizes the number of chosen sets minus one, subject to each leaf
     lying in exactly one chosen set and each internal node of either
-    tree being spanned by at most one.
+    tree being spanned by at most one.  Refuses a leaf label that an LP
+    name cannot carry, or that holds ``.``, with which a set's variable
+    joins its labels.
     """
+    _check_lp_labels(pair, _LP_NAME_PUNCTUATION.replace(".", ""))
     sets, span1, span2 = compatible_set_table(pair)
     labels = pair.labels
     names = ["x_L_" + ".".join(map(labels.__getitem__, leaves))
@@ -475,8 +495,10 @@ def build_compact_lp(pair, graph=None):
     spans a node where a pair of its arborescence meets, which is
     charged to the pair's one first-class arc, and every node strictly
     between the meeting nodes of an arc's ends, charged to that arc.
-    Refuses more than ``COMPACT_LP_CAP`` leaves.
+    Refuses more than ``COMPACT_LP_CAP`` leaves, and a leaf label that
+    an LP name cannot carry.
     """
+    _check_lp_labels(pair, _LP_NAME_PUNCTUATION)
     if graph is None:
         graph = build_compact_graph(pair)
     n = pair.n

@@ -134,15 +134,12 @@ class _Sweep:
     and ``meet``, its meeting node in the second tree.  ``by_meet`` maps
     a second-tree node to the first-tree nodes that joined two children
     there, stale entries included; ``_resume`` reads it only at the
-    meeting nodes of shrunk blocks.  ``roots`` holds the forest-tree
-    roots the sweep has seen, and ``next_id`` is the partition's at the
-    time.  ``seeds`` holds the first-tree nodes a merge handed over,
-    which ``_resume`` reads next.  Block sizes are not kept: a forest
-    tree's root counts its block's leaves in the partition's ``live``.
+    meeting nodes the partition's split log names.  Block sizes are not
+    kept: a forest tree's root counts its block's leaves in the
+    partition's ``live``.
     """
 
-    __slots__ = ("comp", "csize", "meet", "by_meet", "roots", "stop",
-                 "next_id", "seeds")
+    __slots__ = ("comp", "csize", "meet", "by_meet", "stop")
 
     def __init__(self, partition):
         n1 = partition.pair.t1.n_nodes
@@ -150,96 +147,66 @@ class _Sweep:
         self.csize = [0] * n1
         self.meet = [0] * n1
         self.by_meet = {}
-        self.roots = {c.root2 for c in partition.comps.values()}
         self.stop = n1
-        self.next_id = partition.next_id
-        self.seeds = []
-
-    def merged(self, partition, first, seeds, old, new):
-        """Take the seeds of a merge that created the blocks from id
-        ``first`` on (see ``Partition.canonicalize_cuts``), or drop the
-        state when splits since the last call left seeds ``_resume``
-        has not read yet.
-
-        The seeds are the first-tree nodes of the leaves in ``seeds``,
-        a list of leaf collections.  The changed blocks' ``old`` roots
-        leave ``roots`` and their ``new`` ones join it: an old root kept
-        there would let a later cut at it pass as a kept root.
-        """
-        if self.next_id != first:
-            partition.sweep = None
-            return
-        leaf_node1 = partition.pair.leaf_node1
-        for leaves in seeds:
-            self.seeds.extend(map(leaf_node1.__getitem__, leaves))
-        self.roots.difference_update(old)
-        self.roots.update(new)
-        self.next_id = partition.next_id
 
 
 def _resume(partition, sweep):
-    """First-tree nodes below ``sweep.stop`` whose entries the splits or
-    the merge since the saved sweep may have changed, in ascending order.
+    """First-tree nodes below ``sweep.stop`` whose entries the changes
+    the partition logged since the saved sweep may have changed, in
+    ascending order: the ancestors of the seeds.  At most one of the
+    two logs holds entries.
 
-    Block ids are never reused, so the blocks from ``sweep.next_id`` on
-    are exactly those created since.  Seeds: every leaf of a block with
-    a root the sweep has not seen, and for a block that kept a seen
-    root, the nodes that joined two children of it at its new meeting
-    node ``m``; a merge hands over its own seed list
-    (``_Sweep.merged``) and moves ``next_id`` past its blocks.  The
-    answer is the seeds' ancestors.
+    A root the split log maps to -1 was cut since the saved sweep, and
+    every leaf a split detached lies in the block of such a root: those
+    blocks' leaves are seeds.  A root it maps to ``m`` was a root at
+    the saved sweep and keeps a block that has shrunk, with no size
+    test, since ``split_below`` refuses an empty upper block and
+    ``split_component`` needs two nonempty ones.  The nodes that joined
+    two of its children at ``m``, its meeting node, are seeds.  An
+    entry that no seed marks has no detached leaf below it, so its
+    restriction lies inside the shrunk block, and its meet lies at or
+    below ``m``.  Condition "c" needs the meet to hold the whole block,
+    ``live[p] == size``, so it can newly fire only at ``m``.  Entries
+    of nodes that now hold all of the block turn complete, and an entry
+    is read only by the parent, which compares its size with the
+    block's current size, ``live`` at its root.
 
-    A block that kept a seen root has shrunk, with no size test: every
-    split detaches at least one leaf, since ``split_below`` refuses an
-    empty upper block and ``split_component`` needs two nonempty ones.
-    A shrunk block needs no other seed.  An entry that no seed marks
-    has no detached leaf below it, so its restriction lies inside the
-    shrunk block, and its meet lies at or below ``m``.  Condition "c"
-    needs the meet to hold the whole block, ``live[p] == size``, so it
-    can newly fire only at ``m``.  Entries of nodes that now hold all
-    of the block turn complete, and an entry is read only by the
-    parent, which compares its size with the block's current size,
-    ``live`` at its root.
-
-    A merged block M that keeps the root of its key part Y has grown
-    instead.  The leaves of its other parts are seeds, so an unseeded
-    node with a leaf of M below it has only Y's leaves below: its entry
-    (root, size, meet) is still right.  One leaf of Y is a seed too.
+    Every leaf in the merge log is a seed: the leaf sets whose root
+    changed, and one leaf of each merged block M that keeps the root of
+    its key part Y, which has grown instead.  The leaves of M's other
+    parts are logged, so an unseeded node with a leaf of M below it has
+    only Y's leaves below: its entry (root, size, meet) is still right.
     Y's restriction completes at the lca of Y in the first tree, an
-    ancestor of that leaf, so that node and every node above it are
-    marked or swept anyway; an unseeded node with a leaf of Y below it
-    lies strictly below the lca, so its entry of Y was incomplete, and
-    is still, M being larger.  The other nodes on the seed's chain did
-    not change; recomputing them gives their entries again and costs
-    only time.  Condition "c" at an unseeded entry of Y needs
-    ``live[p] == |M|`` at its meet ``p``; but ``live[p]`` was below
-    ``|Y|``, or "c" had fired, and grew by at most the ``|M| - |Y|``
-    leaves gained, so it stays below ``|M|``.  Every block whose root
-    moved has all its leaves seeded, and every other block keeps its
-    root, its size and the live counts on its span, since a merged
-    block's join paths take no node that holds a leaf of another block.
-    So no unseeded entry changes, nor does what its parent reads from
-    it.
+    ancestor of the logged leaf of Y, so that node and every node above
+    it are marked or swept anyway; an unseeded node with a leaf of Y
+    below it lies strictly below the lca, so its entry of Y was
+    incomplete, and is still, M being larger.  The other nodes on the
+    seed's chain did not change; recomputing them gives their entries
+    again and costs only time.  Condition "c" at an unseeded entry of
+    Y needs ``live[p] == |M|`` at its meet ``p``; but ``live[p]`` was
+    below ``|Y|``, or "c" had fired, and grew by at most the
+    ``|M| - |Y|`` leaves gained, so it stays below ``|M|``.  Every
+    block whose root moved has all its leaves logged, and every other
+    block keeps its root, its size and the live counts on its span,
+    since a merged block's join paths take no node that holds a leaf
+    of another block.  So no unseeded entry changes, nor does what its
+    parent reads from it; over several merges, each one's argument
+    holds from the state the one before it left.
     """
-    pair = partition.pair
-    parent1 = pair.t1.parent
-    leaf_node1 = pair.leaf_node1
-    comps = partition.comps
-    comp, meet, roots, stop = sweep.comp, sweep.meet, sweep.roots, sweep.stop
+    leaf_node1, parent1 = partition.pair.leaf_node1, partition.pair.t1.parent
+    comps, root_comp = partition.comps, partition.root_comp
+    comp, meet, stop = sweep.comp, sweep.meet, sweep.stop
     by_meet = sweep.by_meet
-    seeds, sweep.seeds = sweep.seeds, []
-    for cid in range(sweep.next_id, partition.next_id):
-        c = comps.get(cid)
-        if c is None:
-            continue
-        r = c.root2
-        if r not in roots:
-            roots.add(r)
-            seeds.extend(map(leaf_node1.__getitem__, c.leaves))
+    seeds = []
+    for r, m in partition.split_log.items():
+        if m < 0:
+            seeds.extend(map(leaf_node1.__getitem__,
+                             comps[root_comp[r]].leaves))
         else:
-            m = partition.meeting_path(r, c.size)[-1]
             seeds.extend(v for v in by_meet.get(m, ())
                          if v < stop and comp[v] == r and meet[v] == m)
+    for leaves in chain.from_iterable(partition.merge_log):
+        seeds.extend(map(leaf_node1.__getitem__, leaves))
     marked = set()
     for v in seeds:
         while 0 <= v < stop and v not in marked:
@@ -262,10 +229,11 @@ def find_lowest_pcs(partition):
 
     The pass resumes from the state the previous call left on the
     partition (see ``_resume``): it recomputes the entries that the
-    splits or the merge since then may have changed below the node
-    where that call stopped, then goes on upward from that node.
-    Without saved state, on the first call or after a merge that
-    followed unread splits, it sweeps the whole first tree.
+    changes the partition logged since then may have changed below the
+    node where that call stopped, then goes on upward from that node.
+    On the first call, or when splits and merges followed each other
+    unread, so that both logs hold entries, it sweeps the whole first
+    tree.  Either way it clears the logs.
     """
     pair = partition.pair
     t1, t2 = pair.t1, pair.t2
@@ -279,12 +247,13 @@ def find_lowest_pcs(partition):
     lca2 = t2.lca
 
     sweep = partition.sweep
-    if sweep is None:
+    if sweep is None or (partition.split_log and partition.merge_log):
         sweep = partition.sweep = _Sweep(partition)
         order = range(n1)
     else:
         order = chain(_resume(partition, sweep), range(sweep.stop, n1))
-        sweep.next_id = partition.next_id
+    partition.split_log.clear()
+    partition.merge_log.clear()
     comp, csize, meet = sweep.comp, sweep.csize, sweep.meet
     by_meet = sweep.by_meet
 

@@ -317,8 +317,9 @@ def merged_forest(partition, pairs):
 
 
 def snapshot(partition):
-    """Copies of everything a partition holds, its saved sweep included,
-    to compare before and after a call that must change nothing."""
+    """Copies of everything a partition holds, its logs and saved sweep
+    included, to compare before and after a call that must change
+    nothing."""
     sweep = partition.sweep
     return {
         "arrays": [list(a) for a in (
@@ -330,6 +331,7 @@ def snapshot(partition):
                    for cid, c in partition.comps.items()],
         "ids": (partition.next_id, partition.first_new),
         "colors": (partition.coloring, dict(partition.meets)),
+        "logs": deepcopy((partition.split_log, partition.merge_log)),
         "sweep": None if sweep is None else deepcopy(
             {name: getattr(sweep, name) for name in sweep.__slots__}),
     }

@@ -537,6 +537,19 @@ def test_cli_emit_lp_kinds(tmp_path, capsys, kind):
     assert out.read_text().endswith("End\n")
 
 
+@pytest.mark.parametrize("kind, label", [
+    ("exp", "a-b"), ("compact", "a-b"), ("exp", "a+b"), ("compact", "a+b"),
+    ("exp", "a.b")])
+def test_cli_emit_lp_refuses_labels_an_lp_name_cannot_carry(
+        tmp_path, capsys, kind, label):
+    out = tmp_path / (kind + ".lp")
+    argv = ["emit-lp", kind, "((%s,a),b);" % label, "(%s,(a,b));" % label,
+            "-o", str(out)]
+    assert main(argv) == 2
+    assert "leaf label %r holds" % label in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, name, cap", [
     ("wu", "WU_ILP_CAP", WU_ILP_CAP),
     ("compact", "COMPACT_LP_CAP", COMPACT_LP_CAP),
@@ -859,6 +872,17 @@ def test_every_slot_the_package_declares_is_read():
                     for name in stmt.value.elts)
     assert slots
     assert [owner for owner, name in slots if name not in reads] == []
+
+
+def test_partition_never_reads_the_saved_sweep():
+    """``forest_partition`` only assigns its ``sweep`` slot: the sweep
+    reads what changed from the partition's logs, so no attribute
+    named ``sweep`` is loaded there."""
+    path = Path(rbmaf.__file__).resolve().parent / "forest_partition.py"
+    loads = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "sweep"
+             and isinstance(node.ctx, ast.Load)]
+    assert loads == []
 
 
 def test_console_script_subprocess():

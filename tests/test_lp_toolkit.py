@@ -184,6 +184,39 @@ def test_exponential_accepts_singletons(fig9):
     assert model.objective_value(point) == fig9.n - 1
 
 
+# Leaf labels an LP name cannot carry: an LP reader takes "x_L_a-b" for
+# x_L_a minus b, and the exponential LP's "x_L_a.b" names both the set
+# {a.b} and the set {a, b}.
+_BAD_LABELS = [("a-b", "-"), ("a+b", "+"), ("a.b", ".")]
+
+
+@pytest.mark.parametrize("label, ch", _BAD_LABELS)
+@pytest.mark.parametrize("build", [build_exponential_lp, build_compact_lp])
+def test_lp_builders_refuse_labels_an_lp_name_cannot_carry(build, label, ch):
+    pair = pair_from_newick("((%s,a),b);" % label, "(%s,(a,b));" % label)
+    if build is build_compact_lp and ch == ".":
+        # the arc-flow LP names one variable per leaf, so "." is safe
+        names = {v.name for v in build(pair).variables}
+        assert {"x_L_a.b", "x_L_a", "x_L_b"} <= names
+        return
+    with pytest.raises(ValueError) as refused:
+        build(pair)
+    punctuation = '!"#$%&/.?@_`{}|~'
+    if build is build_exponential_lp:
+        punctuation = punctuation.replace(".", "")
+    assert str(refused.value) == (
+        "leaf label %r holds %r, which an LP variable name cannot carry: "
+        "labels may hold ASCII letters, digits and %s"
+        % (label, ch, punctuation))
+
+
+@pytest.mark.parametrize("build", [build_exponential_lp, build_compact_lp])
+def test_lp_builders_take_every_allowed_label_character(build):
+    label = 'Zz09!"#$%&/?@_`{}|~'
+    pair = pair_from_newick("((%s,a),b);" % label, "(%s,(a,b));" % label)
+    assert "x_L_" + label in render_lp_text(build(pair))
+
+
 def test_fig9_fractional_point(fig9):
     inst = fig_instances()["fig9"]
     model = build_exponential_lp(fig9)

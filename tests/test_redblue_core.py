@@ -757,8 +757,9 @@ def _split_family(part, block, nodes):
        st.randoms(use_true_random=False))
 def test_resumed_sweep_matches_full_sweep_outside_run(n, seed, rho, rnd):
     """Random split_below and split_component sequences, with the last
-    split now and then undone by merge; the resumed sweep must agree
-    with the full sweep after every step."""
+    split now and then undone by merge, and a sweep after each step or
+    not, drawn at random; every sweep, resumed or afresh, must agree
+    with the full sweep."""
     base = random_pair(n, seed)
     pair = make_pair(base.t1, base.t2, add_rho=rho)
     part = Partition(pair)
@@ -775,7 +776,6 @@ def test_resumed_sweep_matches_full_sweep_outside_run(n, seed, rho, rnd):
             step = rnd.random()
             if last is not None and step < 0.15:
                 part.merge([(min(last[0]), min(leaves)) for leaves in last[1:]])
-                assert part.sweep is not None
                 last = None
             elif step < 0.55:
                 v = rnd.choice(covered)
@@ -790,29 +790,121 @@ def test_resumed_sweep_matches_full_sweep_outside_run(n, seed, rho, rnd):
                     continue
                 ids = part.split_component(comp.id, family)
                 last = [part.comps[cid].leaves for cid in ids]
-            sweep(part)
+            if rnd.random() < 0.6:
+                sweep(part)
+        sweep(part)
     assert calls["find_lowest_pcs"] > 0
 
 
-def test_merge_after_unread_splits_starts_the_sweep_afresh(fig1):
-    """A merge that follows splits no sweep has read yet drops the saved
-    sweep, which then starts from scratch and agrees with the full
-    sweep; one that follows a sweep keeps it."""
-    part = Partition(fig1)
+def _splittable(part, cid):
+    """Nodes ``split_below`` can cut in block ``cid``, ascending."""
+    size = part.comps[cid].size
+    return [v for v in range(part.pair.t2.n_nodes)
+            if part.covering(v) == cid and part.live[v] < size]
+
+
+def _undo(part, ids):
+    """Merge the blocks ``ids`` back into one."""
+    x = min(part.comps[ids[0]].leaves)
+    part.merge([(x, min(part.comps[cid].leaves)) for cid in ids[1:]])
+
+
+def _split_twice(part):
+    # the block that keeps the root is split again before a read
+    root = part.pair.t2.root
+    _, above = part.split_below(_splittable(part, 0)[0])
+    part.split_below(_splittable(part, above)[-1])
+    assert part.split_log[root] >= 0
+    assert list(part.split_log.values()).count(-1) == 2
+
+
+def _split_detached_again(part):
+    # the detached block is split again, keeping its own root
+    below, _ = part.split_below(max(_splittable(part, 0),
+                                    key=part.live.__getitem__))
+    root = part.comps[below].root2
+    _, kept = part.split_below(_splittable(part, below)[0])
+    assert part.comps[kept].root2 == root and part.split_log[root] == -1
+
+
+def _merge_after_unread_splits(part):
+    ids = part.split_below(_splittable(part, 0)[0])
+    _undo(part, ids)
+    assert part.split_log and part.merge_log
+
+
+def _splits_after_unread_merge(part):
+    ids = part.split_below(_splittable(part, 0)[0])
+    redblue_core.find_lowest_pcs(part)
+    _undo(part, ids)
+    block = max(part.comps.values(), key=lambda c: c.size)
+    part.split_below(_splittable(part, block.id)[0])
+    assert part.split_log and part.merge_log
+
+
+def _two_unread_merges(part):
+    first = [min(part.comps[cid].leaves)
+             for cid in part.split_below(_splittable(part, 0)[0])]
+    block = max(part.comps.values(), key=lambda c: c.size)
+    second = part.split_below(_splittable(part, block.id)[-1])
+    redblue_core.find_lowest_pcs(part)
+    _undo(part, second)
+    part.merge([first])
+    assert len(part.merge_log) == 2 and not part.split_log
+
+
+@pytest.mark.parametrize("steps", [
+    _split_twice, _split_detached_again, _merge_after_unread_splits,
+    _splits_after_unread_merge, _two_unread_merges],
+    ids=lambda f: f.__name__.strip("_"))
+def test_logged_changes_give_the_full_sweep(steps):
+    """One sweep, then a change that leaves the logs in one shape, then
+    a sweep that must agree with the full one, over pairs of 12 and 30
+    leaves with and without rho: a block split twice before a read, a
+    detached block split again on its own root, a merge after unread
+    splits, splits after an unread merge, and two merges after one
+    read."""
+    pairs = [random_pair(n, seed) for n in (12, 30) for seed in range(10)]
     with full_sweep_checks() as calls:
+        for base in pairs:
+            for rho in (False, True):
+                part = Partition(make_pair(base.t1, base.t2, add_rho=rho))
+                redblue_core.find_lowest_pcs(part)
+                steps(part)
+                redblue_core.find_lowest_pcs(part)
+                assert not part.split_log and not part.merge_log
+    assert calls["find_lowest_pcs"] >= 2 * len(pairs) * 2
+
+
+def test_merge_after_unread_splits_starts_the_sweep_afresh(fig1):
+    """A merge that follows splits no sweep has read yet leaves both
+    logs holding entries, so the next sweep is a new one that resumes
+    nothing: it starts from the first node of the first tree, and
+    agrees with the full sweep.  After a merge that followed a sweep,
+    the saved sweep resumes."""
+    part = Partition(fig1)
+    resumed = []
+    resume = redblue_core._resume
+
+    def recording_resume(partition, sweep):
+        resumed.append(sweep)
+        return resume(partition, sweep)
+
+    with full_sweep_checks() as calls, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(redblue_core, "_resume", recording_resume)
         sweep = redblue_core.find_lowest_pcs
         sweep(part)
-        below, above = part.split_below(2)
-        part.merge([(min(part.comps[below].leaves),
-                     min(part.comps[above].leaves))])
-        assert part.sweep is None
+        first = part.sweep
+        _undo(part, part.split_below(2))
         sweep(part)
-        below, above = part.split_below(2)
+        assert part.sweep is not first and resumed == []
+        ids = part.split_below(2)
         sweep(part)
-        part.merge([(min(part.comps[below].leaves),
-                     min(part.comps[above].leaves))])
-        assert part.sweep is not None
+        saved = part.sweep
+        assert resumed == [saved]
+        _undo(part, ids)
         sweep(part)
+        assert part.sweep is saved and resumed == [saved, saved]
     assert calls["find_lowest_pcs"] == 4 and calls["merge"] == 2
 
 
@@ -832,30 +924,53 @@ def test_resumed_sweep_seeds_joins_on_the_kept_blocks_meeting_path():
 
 def test_resumed_sweep_reads_one_join_list_per_shrunk_block():
     """``_resume`` looks up ``by_meet`` once for each block that kept its
-    root but shrank, at that block's meeting node, and nowhere else."""
+    root but shrank, at that block's meeting node, and nowhere else.  A
+    shrunk block is one created since the partition's last sweep whose
+    root was a root then; the sweep after the merge phase follows no
+    split and is left out.  Only ``_resume``'s reads count: a recording
+    copy of ``by_meet`` stands in for it during each call."""
     counts = Counter()
+    last = {}  # partition -> its roots and next_id at its last sweep
+    merged = set()
+    find, resume = redblue_core.find_lowest_pcs, redblue_core._resume
+    merge = redblue_core.merge_components
 
     class Recording(dict):
         def get(self, key, default=None):
             counts["get"] += 1
             return dict.get(self, key, default)
 
-    init, resume = redblue_core._Sweep.__init__, redblue_core._resume
+        def __getitem__(self, key):
+            counts["get"] += 1
+            return dict.__getitem__(self, key)
 
-    def recording_init(self, partition):
-        init(self, partition)
-        self.by_meet = Recording()
+    def recording_find(partition):
+        comps = partition.comps
+        if partition in last and partition not in merged:
+            roots, next_id = last[partition]
+            counts["shrunk"] += sum(
+                1 for cid in range(next_id, partition.next_id)
+                if cid in comps and comps[cid].root2 in roots)
+        last[partition] = ({c.root2 for c in comps.values()},
+                           partition.next_id)
+        return find(partition)
 
-    def counting_resume(partition, sweep):
-        for cid in range(sweep.next_id, partition.next_id):
-            c = partition.comps.get(cid)
-            if c is not None and c.root2 in sweep.roots:
-                counts["shrunk"] += 1
-        return resume(partition, sweep)
+    def recording_resume(partition, sweep):
+        joins = sweep.by_meet
+        sweep.by_meet = Recording(joins)
+        try:
+            return resume(partition, sweep)
+        finally:
+            sweep.by_meet = joins
+
+    def recording_merge(partition, pairslist):
+        merged.add(partition)
+        return merge(partition, pairslist)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(redblue_core._Sweep, "__init__", recording_init)
-        mp.setattr(redblue_core, "_resume", counting_resume)
+        mp.setattr(redblue_core, "find_lowest_pcs", recording_find)
+        mp.setattr(redblue_core, "_resume", recording_resume)
+        mp.setattr(redblue_core, "merge_components", recording_merge)
         for n in range(3, 13):
             for _, pair in corpus(n, 25):
                 run(pair)
@@ -865,26 +980,25 @@ def test_resumed_sweep_reads_one_join_list_per_shrunk_block():
 def test_final_check_visits_only_the_merge_seeds_ancestors():
     """After the merge phase, the final ``find_lowest_pcs`` call on a
     k-rSPR pair with 2,000 leaves (k = 20, with rho) resumes the sweep
-    the loop left: it visits exactly the first-tree ancestors of the
-    seeds the merge handed it, 633 of the 4,001 nodes, where a sweep
-    from scratch visits them all."""
+    the loop left, with an empty split log: it visits exactly the
+    first-tree ancestors of the leaves in the merge log, 633 of the
+    4,001 nodes, where a sweep from scratch visits them all."""
     base = random_pair(2000, 0, mode="k_rspr", k=20)
     pair = make_pair(base.t1, base.t2, add_rho=True)
     n1 = pair.t1.n_nodes
-    parent1 = pair.t1.parent
+    parent1, leaf_node1 = pair.t1.parent, pair.leaf_node1
     calls = []
     find, resume = redblue_core.find_lowest_pcs, redblue_core._resume
 
     def recording_find(partition):
-        sweep = partition.sweep
-        calls.append({"visits": n1} if sweep is None else
-                      {"visits": n1 - sweep.stop, "seeds": list(sweep.seeds),
-                       "stop": sweep.stop})
+        calls.append({"visits": n1, "splits": dict(partition.split_log),
+                      "seeds": [leaf_node1[x] for sets in partition.merge_log
+                                for leaves in sets for x in leaves]})
         return find(partition)
 
     def recording_resume(partition, sweep):
         nodes = resume(partition, sweep)
-        calls[-1]["visits"] += len(nodes)
+        calls[-1].update(visits=n1 - sweep.stop + len(nodes), stop=sweep.stop)
         return nodes
 
     with pytest.MonkeyPatch.context() as mp:
@@ -893,11 +1007,12 @@ def test_final_check_visits_only_the_merge_seeds_ancestors():
         res = run(pair)
     final = calls[-1]
     ancestors = set()
-    for v in final.get("seeds", ()):
-        while 0 <= v < final["stop"] and v not in ancestors:
+    for v in final["seeds"]:
+        while 0 <= v < final.get("stop", 0) and v not in ancestors:
             ancestors.add(v)
             v = parent1[v]
-    assert res.pairslist and final["visits"] <= len(ancestors) <= n1 // 5
+    assert res.pairslist and not final["splits"]
+    assert final["visits"] <= len(ancestors) <= n1 // 5
 
 
 @pytest.mark.parametrize("parts", [[[3], [0], [1, 2, 4]],
