@@ -16,7 +16,6 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
 
 from .dual_certificate import verify_dual_feasibility
 from .forest_partition import is_feasible_maf
@@ -37,7 +36,7 @@ from .tree_model import (
     OracleCapError,
     RootedBinaryTree,
     TreePair,
-    incompatible_triples,
+    conflict_masks,
     leaf_path_masks,
     pair_from_newick,
     parse_newick,  # noqa: F401  unused here; perfbench patches this name
@@ -65,16 +64,17 @@ def exact_maf(pair, partition_cap=None):
     """Minimum edge deletions over all agreement forests, by exhaustion.
 
     Walks the set partitions of the leaves in restricted growth order.
-    A block may grow only while all its leaf triples stay compatible
-    and its spanned edges stay disjoint from every other block in both
-    trees, which :func:`leaf_path_masks` shows is the same as disjoint
-    spanned nodes.  As spans stay disjoint, the other blocks' edges are
-    the union of every block's edges, one int per tree carried down the
+    A block may grow only while its leaf triples stay compatible, as one
+    bit of the OR of its pairs' :func:`conflict_masks` tells, and its
+    spanned edges stay disjoint from every other block in both trees,
+    which :func:`leaf_path_masks` shows is the same as disjoint spanned
+    nodes.  As spans stay disjoint, the other blocks' edges are the
+    union of every block's edges, one int per tree carried down the
     search, less the block's own: a leaf joins a block when its path to
     the block's first leaf misses them in both trees.  Branches already
     using at least the best known number of blocks are cut.  Refuses
-    more than ``partition_cap`` leaves (default 10), a cap below 1 and
-    a cap above :data:`EXACT_CEILING`; a cap above the default warns.
+    more than ``partition_cap`` leaves (default 10), a cap below 1 and a
+    cap above :data:`EXACT_CEILING`; a cap above the default warns.
     """
     cap = EXACT_CAP if partition_cap is None else partition_cap
     if cap < 1:
@@ -91,11 +91,11 @@ def exact_maf(pair, partition_cap=None):
     if n > cap:
         raise OracleCapError(
             "exact search capped at %d leaves, got %d" % (cap, n))
-    bad = incompatible_triples(pair)
+    conf = conflict_masks(pair)
     pm1 = leaf_path_masks(pair, 1)
     pm2 = leaf_path_masks(pair, 2)
     best = n - 1
-    blocks = []  # [leaves, edges spanned in the first tree, in the second]
+    blocks = []  # [leaves, edges spanned in tree 1, in tree 2, barred leaves]
 
     def grow(i, used1, used2):
         nonlocal best
@@ -106,20 +106,20 @@ def exact_maf(pair, partition_cap=None):
             best = nblocks - 1
             return
         for block in blocks:
-            ms, s1, s2 = block
-            for x, y in combinations(ms, 2):
-                if (x, y, i) in bad:
-                    break
-            else:
-                p1 = pm1[ms[0]][i]
-                p2 = pm2[ms[0]][i]
-                if not (p1 & (used1 ^ s1) or p2 & (used2 ^ s2)):
-                    ms.append(i)
-                    block[1], block[2] = s1 | p1, s2 | p2
-                    grow(i + 1, used1 | p1, used2 | p2)
-                    ms.pop()
-                    block[1], block[2] = s1, s2
-        blocks.append([[i], 0, 0])
+            ms, s1, s2, barred = block
+            p1 = pm1[ms[0]][i]
+            p2 = pm2[ms[0]][i]
+            if not (barred >> i & 1 or p1 & (used1 ^ s1)
+                    or p2 & (used2 ^ s2)):
+                bar = barred
+                for x in ms:
+                    bar |= conf[i][x]
+                ms.append(i)
+                block[1:] = s1 | p1, s2 | p2, bar
+                grow(i + 1, used1 | p1, used2 | p2)
+                ms.pop()
+                block[1:] = s1, s2, barred
+        blocks.append([[i], 0, 0, 0])
         grow(i + 1, used1, used2)
         blocks.pop()
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations, compress, repeat, starmap
+from math import inf, isfinite, isnan
 from operator import add, eq, itemgetter, ne
 from string import ascii_letters, digits
 from typing import NamedTuple
@@ -23,7 +24,8 @@ from typing import NamedTuple
 from .tree_model import (
     InvariantError,
     OracleCapError,
-    incompatible_triples,
+    _sorted_triples,
+    conflict_masks,
     internal_mask,
     internal_span,
     leaf_path_masks,
@@ -250,6 +252,8 @@ def render_lp_text(model):
 
     Terms are written in variable order.  A row whose coefficients are
     all 1, as most rows of the builders are, is one join over its names.
+    Infinite bounds are written ``inf`` and ``-inf``; any other
+    infinity, and any NaN, raises ValueError naming where it stands.
     """
     index = model._var_index
     position = index.__getitem__
@@ -258,18 +262,18 @@ def render_lp_text(model):
     if not objective.keys() <= index.keys():
         raise ValueError("objective references unknown variable %r"
                          % _unknown(objective, index))
-    names = sorted(objective, key=position)
-    obj = (" + ".join(names)
-           if list(objective.values()).count(1.0) == len(names)
-           else _signed_terms(objective, names))
-    c = model.objective_constant
-    if c or not obj:
-        obj = (obj + (" + " if c >= 0 else " - ") + num[abs(c)]
-               if obj else num[c])
-    lines = ["\\ Problem: %s" % model.name, "Minimize", " obj: " + obj,
-             "Subject To"]
-    append = lines.append
     try:
+        names = sorted(objective, key=position)
+        obj = (" + ".join(names)
+               if list(objective.values()).count(1.0) == len(names)
+               else _signed_terms(objective, names))
+        c = model.objective_constant
+        if c or not obj:
+            obj = (obj + (" + " if c >= 0 else " - ") + num[abs(c)]
+                   if obj else num[c])
+        lines = ["\\ Problem: %s" % model.name, "Minimize", " obj: " + obj,
+                 "Subject To"]
+        append = lines.append
         for name, coefs, sense, rhs in model.constraints:
             names = sorted(coefs, key=position)
             if list(coefs.values()).count(1.0) == len(names):
@@ -277,15 +281,18 @@ def render_lp_text(model):
             else:
                 append(f" {name}: {_signed_terms(coefs, names)} {sense} "
                        f"{num[rhs]}")
+        append("Bounds")
+        bound = _NumText({inf: "inf", -inf: "-inf"})
+        lines += [f" {bound[lower]} <= {name}" if upper is None
+                  else f" {bound[lower]} <= {name} <= {bound[upper]}"
+                  for name, lower, upper, _ in model.variables]
     except KeyError:  # a row was changed after it was added
         row = next(row for row in model.constraints
                    if not row.coefs.keys() <= index.keys())
         raise ValueError("constraint %r references unknown variable %r"
                          % (row.name, _unknown(row.coefs, index))) from None
-    append("Bounds")
-    lines += [f" {num[lower]} <= {name}" if upper is None
-              else f" {num[lower]} <= {name} <= {num[upper]}"
-              for name, lower, upper, _ in model.variables]
+    except (OverflowError, ValueError):  # from int() in _num
+        raise ValueError(_non_finite(model)) from None
     integers = [" " + name for name, _, _, integer in model.variables
                 if integer]
     if integers:
@@ -294,6 +301,23 @@ def render_lp_text(model):
     append("End")
     append("")
     return "\n".join(lines)
+
+
+def _non_finite(model):
+    """Where the first NaN, or infinity outside a bound, stands."""
+    numbers = [("objective coefficient of %r" % var, coef)
+               for var, coef in model.objective.items()]
+    numbers.append(("objective constant", model.objective_constant))
+    for name, coefs, _, rhs in model.constraints:
+        numbers += [("constraint %r: coefficient of %r" % (name, var), coef)
+                    for var, coef in coefs.items()]
+        numbers.append(("constraint %r: right-hand side" % name, rhs))
+    numbers += [("variable %r: bound" % name, bound)
+                for name, *bounds, _ in model.variables
+                for bound in bounds if bound is not None and isnan(bound)]
+    return next("%s is %r: LP text takes finite numbers, and infinities "
+                "only as bounds" % (where, x)
+                for where, x in numbers if not isfinite(x))
 
 
 def write_lp_file(model, destination):
@@ -327,14 +351,14 @@ def _search_compatible_sets(pair):
 
     A leaf set induces the same shape in both trees exactly when every
     one of its triples does, so the search extends partial sets leaf by
-    leaf and abandons a branch at the first incompatible triple.  The
-    edges a set spans grow with it: each new leaf adds its path to the
-    set's first leaf.  The search keeps an explicit stack: a recursive
-    closure would form a reference cycle that keeps the table alive
-    until the cyclic collector runs, long after the pair is gone.
+    leaf, skipping those barred by the OR of the :func:`conflict_masks`
+    of the set's leaf pairs.  The edges a set spans grow with it: each
+    new leaf adds its path to the set's first leaf.  The search keeps an
+    explicit stack: a recursive closure would form a reference cycle
+    that keeps the table alive until the cyclic collector runs.
     """
     n = pair.n
-    bad = incompatible_triples(pair)
+    conf = conflict_masks(pair)
     p1 = leaf_path_masks(pair, 1)
     p2 = leaf_path_masks(pair, 2)
     inner1 = internal_mask(pair.t1)
@@ -344,21 +368,23 @@ def _search_compatible_sets(pair):
     span2 = []
     # Extensions are pushed in descending leaf order, so sets come off
     # the stack in lexicographic order.
-    stack = [((leaf,), 0, 0) for leaf in range(n - 1, -1, -1)]
+    stack = [((leaf,), 0, 0, 0) for leaf in range(n - 1, -1, -1)]
     while stack:
-        chosen, edges1, edges2 = stack.pop()
+        chosen, edges1, edges2, barred = stack.pop()
         sets.append(chosen)
         span1.append(internal_span(edges1, inner1))
         span2.append(internal_span(edges2, inner2))
         row1 = p1[chosen[0]]
         row2 = p2[chosen[0]]
-        for leaf in range(n - 1, chosen[-1], -1):
-            for x, y in combinations(chosen, 2):
-                if (x, y, leaf) in bad:
-                    break
-            else:
-                stack.append((chosen + (leaf,), edges1 | row1[leaf],
-                              edges2 | row2[leaf]))
+        free = ~barred & (1 << n) - (2 << chosen[-1])  # leaves above
+        while free:
+            leaf = free.bit_length() - 1
+            free ^= 1 << leaf
+            bar, cross = barred, conf[leaf]
+            for x in chosen:
+                bar |= cross[x]
+            stack.append((chosen + (leaf,), edges1 | row1[leaf],
+                          edges2 | row2[leaf], bar))
     return sets, span1, span2
 
 
@@ -710,7 +736,7 @@ def build_wu_ilp(pair):
     p1 = leaf_path_masks(pair, 1)
     p2 = leaf_path_masks(pair, 2)
     triples = [p1[i][j] | p1[i][k] | p1[j][k]
-               for i, j, k in sorted(incompatible_triples(pair))]
+               for i, j, k in _sorted_triples(pair)]
     paths = [(p1[i][j], p2[i][j]) for i, j in combinations(range(n), 2)]
     crosses = [a1 | b1 for (a1, a2), (b1, b2) in combinations(paths, 2)
                if a2 & b2 and not a1 & b1]

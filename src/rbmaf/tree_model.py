@@ -32,12 +32,12 @@ which leaf sets can survive together inside one agreement component:
 * two leaf sets overlap when the node sets spanned by their pairwise
   leaf paths intersect in either tree.
 
-:func:`incompatible_triples` and :func:`leaf_path_masks` tabulate both
-predicates per leaf triple and per leaf pair for the exact search, the
-compatible-set enumeration and the path-cutting ILP; the triple table
-is kept on the pair, so all of them share one copy.  The third shared
-table, :func:`meet_matrix`, holds the node where each leaf pair meets;
-the triple table and the arc-flow graph read it.
+:func:`conflict_masks` and :func:`leaf_path_masks` tabulate both
+predicates per leaf pair for the exact search, the compatible-set
+enumeration and the path-cutting ILP; a pair's conflict mask holds the
+leaves that make an incompatible triple with it, and is kept on the
+pair.  The third shared table, :func:`meet_matrix`, holds the node
+where each leaf pair meets, for the arc-flow graph.
 """
 
 from __future__ import annotations
@@ -428,7 +428,7 @@ class TreePair:
 
     __slots__ = ("t1", "t2", "labels", "n", "index_of",
                  "leaf_node1", "leaf_node2", "leaf_index1", "leaf_index2",
-                 "_triples", "_compatible_sets")
+                 "_conflicts", "_compatible_sets")
 
     def __init__(self, t1, t2):
         # One sort, of the first tree's leaves; the second tree's leaves
@@ -461,9 +461,9 @@ class TreePair:
         self.leaf_node2 = leaf_node2
         self.leaf_index1 = leaf_index1
         self.leaf_index2 = leaf_index2
-        # Per-pair tables, built on first use: incompatible_triples and
+        # Per-pair tables, built on first use: conflict_masks and
         # lp_toolkit.compatible_set_table.
-        self._triples = None
+        self._conflicts = None
         self._compatible_sets = None
 
     def tree(self, t):
@@ -520,20 +520,18 @@ def pair_from_newick(s1, s2, add_rho=False):
     return TreePair(t1, parse_newick(s2, add_rho))
 
 
-def _cherry(dxy, dxz, dyz):
-    """Index (0, 1 or 2) of the triple member outside the cherry pair,
-    from the depths of the triple's three pairwise lcas.
-
-    In a strictly binary tree exactly one of the three pairwise lcas
-    lies strictly below the other two, which are equal.
-    """
-    if dxy > dxz and dxy > dyz:
-        return 2
-    if dxz > dxy and dxz > dyz:
-        return 1
-    if dyz > dxy and dyz > dxz:
-        return 0
-    raise InvariantError("triple without a unique cherry pair")
+def _joins(pair, t):
+    """``(v, (lows, low_mask), (highs, high_mask))`` for each internal
+    node v of tree t, children first: the leaves below its children."""
+    tree = pair.tree(t)
+    below = [None] * tree.n_nodes
+    for i, v in enumerate(pair.leaf_nodes(t)):
+        below[v] = ([i], 1 << i)
+    for v in range(tree.n_nodes):  # children come before parents
+        if tree.left[v] >= 0:
+            low, high = below[tree.left[v]], below[tree.right[v]]
+            below[v] = (low[0] + high[0], low[1] | high[1])
+            yield v, low, high
 
 
 def meet_matrix(pair, t):
@@ -543,45 +541,59 @@ def meet_matrix(pair, t):
     children, so one pass over the internal nodes fills the matrix.
     The diagonal holds each leaf's own node.
     """
-    tree = pair.tree(t)
-    n = pair.n
-    below = [None] * tree.n_nodes  # leaf indices under each node
-    for i, v in enumerate(pair.leaf_nodes(t)):
-        below[v] = [i]
-    meet = [[v] * n for v in pair.leaf_nodes(t)]
-    for v in range(tree.n_nodes):  # children come before parents
-        left = tree.left[v]
-        if left < 0:
-            continue
-        lows, highs = below[left], below[tree.right[v]]
+    meet = [[v] * pair.n for v in pair.leaf_nodes(t)]
+    for v, (lows, _), (highs, _) in _joins(pair, t):
         for i in lows:
             row = meet[i]
             for j in highs:
                 row[j] = meet[j][i] = v
-        below[v] = lows + highs
     return meet
+
+
+def conflict_masks(pair):
+    """``conf[x][y]``: bit set of the leaves z for which ``{x, y, z}``
+    is incompatible, a symmetric table built once per pair.  In tree t
+    let ``X_t`` and ``Y_t`` be the leaves below the children, holding x
+    and y, of the node where they meet.  The cherry of ``{x, y, z}`` is
+    xz for z in ``X_t``, yz for z in ``Y_t`` and xy for any other z, so
+    ``conf[x][y] = (X1 | Y1 | X2 | Y2) & ~(X1 & X2 | Y1 & Y2)``."""
+    if pair._conflicts is None:
+        pair._conflicts = _build_conflict_masks(pair)
+    return pair._conflicts
+
+
+def _build_conflict_masks(pair):
+    n = pair.n
+    side = [[0] * n for _ in range(n)]  # side[x][y]: X1 for x and y
+    for _, (lows, low), (highs, high) in _joins(pair, 1):
+        for i in lows:
+            for j in highs:
+                side[i][j], side[j][i] = low, high
+    conf = [[0] * n for _ in range(n)]
+    for _, (lows, x2), (highs, y2) in _joins(pair, 2):
+        for i in lows:
+            for j in highs:
+                x1, y1 = side[i][j], side[j][i]
+                conf[i][j] = conf[j][i] = ((x1 | y1 | x2 | y2)
+                                           & ~(x1 & x2 | y1 & y2))
+    return conf
 
 
 def incompatible_triples(pair):
     """Sorted leaf-index triples ``(a, b, c)`` whose cherry differs
-    between the two trees, as a frozenset built once per pair.
-
-    A leaf set is compatible exactly when it contains none of them.
-    """
-    if pair._triples is None:
-        pair._triples = _find_incompatible_triples(pair)
-    return pair._triples
+    between the trees, as a frozenset read from :func:`conflict_masks`.
+    A leaf set is compatible exactly when it contains none of them."""
+    return frozenset(_sorted_triples(pair))
 
 
-def _find_incompatible_triples(pair):
-    n = pair.n
-    d1, d2 = ([[depth[v] for v in row] for row in meet_matrix(pair, t)]
-              for t, depth in ((1, pair.t1.depth), (2, pair.t2.depth)))
-    return frozenset(
-        (a, b, c)
-        for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)
-        if _cherry(d1[a][b], d1[a][c], d1[b][c])
-        != _cherry(d2[a][b], d2[a][c], d2[b][c]))
+def _sorted_triples(pair):
+    conf = conflict_masks(pair)
+    for a in range(pair.n):
+        for b in range(a + 1, pair.n):
+            rest = conf[a][b] >> b + 1 << b + 1  # the leaves c above b
+            while rest:
+                yield a, b, (rest & -rest).bit_length() - 1
+                rest &= rest - 1
 
 
 def leaf_path_masks(pair, t):

@@ -51,9 +51,9 @@ def fig9(figs):
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Counter of the triple-table and compatible-set-table builds."""
+    """Counter of the conflict-mask and compatible-set-table builds."""
     counts = Counter()
-    for module, attr in ((tree_model, "_find_incompatible_triples"),
+    for module, attr in ((tree_model, "_build_conflict_masks"),
                          (lp_toolkit, "_search_compatible_sets")):
         def counted(pair, original=getattr(module, attr), attr=attr):
             counts[attr] += 1

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 from rbmaf.forest_partition import _spans_disjoint, as_blocks
 from rbmaf.redblue_core import Pcs
 from rbmaf.tree_model import (InvariantError, NewickError, RootedBinaryTree,
-                              set_compatible, spanned_nodes)
+                              meet_matrix, set_compatible, spanned_nodes)
 
 
 def root_path(tree, v):
@@ -68,6 +68,35 @@ def naive_cherry(pair, t, x, y, z):
 
 def naive_triple_compatible(pair, a, b, c):
     return naive_cherry(pair, 1, a, b, c) == naive_cherry(pair, 2, a, b, c)
+
+
+def _cherry(dxy, dxz, dyz):
+    """Index (0, 1 or 2) of the triple member outside the cherry pair,
+    from the depths of the triple's three pairwise lcas.
+
+    In a strictly binary tree exactly one of the three pairwise lcas
+    lies strictly below the other two, which are equal.
+    """
+    if dxy > dxz and dxy > dyz:
+        return 2
+    if dxz > dxy and dxz > dyz:
+        return 1
+    if dyz > dxy and dyz > dxz:
+        return 0
+    raise InvariantError("triple without a unique cherry pair")
+
+
+def naive_incompatible_triples(pair):
+    """Sorted triples whose cherry differs between the trees, by a scan
+    of all of them over the meeting depths."""
+    n = pair.n
+    d1, d2 = ([[depth[v] for v in row] for row in meet_matrix(pair, t)]
+              for t, depth in ((1, pair.t1.depth), (2, pair.t2.depth)))
+    return frozenset(
+        (a, b, c)
+        for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)
+        if _cherry(d1[a][b], d1[a][c], d1[b][c])
+        != _cherry(d2[a][b], d2[a][c], d2[b][c]))
 
 
 def naive_set_compatible(pair, leaves):

@@ -234,7 +234,7 @@ def test_check_dual_builds_each_table_once(table_builds, monkeypatch,
     assert main(["check-dual", FIG9_NEWICK1, FIG9_NEWICK2]) == 0
     assert "after each of 2 iterations" in capsys.readouterr().out
     assert len(checks) == 3
-    assert table_builds == {"_find_incompatible_triples": 1,
+    assert table_builds == {"_build_conflict_masks": 1,
                             "_search_compatible_sets": 1}
 
 

@@ -1,6 +1,7 @@
 """LP formulations: structure goldens, point checks, gap instances."""
 
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,14 +101,14 @@ def test_enumeration_cap():
 
 def test_one_triple_table_per_pair(table_builds):
     """The exact search, the exponential LP and the Wu ILP of one pair
-    share one triple table; the enumeration and two exponential LP
-    builds share one compatible-set table."""
+    share one conflict-mask table; the enumeration and two exponential
+    LP builds share one compatible-set table."""
     pair = random_pair(8, seed=4)
     exact_maf(pair)
     for build in (build_exponential_lp, build_wu_ilp,
                   enumerate_compatible_sets, build_exponential_lp):
         build(pair)
-    assert table_builds == {"_find_incompatible_triples": 1,
+    assert table_builds == {"_build_conflict_masks": 1,
                             "_search_compatible_sets": 1}
 
 
@@ -319,6 +320,56 @@ def test_render_refuses_unknown_names():
     with pytest.raises(ValueError, match="constraint 'r' references "
                        "unknown variable 'ghost'"):
         render_lp_text(model)
+
+
+def test_render_writes_infinite_bounds():
+    """A free variable and an unbounded one are written with ``-inf``
+    and ``inf`` bounds, which LP readers take."""
+    model = LpModel("m")
+    model.add_variable("x", lower=-math.inf)
+    model.add_variable("y", upper=math.inf)
+    model.add_constraint("r", {"x": 1.0, "y": 1.0}, ">=", 1.0)
+    assert render_lp_text(model).endswith(
+        "Bounds\n -inf <= x\n 0 <= y <= inf\nEnd\n")
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda m: m.add_variable("z", lower=_NAN), "variable 'z': bound is nan"),
+    (lambda m: m.add_variable("z", upper=_NAN), "variable 'z': bound is nan"),
+    (lambda m: m.objective.update(y=_NAN),
+     "objective coefficient of 'y' is nan"),
+    (lambda m: m.objective.update(y=-_INF),
+     "objective coefficient of 'y' is -inf"),
+    (lambda m: setattr(m, "objective_constant", _INF),
+     "objective constant is inf"),
+    (lambda m: setattr(m, "objective_constant", _NAN),
+     "objective constant is nan"),
+    (lambda m: m.add_constraint("s", {"x": 1.0, "y": _NAN}, "<=", 1.0),
+     "constraint 's': coefficient of 'y' is nan"),
+    (lambda m: m.add_constraint("s", {"x": _INF}, "<=", 1.0),
+     "constraint 's': coefficient of 'x' is inf"),
+    (lambda m: m.add_constraint("s", {"x": 2.0}, ">=", _NAN),
+     "constraint 's': right-hand side is nan"),
+    (lambda m: m.add_constraint("s", {"x": 1.0}, "=", -_INF),
+     "constraint 's': right-hand side is -inf"),
+], ids=["nan-lower", "nan-upper", "nan-cost", "inf-cost", "inf-constant",
+        "nan-constant", "nan-coef", "inf-coef", "nan-rhs", "inf-rhs"])
+def test_render_refuses_non_finite_numbers(spoil, message):
+    """A NaN anywhere, or an infinity outside a bound, raises ValueError
+    naming where it stands."""
+    model = LpModel("m")
+    model.add_variables(["x", "y"], lower=-_INF, upper=_INF)
+    model.objective = {"x": 1.0}
+    model.add_constraint("r", {"x": 1.0, "y": 2.0}, "<=", 4.0)
+    render_lp_text(model)
+    spoil(model)
+    with pytest.raises(ValueError) as error:
+        render_lp_text(model)
+    assert str(error.value) == message + (
+        ": LP text takes finite numbers, and infinities only as bounds")
 
 
 def test_render_matches_oracle_on_builders(figs):

@@ -13,6 +13,7 @@ from rbmaf import (
     RHO_LABEL,
     RootedBinaryTree,
     build_compact_graph,
+    conflict_masks,
     corpus,
     exact_maf,
     incompatible_triples,
@@ -24,6 +25,7 @@ from rbmaf import (
     random_pair,
     set_compatible,
     spanned_nodes,
+    wu_gap_instance,
 )
 from rbmaf import tree_model
 from rbmaf.cli_runner import main
@@ -594,8 +596,8 @@ def test_meet_matrix_against_naive():
 
 
 def test_pair_tables_make_no_lca_calls(monkeypatch):
-    """The triple table, the arc-flow graph and the exact search read
-    meeting nodes from meet_matrix, never through lca."""
+    """The conflict masks, the arc-flow graph and the exact search read
+    where leaves meet from one pass over each tree, never through lca."""
     pairs = [pair for n in (5, 8) for _, pair in corpus(n, 5)]
     calls = []
     lca = RootedBinaryTree.lca
@@ -605,6 +607,7 @@ def test_pair_tables_make_no_lca_calls(monkeypatch):
         return lca(tree, u, v)
     monkeypatch.setattr(RootedBinaryTree, "lca", counted)
     for pair in pairs:
+        conflict_masks(pair)
         incompatible_triples(pair)
         build_compact_graph(pair)
         exact_maf(pair)
@@ -663,6 +666,26 @@ def test_triple_compatible_against_naive(fig1, fig9):
             want = naive.naive_triple_compatible(pair, a, b, c)
             assert ((a, b, c) not in bad) == want
         assert all(a < b < c for a, b, c in bad)
+
+
+def test_conflict_masks_against_naive(fig1, fig9):
+    """Bit z of conf[x][y] is set exactly when {x, y, z} is
+    incompatible; the table is symmetric with bits x and y clear, and
+    the triples read from it are those of the full scan."""
+    pairs = [pair for n in range(3, 13) for _, pair in corpus(n, 25)]
+    pairs += [fig1, fig9, wu_gap_instance(2), wu_gap_instance(4)]
+    for pair in pairs:
+        conf = conflict_masks(pair)
+        for x in range(pair.n):
+            for y in range(pair.n):
+                assert conf[x][y] == conf[y][x]
+                assert not conf[x][y] >> x & 1 and not conf[x][y] >> y & 1
+        for a, b, c in combinations(range(pair.n), 3):
+            bad = not naive.naive_triple_compatible(pair, a, b, c)
+            for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+                assert bool(conf[x][y] >> z & 1) == bad, (x, y, z)
+        assert incompatible_triples(pair) == \
+            naive.naive_incompatible_triples(pair)
 
 
 def test_leaf_path_masks_against_naive(fig1, fig9):
